@@ -11,13 +11,11 @@
 //! thread of another, so the resources a trailing thread frees (no
 //! misspeculation, no data-cache/load-queue use) are spent on a different
 //! program's resource-hungry leading thread.
-
-use crate::device::{Device, LogicalThread, SrtOptions};
-use crate::machine::{delegate_device, Machine};
-use crate::rmt_env::RmtEnv;
-use crate::schemes::{RmtScheme, Topology};
-use rmt_isa::mem_image::MemImage;
-use rmt_pipeline::Core;
+//!
+//! A CRT machine is a `Machine<RmtScheme>` with cross-coupled placement,
+//! assembled by [`Machine::redundant`](crate::Machine::redundant) from a
+//! [`MachineSpec`](crate::MachineSpec) of kind `DeviceKind::Crt` (4-cycle
+//! forwarding delay and per-thread store queues, §4.2).
 
 /// Placement of one redundant pair on the two cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,103 +30,41 @@ pub struct PairPlacement {
     pub trail_tid: usize,
 }
 
-/// A chip-level redundantly threaded processor: two cores over a shared
-/// L2 — a facade over [`Machine`]`<`[`RmtScheme`]`>` with
-/// [`Topology::CrossCoupled`].
-pub struct CrtDevice {
-    m: Machine<RmtScheme>,
-}
-
-impl CrtDevice {
-    /// Builds a CRT machine. `opts.env.cross_core_delay` should be 4 (the
-    /// paper's assumption); [`CrtDevice::default_options`] sets it.
-    ///
-    /// Placement (Figure 5): the leading threads of the first half of the
-    /// programs run on core 0 with the trailing threads of the second
-    /// half, and vice versa. One logical thread puts its leader on core 0
-    /// and its trailer on core 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the threads do not fit the two cores' contexts.
-    pub fn new(opts: SrtOptions, threads: Vec<LogicalThread>) -> Self {
-        CrtDevice {
-            m: Machine::redundant(opts, threads, Topology::CrossCoupled),
-        }
-    }
-
-    /// The paper's CRT configuration: SRT options plus the 4-cycle
-    /// inter-core forwarding delay and per-thread store queues (§4.2 —
-    /// leading stores wait a cross-core verification latency in the store
-    /// queue, so the shared-CAM partitioning starves fast leading threads).
-    pub fn default_options() -> SrtOptions {
-        let mut opts = SrtOptions::default();
-        opts.env.cross_core_delay = 4;
-        opts.core.per_thread_store_queues = true;
-        opts
-    }
-
-    /// Core `i` of the chip.
-    pub fn core(&self, i: usize) -> &Core {
-        self.m.substrate().core(i)
-    }
-
-    /// Mutable access to core `i` (fault injection).
-    pub fn core_mut(&mut self, i: usize) -> &mut Core {
-        self.m.substrate_mut().core_mut(i)
-    }
-
-    /// The RMT environment.
-    pub fn env(&self) -> &RmtEnv {
-        self.m.scheme().env()
-    }
-
-    /// Mutable environment access (LVQ fault injection).
-    pub fn env_mut(&mut self) -> &mut RmtEnv {
-        self.m.scheme_mut().env_mut()
-    }
-
-    /// Placement of logical thread `i`.
-    pub fn placement(&self, i: usize) -> PairPlacement {
-        self.m.scheme().placement(i)
-    }
-
-    /// The memory image of logical thread `i`.
-    pub fn image(&self, i: usize) -> &MemImage {
-        Device::image(&self.m, i)
-    }
-}
-
-delegate_device!(CrtDevice, m);
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::device::{Device, LogicalThread};
+    use crate::machine::Machine;
+    use crate::schemes::RmtScheme;
+    use crate::spec::{DeviceKind, MachineSpec};
     use rmt_workloads::{Benchmark, Workload};
+
+    /// The paper's CRT machine without preferential space redundancy.
+    fn crt(threads: Vec<LogicalThread>) -> Machine<RmtScheme> {
+        let mut spec = MachineSpec::for_kind(DeviceKind::Crt);
+        spec.core.preferential_space_redundancy = false;
+        Machine::redundant(&spec, threads)
+    }
 
     #[test]
     fn single_thread_crt_splits_across_cores() {
         let w = Workload::generate(Benchmark::M88ksim, 7);
-        let mut d = CrtDevice::new(CrtDevice::default_options(), vec![LogicalThread::from(&w)]);
-        let p = d.placement(0);
+        let mut d = crt(vec![LogicalThread::from(&w)]);
+        let p = d.scheme().placement(0);
         assert_eq!(p.lead_core, 0);
         assert_eq!(p.trail_core, 1);
         assert!(d.run_until_committed(3_000, 3_000_000));
         assert!(d.drain_detected_faults().is_empty());
-        assert_eq!(d.env().pair(0).comparator.mismatches(), 0);
-        assert!(d.env().pair(0).comparator.matches() > 10);
+        assert_eq!(d.scheme().env().pair(0).comparator.mismatches(), 0);
+        assert!(d.scheme().env().pair(0).comparator.matches() > 10);
     }
 
     #[test]
     fn two_thread_crt_is_cross_coupled() {
         let a = Workload::generate(Benchmark::Gcc, 1);
         let b = Workload::generate(Benchmark::Swim, 1);
-        let d = CrtDevice::new(
-            CrtDevice::default_options(),
-            vec![LogicalThread::from(&a), LogicalThread::from(&b)],
-        );
-        let p0 = d.placement(0);
-        let p1 = d.placement(1);
+        let d = crt(vec![LogicalThread::from(&a), LogicalThread::from(&b)]);
+        let p0 = d.scheme().placement(0);
+        let p1 = d.scheme().placement(1);
         // Program 0 leads on core 0, program 1 leads on core 1, and each
         // trails on the other core.
         assert_eq!(p0.lead_core, 0);
@@ -141,14 +77,11 @@ mod tests {
     fn two_thread_crt_runs_clean() {
         let a = Workload::generate(Benchmark::Go, 2);
         let b = Workload::generate(Benchmark::Fpppp, 2);
-        let mut d = CrtDevice::new(
-            CrtDevice::default_options(),
-            vec![LogicalThread::from(&a), LogicalThread::from(&b)],
-        );
+        let mut d = crt(vec![LogicalThread::from(&a), LogicalThread::from(&b)]);
         assert!(d.run_until_committed(3_000, 5_000_000));
         assert!(d.drain_detected_faults().is_empty());
         for i in 0..2 {
-            assert_eq!(d.env().pair(i).comparator.mismatches(), 0);
+            assert_eq!(d.scheme().env().pair(i).comparator.mismatches(), 0);
         }
     }
 
@@ -163,15 +96,15 @@ mod tests {
         .iter()
         .map(|&b| LogicalThread::from(&Workload::generate(b, 3)))
         .collect();
-        let d = CrtDevice::new(CrtDevice::default_options(), ws);
+        let d = crt(ws);
         // Leads of 0,1 on core 0; leads of 2,3 on core 1; trails opposite.
         for i in 0..2 {
-            assert_eq!(d.placement(i).lead_core, 0);
-            assert_eq!(d.placement(i).trail_core, 1);
+            assert_eq!(d.scheme().placement(i).lead_core, 0);
+            assert_eq!(d.scheme().placement(i).trail_core, 1);
         }
         for i in 2..4 {
-            assert_eq!(d.placement(i).lead_core, 1);
-            assert_eq!(d.placement(i).trail_core, 0);
+            assert_eq!(d.scheme().placement(i).lead_core, 1);
+            assert_eq!(d.scheme().placement(i).trail_core, 0);
         }
     }
 }

@@ -1,24 +1,19 @@
 //! Devices: complete machines built from cores, memory systems and
 //! environments.
 //!
-//! * [`BaseDevice`] — the unmodified base processor running 1–4 independent
-//!   logical threads (also used for the paper's "Base2" configuration by
-//!   passing the same program twice with separate memory images).
-//! * [`SrtDevice`] — one SMT core running each logical thread as a
-//!   redundant leading/trailing pair (§4).
-//!
-//! The CRT and lockstep devices live in [`crate::crt`] and
-//! [`crate::lockstep`].
+//! Every arrangement is one [`Machine`] instantiation, assembled from a
+//! [`MachineSpec`] by [`build_device`] (or by the typed constructors
+//! [`Machine::independent`], [`Machine::redundant`], [`Machine::lockstep`]
+//! and [`Machine::recoverable`] when a caller needs the scheme's own
+//! state, e.g. for fault injection). The [`Device`] trait is the uniform
+//! interface the experiment harness drives them through.
 
-use crate::machine::{delegate_device, Machine, WarmEvent};
-use crate::rmt_env::{RmtEnv, RmtEnvConfig};
-use crate::schemes::{IndependentScheme, RmtScheme, Topology};
+use crate::machine::{Machine, WarmEvent};
+use crate::spec::{DeviceKind, MachineSpec};
 use rmt_isa::inst::NUM_ARCH_REGS;
 use rmt_isa::mem_image::MemImage;
 use rmt_isa::program::Program;
-use rmt_mem::HierarchyConfig;
 use rmt_pipeline::core::DetectedFault;
-use rmt_pipeline::{Core, CoreConfig};
 use rmt_stats::MetricsRegistry;
 use std::rc::Rc;
 
@@ -112,18 +107,13 @@ pub trait Device {
     /// Starts sampling the full metric tree every `every` cycles into
     /// per-epoch [`rmt_stats::MetricsSnapshot`] deltas (time-series
     /// telemetry). Sampling is keyed to the simulated cycle, so the
-    /// resulting series is deterministic. The default implementation is a
-    /// no-op for devices without metric plumbing.
-    fn enable_epoch_sampling(&mut self, every: u64) {
-        let _ = every;
-    }
+    /// resulting series is deterministic.
+    fn enable_epoch_sampling(&mut self, every: u64);
 
     /// Takes the epoch time series accumulated since
     /// [`Device::enable_epoch_sampling`] (an empty series with
     /// `every() == 0` when sampling was never enabled). Sampling stops.
-    fn take_timeseries(&mut self) -> rmt_stats::TimeSeries {
-        rmt_stats::TimeSeries::new(0)
-    }
+    fn take_timeseries(&mut self) -> rmt_stats::TimeSeries;
 
     /// Runs until every logical thread has committed at least `per_thread`
     /// instructions (absolute count) or `max_cycles` elapse. Returns whether
@@ -146,143 +136,57 @@ pub trait Device {
     }
 }
 
-// ====================================================================
-// Base device
-// ====================================================================
-
-/// The unmodified base processor: one SMT core, independent threads — a
-/// facade over [`Machine`]`<`[`IndependentScheme`]`>`.
-pub struct BaseDevice {
-    m: Machine<IndependentScheme>,
-}
-
-impl BaseDevice {
-    /// Builds a base machine running the given logical threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more threads are supplied than hardware contexts exist.
-    pub fn new(
-        core_cfg: CoreConfig,
-        hier_cfg: HierarchyConfig,
-        threads: Vec<LogicalThread>,
-    ) -> Self {
-        BaseDevice {
-            m: Machine::independent(core_cfg, hier_cfg, threads),
+/// Builds the machine `spec` describes around `threads` — the one
+/// construction path from a [`MachineSpec`] to a runnable device (the
+/// experiment harness, sampled re-entry and the differential-verification
+/// harness all come through here).
+///
+/// `Base2` runs each logical thread twice with no replication: committed
+/// work is measured on the even (first-copy) hardware threads, so callers
+/// pass exactly one thread per program for every kind.
+///
+/// # Panics
+///
+/// Panics if the threads do not fit the arrangement's hardware contexts.
+pub fn build_device(spec: &MachineSpec, threads: Vec<LogicalThread>) -> Box<dyn Device> {
+    match spec.scheme.kind {
+        DeviceKind::Base => Box::new(Machine::independent(spec, threads)),
+        DeviceKind::Base2 => {
+            let doubled = threads
+                .iter()
+                .flat_map(|t| [t.clone(), t.clone()])
+                .collect();
+            Box::new(Machine::independent(spec, doubled))
         }
-    }
-
-    /// The core (statistics, fault hooks).
-    pub fn core(&self) -> &Core {
-        self.m.substrate().core(0)
-    }
-
-    /// Mutable core access (fault injection).
-    pub fn core_mut(&mut self) -> &mut Core {
-        self.m.substrate_mut().core_mut(0)
-    }
-
-    /// The memory image of logical thread `i`.
-    pub fn image(&self, i: usize) -> &MemImage {
-        Device::image(&self.m, i)
+        DeviceKind::Lock0 | DeviceKind::Lock8 => Box::new(Machine::lockstep(spec, threads)),
+        DeviceKind::Srt
+        | DeviceKind::SrtPtsq
+        | DeviceKind::SrtNosc
+        | DeviceKind::SrtNoPsr
+        | DeviceKind::Crt
+        | DeviceKind::CrtRing4 => Box::new(Machine::redundant(spec, threads)),
     }
 }
-
-delegate_device!(BaseDevice, m);
-
-// ====================================================================
-// SRT device
-// ====================================================================
-
-/// Options for [`SrtDevice`].
-#[derive(Debug, Clone)]
-pub struct SrtOptions {
-    /// Core configuration (PSR and per-thread store queues toggle here).
-    pub core: CoreConfig,
-    /// Memory-system configuration.
-    pub hierarchy: HierarchyConfig,
-    /// Forwarding-queue configuration.
-    pub env: RmtEnvConfig,
-}
-
-impl Default for SrtOptions {
-    fn default() -> Self {
-        SrtOptions {
-            core: CoreConfig::base(),
-            hierarchy: HierarchyConfig::default(),
-            env: RmtEnvConfig::default(),
-        }
-    }
-}
-
-/// A simultaneous and redundantly threaded (SRT) processor: one SMT core
-/// running each logical thread as two redundant hardware threads — a
-/// facade over [`Machine`]`<`[`RmtScheme`]`>` with [`Topology::Smt`].
-pub struct SrtDevice {
-    m: Machine<RmtScheme>,
-}
-
-impl SrtDevice {
-    /// Builds an SRT machine: each logical thread consumes two hardware
-    /// contexts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `2 * threads.len()` exceeds the core's contexts.
-    pub fn new(opts: SrtOptions, threads: Vec<LogicalThread>) -> Self {
-        SrtDevice {
-            m: Machine::redundant(opts, threads, Topology::Smt),
-        }
-    }
-
-    /// The core.
-    pub fn core(&self) -> &Core {
-        self.m.substrate().core(0)
-    }
-
-    /// Mutable core access (fault injection).
-    pub fn core_mut(&mut self) -> &mut Core {
-        self.m.substrate_mut().core_mut(0)
-    }
-
-    /// The RMT environment (queues, comparator, PSR statistics).
-    pub fn env(&self) -> &RmtEnv {
-        self.m.scheme().env()
-    }
-
-    /// Mutable environment access (LVQ fault injection).
-    pub fn env_mut(&mut self) -> &mut RmtEnv {
-        self.m.scheme_mut().env_mut()
-    }
-
-    /// `(leading, trailing)` hardware thread ids of logical thread `i`.
-    pub fn pair_tids(&self, i: usize) -> (usize, usize) {
-        let p = self.m.scheme().placement(i);
-        (p.lead_tid, p.trail_tid)
-    }
-
-    /// The memory image of logical thread `i`.
-    pub fn image(&self, i: usize) -> &MemImage {
-        Device::image(&self.m, i)
-    }
-}
-
-delegate_device!(SrtDevice, m);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schemes::{IndependentScheme, RmtScheme};
     use rmt_isa::interp::Interpreter;
     use rmt_workloads::{Benchmark, Workload};
+
+    fn base(threads: Vec<LogicalThread>) -> Machine<IndependentScheme> {
+        Machine::independent(&MachineSpec::for_kind(DeviceKind::Base), threads)
+    }
+
+    fn srt(threads: Vec<LogicalThread>) -> Machine<RmtScheme> {
+        Machine::redundant(&MachineSpec::for_kind(DeviceKind::SrtNoPsr), threads)
+    }
 
     #[test]
     fn base_device_runs_one_thread() {
         let w = Workload::generate(Benchmark::M88ksim, 1);
-        let mut d = BaseDevice::new(
-            CoreConfig::base(),
-            HierarchyConfig::default(),
-            vec![LogicalThread::from(&w)],
-        );
+        let mut d = base(vec![LogicalThread::from(&w)]);
         assert!(d.run_until_committed(2_000, 1_000_000));
         assert!(d.committed(0) >= 2_000);
         assert!(d.drain_detected_faults().is_empty());
@@ -291,11 +195,11 @@ mod tests {
     #[test]
     fn srt_device_commits_redundantly_and_matches_golden_memory() {
         let w = Workload::generate(Benchmark::M88ksim, 2);
-        let mut d = SrtDevice::new(SrtOptions::default(), vec![LogicalThread::from(&w)]);
+        let mut d = srt(vec![LogicalThread::from(&w)]);
         assert!(d.run_until_committed(3_000, 3_000_000));
-        let (lead, trail) = d.pair_tids(0);
-        let lead_n = d.core().thread_stats(lead).committed;
-        let trail_n = d.core().thread_stats(trail).committed;
+        let p = d.scheme().placement(0);
+        let lead_n = d.substrate().core(0).thread_stats(p.lead_tid).committed;
+        let trail_n = d.substrate().core(0).thread_stats(p.trail_tid).committed;
         assert!(lead_n >= 3_000);
         // The trailing thread lags but tracks the leading thread.
         assert!(trail_n > 0);
@@ -306,7 +210,8 @@ mod tests {
         );
         // No faults without injection.
         assert!(d.drain_detected_faults().is_empty());
-        assert_eq!(d.env().pair(0).comparator.mismatches(), 0);
+        let env = d.scheme().env();
+        assert_eq!(env.pair(0).comparator.mismatches(), 0);
         // Architecturally invisible: memory equals the golden model at the
         // *verified* store prefix. Verified stores == trailing stores
         // compared; conservatively compare at the trailing committed count.
@@ -317,18 +222,18 @@ mod tests {
         // stores have not been written to memory. Check a strong invariant
         // instead: every released store matched (mismatches == 0, checked
         // above) and the comparator compared a substantial number.
-        assert!(d.env().pair(0).comparator.matches() > 50);
+        assert!(env.pair(0).comparator.matches() > 50);
     }
 
     #[test]
     fn srt_trailing_never_misfetches() {
         let w = Workload::generate(Benchmark::Go, 3);
-        let mut d = SrtDevice::new(SrtOptions::default(), vec![LogicalThread::from(&w)]);
+        let mut d = srt(vec![LogicalThread::from(&w)]);
         d.run_until_committed(5_000, 3_000_000);
         // All squashes must belong to the leading thread.
-        let (_, trail) = d.pair_tids(0);
+        let trail = d.scheme().placement(0).trail_tid;
         assert_eq!(
-            d.core().thread_stats(trail).squashes,
+            d.substrate().core(0).thread_stats(trail).squashes,
             0,
             "LPQ-driven trailing thread must never squash"
         );
@@ -338,11 +243,11 @@ mod tests {
     fn base2_two_copies_run_independently() {
         // The paper's Base2: same program twice, no replication/comparison.
         let w = Workload::generate(Benchmark::Li, 4);
-        let mut d = BaseDevice::new(
-            CoreConfig::base(),
-            HierarchyConfig::default(),
-            vec![LogicalThread::from(&w), LogicalThread::from(&w)],
+        let mut d = build_device(
+            &MachineSpec::for_kind(DeviceKind::Base2),
+            vec![LogicalThread::from(&w)],
         );
+        assert_eq!(d.num_logical(), 2, "Base2 doubles each logical thread");
         assert!(d.run_until_committed(2_000, 2_000_000));
         assert!(d.committed(0) >= 2_000);
         assert!(d.committed(1) >= 2_000);
@@ -356,15 +261,11 @@ mod tests {
         let w = Workload::generate(Benchmark::Ijpeg, 5);
         let target = 8_000;
 
-        let mut base = BaseDevice::new(
-            CoreConfig::base(),
-            HierarchyConfig::default(),
-            vec![LogicalThread::from(&w)],
-        );
+        let mut base = base(vec![LogicalThread::from(&w)]);
         assert!(base.run_until_committed(target, 5_000_000));
         let base_cycles = base.cycle();
 
-        let mut srt = SrtDevice::new(SrtOptions::default(), vec![LogicalThread::from(&w)]);
+        let mut srt = srt(vec![LogicalThread::from(&w)]);
         assert!(srt.run_until_committed(target, 10_000_000));
         let srt_cycles = srt.cycle();
 
@@ -377,11 +278,7 @@ mod tests {
     #[test]
     fn epoch_sampling_collects_cycle_aligned_deltas() {
         let w = Workload::generate(Benchmark::M88ksim, 6);
-        let mut d = BaseDevice::new(
-            CoreConfig::base(),
-            HierarchyConfig::default(),
-            vec![LogicalThread::from(&w)],
-        );
+        let mut d = base(vec![LogicalThread::from(&w)]);
         d.enable_epoch_sampling(1_000);
         d.run_cycles(5_500);
         let ts = d.take_timeseries();
@@ -405,11 +302,7 @@ mod tests {
     #[test]
     fn epoch_sampling_disabled_yields_empty_series() {
         let w = Workload::generate(Benchmark::Li, 1);
-        let mut d = BaseDevice::new(
-            CoreConfig::base(),
-            HierarchyConfig::default(),
-            vec![LogicalThread::from(&w)],
-        );
+        let mut d = base(vec![LogicalThread::from(&w)]);
         d.run_cycles(100);
         let ts = d.take_timeseries();
         assert!(ts.is_empty());
@@ -425,6 +318,6 @@ mod tests {
             LogicalThread::from(&w),
             LogicalThread::from(&w),
         ];
-        SrtDevice::new(SrtOptions::default(), threads);
+        srt(threads);
     }
 }

@@ -22,131 +22,51 @@
 //! per-thread and in order; a content difference is a detected fault, and a
 //! stream that stalls relative to the other beyond a slack window is a
 //! lockstep desynchronization (also a detection).
-
-use crate::device::{Device, LogicalThread};
-use crate::machine::{delegate_device, Machine};
-use crate::schemes::LockstepScheme;
-use rmt_isa::mem_image::MemImage;
-use rmt_mem::HierarchyConfig;
-use rmt_pipeline::{Core, CoreConfig};
-
-/// Options for [`LockstepDevice`].
-#[derive(Debug, Clone)]
-pub struct LockstepOptions {
-    /// Core configuration (both cores identical).
-    pub core: CoreConfig,
-    /// Memory-system configuration; `checker_penalty` is overridden by
-    /// [`LockstepOptions::checker_latency`].
-    pub hierarchy: HierarchyConfig,
-    /// Checker latency in cycles: 0 = the paper's Lock0 (ideal), 8 = Lock8.
-    pub checker_latency: u64,
-    /// Cycles one store stream may lag the other before the checker calls
-    /// it a desynchronization.
-    pub desync_window: u64,
-}
-
-impl LockstepOptions {
-    /// The ideal-checker configuration (Lock0).
-    pub fn lock0() -> Self {
-        LockstepOptions {
-            core: CoreConfig::base(),
-            hierarchy: HierarchyConfig::default(),
-            checker_latency: 0,
-            desync_window: 2_000,
-        }
-    }
-
-    /// The realistic 8-cycle-checker configuration (Lock8).
-    pub fn lock8() -> Self {
-        LockstepOptions {
-            checker_latency: 8,
-            ..Self::lock0()
-        }
-    }
-}
-
-/// A pair of lockstepped cores with an output checker — a facade over
-/// [`Machine`]`<`[`LockstepScheme`]`>`.
-pub struct LockstepDevice {
-    m: Machine<LockstepScheme>,
-}
-
-impl LockstepDevice {
-    /// Builds a lockstepped machine running the given logical threads on
-    /// both cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more threads are supplied than one core's contexts.
-    pub fn new(opts: LockstepOptions, threads: Vec<LogicalThread>) -> Self {
-        LockstepDevice {
-            m: Machine::lockstep(opts, threads),
-        }
-    }
-
-    /// Core `i`.
-    pub fn core(&self, i: usize) -> &Core {
-        self.m.substrate().core(i)
-    }
-
-    /// Mutable access to core `i` (fault injection).
-    pub fn core_mut(&mut self, i: usize) -> &mut Core {
-        self.m.substrate_mut().core_mut(i)
-    }
-
-    /// Stores compared (and matched or flagged) so far.
-    pub fn compared_stores(&self) -> u64 {
-        self.m.scheme().compared_stores()
-    }
-
-    /// Whether the cores have desynchronized.
-    pub fn desynced(&self) -> bool {
-        self.m.scheme().desynced()
-    }
-
-    /// The memory image of logical thread `i` on core 0 (the canonical
-    /// copy).
-    pub fn image(&self, i: usize) -> &MemImage {
-        Device::image(&self.m, i)
-    }
-
-    /// The memory image of logical thread `i` as seen by core `core` —
-    /// the two stay identical in fault-free operation.
-    pub fn image_on(&self, core: usize, i: usize) -> &MemImage {
-        self.m.scheme().image_on(core, i)
-    }
-}
-
-delegate_device!(LockstepDevice, m);
+//!
+//! A lockstep machine is a `Machine<LockstepScheme>`, assembled by
+//! [`Machine::lockstep`](crate::Machine::lockstep) from a
+//! [`MachineSpec`](crate::MachineSpec) of kind `DeviceKind::Lock0` or
+//! `DeviceKind::Lock8`; the checker latency and desynchronization window
+//! are `spec.scheme.checker_latency` and `spec.scheme.desync_window`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::device::{Device, LogicalThread};
+    use crate::machine::Machine;
+    use crate::schemes::LockstepScheme;
+    use crate::spec::{DeviceKind, MachineSpec};
     use rmt_workloads::{Benchmark, Workload};
+
+    fn lockstep(kind: DeviceKind, threads: Vec<LogicalThread>) -> Machine<LockstepScheme> {
+        Machine::lockstep(&MachineSpec::for_kind(kind), threads)
+    }
 
     #[test]
     fn lockstep_cores_never_diverge_fault_free() {
         let w = Workload::generate(Benchmark::Compress, 1);
-        let mut d = LockstepDevice::new(LockstepOptions::lock0(), vec![LogicalThread::from(&w)]);
+        let mut d = lockstep(DeviceKind::Lock0, vec![LogicalThread::from(&w)]);
         assert!(d.run_until_committed(3_000, 2_000_000));
         assert!(d.drain_detected_faults().is_empty());
-        assert!(!d.desynced());
-        assert!(d.compared_stores() > 10);
+        assert!(!d.scheme().desynced());
+        assert!(d.scheme().compared_stores() > 10);
         // Both cores committed identically.
         assert_eq!(
-            d.core(0).thread_stats(0).committed,
-            d.core(1).thread_stats(0).committed
+            d.substrate().core(0).thread_stats(0).committed,
+            d.substrate().core(1).thread_stats(0).committed
         );
-        assert_eq!(d.image_on(0, 0).digest(), d.image_on(1, 0).digest());
+        assert_eq!(
+            d.scheme().image_on(0, 0).digest(),
+            d.scheme().image_on(1, 0).digest()
+        );
     }
 
     #[test]
     fn lock8_is_slower_than_lock0() {
         let w = Workload::generate(Benchmark::Swim, 2);
         let target = 5_000;
-        let mut l0 = LockstepDevice::new(LockstepOptions::lock0(), vec![LogicalThread::from(&w)]);
+        let mut l0 = lockstep(DeviceKind::Lock0, vec![LogicalThread::from(&w)]);
         assert!(l0.run_until_committed(target, 5_000_000));
-        let mut l8 = LockstepDevice::new(LockstepOptions::lock8(), vec![LogicalThread::from(&w)]);
+        let mut l8 = lockstep(DeviceKind::Lock8, vec![LogicalThread::from(&w)]);
         assert!(l8.run_until_committed(target, 5_000_000));
         assert!(
             l8.cycle() > l0.cycle(),
@@ -159,10 +79,10 @@ mod tests {
     #[test]
     fn injected_fault_is_detected_by_checker() {
         let w = Workload::generate(Benchmark::Compress, 3);
-        let mut d = LockstepDevice::new(LockstepOptions::lock0(), vec![LogicalThread::from(&w)]);
+        let mut d = lockstep(DeviceKind::Lock0, vec![LogicalThread::from(&w)]);
         d.run_until_committed(1_000, 1_000_000);
         // Permanently corrupt a functional unit on core 1 only.
-        d.core_mut(1).set_fu_stuck(0, 3, true);
+        d.substrate_mut().core_mut(1).set_fu_stuck(0, 3, true);
         d.run_until_committed(6_000, 5_000_000);
         let faults = d.drain_detected_faults();
         assert!(
@@ -175,8 +95,8 @@ mod tests {
     fn multithreaded_lockstep_runs_clean() {
         let a = Workload::generate(Benchmark::Gcc, 1);
         let b = Workload::generate(Benchmark::Fpppp, 1);
-        let mut d = LockstepDevice::new(
-            LockstepOptions::lock8(),
+        let mut d = lockstep(
+            DeviceKind::Lock8,
             vec![LogicalThread::from(&a), LogicalThread::from(&b)],
         );
         assert!(d.run_until_committed(2_000, 5_000_000));

@@ -19,9 +19,10 @@
 //! * [`Machine`] — the composition; it implements [`Device`] so every
 //!   arrangement is driven uniformly by the experiment harness.
 //!
-//! The concrete schemes live in [`crate::schemes`]; the historical device
-//! types ([`crate::device::SrtDevice`], [`crate::crt::CrtDevice`], …) are
-//! thin facades over `Machine` instantiations.
+//! The concrete schemes live in [`crate::schemes`] (plus the recovery
+//! policy in [`crate::recovery`]); each has a typed constructor on its
+//! `Machine` instantiation taking a [`crate::MachineSpec`], and
+//! [`crate::device::build_device`] dispatches on the spec's kind.
 
 use crate::device::Device;
 use rmt_isa::inst::NUM_ARCH_REGS;
@@ -410,60 +411,3 @@ impl<S: RedundancyScheme> Device for Machine<S> {
         self.substrate.core_mut(core).drain_commits(tid)
     }
 }
-
-/// Delegates the full [`Device`] interface of a facade newtype to its
-/// inner `Machine` field.
-macro_rules! delegate_device {
-    ($ty:ty, $field:ident) => {
-        impl crate::device::Device for $ty {
-            fn tick(&mut self) {
-                self.$field.tick()
-            }
-            fn cycle(&self) -> u64 {
-                crate::device::Device::cycle(&self.$field)
-            }
-            fn num_logical(&self) -> usize {
-                self.$field.num_logical()
-            }
-            fn committed(&self, logical: usize) -> u64 {
-                self.$field.committed(logical)
-            }
-            fn drain_detected_faults(&mut self) -> Vec<rmt_pipeline::core::DetectedFault> {
-                self.$field.drain_detected_faults()
-            }
-            fn export_metrics(&self, reg: &mut rmt_stats::MetricsRegistry) {
-                self.$field.export_metrics(reg)
-            }
-            fn image(&self, logical: usize) -> &rmt_isa::MemImage {
-                crate::device::Device::image(&self.$field, logical)
-            }
-            fn restore_arch(
-                &mut self,
-                logical: usize,
-                regs: &[u64; rmt_isa::inst::NUM_ARCH_REGS],
-                pc: u64,
-            ) {
-                self.$field.restore_arch(logical, regs, pc)
-            }
-            fn install_image(&mut self, logical: usize, image: &rmt_isa::MemImage) {
-                self.$field.install_image(logical, image)
-            }
-            fn warm(&mut self, logical: usize, ev: crate::machine::WarmEvent) {
-                self.$field.warm(logical, ev)
-            }
-            fn enable_commit_log(&mut self, logical: usize) {
-                self.$field.enable_commit_log(logical)
-            }
-            fn drain_commits(&mut self, logical: usize) -> Vec<rmt_pipeline::CommitRecord> {
-                self.$field.drain_commits(logical)
-            }
-            fn enable_epoch_sampling(&mut self, every: u64) {
-                self.$field.enable_epoch_sampling(every)
-            }
-            fn take_timeseries(&mut self) -> rmt_stats::TimeSeries {
-                self.$field.take_timeseries()
-            }
-        }
-    };
-}
-pub(crate) use delegate_device;

@@ -29,15 +29,14 @@
 //! against epochs of thousands of instructions — recovery is exact, which
 //! the integration tests verify against the golden model.
 
-use crate::device::{Device, LogicalThread, SrtOptions};
-use crate::machine::{delegate_device, Machine, RedundancyScheme, Substrate};
-use crate::rmt_env::RmtEnv;
+use crate::device::LogicalThread;
+use crate::machine::{Machine, RedundancyScheme, Substrate};
 use crate::schemes::{RmtScheme, Topology};
+use crate::spec::MachineSpec;
 use rmt_isa::inst::NUM_ARCH_REGS;
 use rmt_isa::mem_image::MemImage;
 use rmt_pipeline::core::DetectedFault;
 use rmt_pipeline::env::CoreEnv as _;
-use rmt_pipeline::Core;
 
 /// A clean, verified snapshot of one redundant pair.
 #[derive(Clone)]
@@ -220,14 +219,18 @@ impl RedundancyScheme for RecoveringScheme {
 }
 
 impl Machine<RecoveringScheme> {
-    /// Assembles a recoverable SRT machine checkpointing every
+    /// Assembles an SRT machine (SMT placement, whatever `spec`'s kind)
+    /// with transient-fault recovery, checkpointing every
     /// `checkpoint_interval` leading commits.
+    ///
+    /// See `examples/fault_recovery.rs` and the integration tests in
+    /// `tests/recovery_e2e.rs`.
     ///
     /// # Panics
     ///
     /// Panics if `checkpoint_interval` is zero.
     pub fn recoverable(
-        opts: SrtOptions,
+        spec: &MachineSpec,
         threads: Vec<LogicalThread>,
         checkpoint_interval: u64,
     ) -> Self {
@@ -247,9 +250,9 @@ impl Machine<RecoveringScheme> {
                 releases: 0,
             })
             .collect();
-        let (cores, inner) = RmtScheme::build(&opts, &threads, Topology::Smt);
+        let (cores, inner) = RmtScheme::build(spec, &threads, Topology::Smt);
         Machine::assemble(
-            Substrate::shared(cores, opts.hierarchy),
+            Substrate::shared(cores, spec.hierarchy),
             RecoveringScheme {
                 inner,
                 interval: checkpoint_interval,
@@ -262,99 +265,49 @@ impl Machine<RecoveringScheme> {
             },
         )
     }
-}
-
-/// An SRT processor with checkpoint-based transient-fault recovery — a
-/// facade over [`Machine`]`<`[`RecoveringScheme`]`>`.
-///
-/// # Examples
-///
-/// See `examples/fault_recovery.rs` and the integration tests in
-/// `tests/recovery_e2e.rs`.
-pub struct RecoverableSrt {
-    m: Machine<RecoveringScheme>,
-}
-
-impl RecoverableSrt {
-    /// Builds a recoverable SRT machine checkpointing every
-    /// `checkpoint_interval` leading commits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `checkpoint_interval` is zero.
-    pub fn new(opts: SrtOptions, threads: Vec<LogicalThread>, checkpoint_interval: u64) -> Self {
-        RecoverableSrt {
-            m: Machine::recoverable(opts, threads, checkpoint_interval),
-        }
-    }
-
-    /// The core.
-    pub fn core(&self) -> &Core {
-        self.m.substrate().core(0)
-    }
-
-    /// Mutable core access (fault injection).
-    pub fn core_mut(&mut self) -> &mut Core {
-        self.m.substrate_mut().core_mut(0)
-    }
-
-    /// The RMT environment (queues, comparator, PSR statistics).
-    pub fn env(&self) -> &RmtEnv {
-        self.m.scheme().inner.env()
-    }
-
-    /// Mutable environment access (LVQ fault injection).
-    pub fn env_mut(&mut self) -> &mut RmtEnv {
-        self.m.scheme_mut().inner.env_mut()
-    }
-
-    /// `(leading, trailing)` hardware thread ids of logical thread `i`.
-    pub fn pair_tids(&self, i: usize) -> (usize, usize) {
-        let p = self.m.scheme().inner.placement(i);
-        (p.lead_tid, p.trail_tid)
-    }
-
-    /// The memory image of logical thread `i`.
-    pub fn image(&self, i: usize) -> &MemImage {
-        Device::image(&self.m, i)
-    }
 
     /// Recoveries performed so far.
     pub fn recoveries(&self) -> u64 {
-        self.m.scheme().recoveries
+        self.scheme().recoveries
     }
 
     /// Checkpoints taken so far (excluding the initial one).
     pub fn checkpoints_taken(&self) -> u64 {
-        self.m.scheme().checkpoints_taken
+        self.scheme().checkpoints_taken
     }
 
     /// Stores currently reflected in pair `i`'s memory image: total
     /// releases minus those undone by recoveries. This is the index to
     /// compare against the golden model's store stream.
     pub fn effective_releases(&self, i: usize) -> u64 {
-        let p = self.m.scheme().inner.placement(i);
-        self.m
-            .substrate()
+        let p = self.scheme().inner.placement(i);
+        self.substrate()
             .core(p.lead_core)
             .store_lifetime(p.lead_tid)
             .count()
-            - self.m.scheme().discarded_releases[i]
+            - self.scheme().discarded_releases[i]
     }
 }
-
-delegate_device!(RecoverableSrt, m);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Device;
+    use crate::spec::DeviceKind;
     use rmt_workloads::{Benchmark, Workload};
+
+    fn recoverable(threads: Vec<LogicalThread>, interval: u64) -> Machine<RecoveringScheme> {
+        Machine::recoverable(
+            &MachineSpec::for_kind(DeviceKind::SrtNoPsr),
+            threads,
+            interval,
+        )
+    }
 
     #[test]
     fn checkpoints_are_taken_fault_free() {
         let w = Workload::generate(Benchmark::M88ksim, 1);
-        let mut dev =
-            RecoverableSrt::new(SrtOptions::default(), vec![LogicalThread::from(&w)], 5_000);
+        let mut dev = recoverable(vec![LogicalThread::from(&w)], 5_000);
         assert!(dev.run_until_committed(20_000, 20_000_000));
         assert!(dev.checkpoints_taken() >= 3, "{}", dev.checkpoints_taken());
         assert_eq!(dev.recoveries(), 0);
@@ -363,11 +316,10 @@ mod tests {
     #[test]
     fn recovery_restores_forward_progress_after_corruption() {
         let w = Workload::generate(Benchmark::Compress, 1);
-        let mut dev =
-            RecoverableSrt::new(SrtOptions::default(), vec![LogicalThread::from(&w)], 4_000);
+        let mut dev = recoverable(vec![LogicalThread::from(&w)], 4_000);
         assert!(dev.run_until_committed(6_000, 20_000_000));
         // Strike the store path: detection then recovery.
-        dev.core_mut().arm_sq_strike(0, 1 << 13);
+        dev.substrate_mut().core_mut(0).arm_sq_strike(0, 1 << 13);
         assert!(dev.run_until_committed(30_000, 60_000_000));
         assert_eq!(dev.recoveries(), 1);
     }
@@ -376,6 +328,6 @@ mod tests {
     #[should_panic(expected = "interval must be non-zero")]
     fn zero_interval_panics() {
         let w = Workload::generate(Benchmark::Li, 1);
-        RecoverableSrt::new(SrtOptions::default(), vec![LogicalThread::from(&w)], 0);
+        recoverable(vec![LogicalThread::from(&w)], 0);
     }
 }

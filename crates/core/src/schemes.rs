@@ -17,10 +17,10 @@
 //! (`tests/refactor_guard.rs` pins this).
 
 use crate::crt::PairPlacement;
-use crate::device::{LogicalThread, SrtOptions};
-use crate::lockstep::LockstepOptions;
+use crate::device::LogicalThread;
 use crate::machine::{Machine, RedundancyScheme, Substrate, WarmEvent};
 use crate::rmt_env::RmtEnv;
+use crate::spec::{DeviceKind, MachineSpec};
 use rmt_isa::inst::NUM_ARCH_REGS;
 use rmt_isa::mem_image::MemImage;
 use rmt_pipeline::core::{DetectedFault, FaultDetector};
@@ -45,24 +45,20 @@ impl Machine<IndependentScheme> {
     /// # Panics
     ///
     /// Panics if more threads are supplied than hardware contexts exist.
-    pub fn independent(
-        core_cfg: rmt_pipeline::CoreConfig,
-        hier_cfg: rmt_mem::HierarchyConfig,
-        threads: Vec<LogicalThread>,
-    ) -> Self {
+    pub fn independent(spec: &MachineSpec, threads: Vec<LogicalThread>) -> Self {
         assert!(
-            threads.len() <= core_cfg.max_threads,
+            threads.len() <= spec.core.max_threads,
             "too many logical threads for one core"
         );
         let mut env = IndependentEnv::new(threads.iter().map(|t| t.memory.clone()).collect());
-        let mut core = Core::new(core_cfg, 0);
+        let mut core = Core::new(spec.core.clone(), 0);
         for (i, t) in threads.iter().enumerate() {
             let tid = core.attach_thread(t.program.clone(), 0);
             env.assign(0, tid, i);
         }
         core.finalize_partitions();
         Machine::assemble(
-            Substrate::shared(vec![core], hier_cfg),
+            Substrate::shared(vec![core], spec.hierarchy),
             IndependentScheme { env },
         )
     }
@@ -142,6 +138,18 @@ pub enum Topology {
 }
 
 impl Topology {
+    /// The placement `spec`'s kind calls for (see [`Machine::redundant`]).
+    fn for_spec(spec: &MachineSpec) -> Self {
+        match spec.scheme.kind {
+            DeviceKind::Srt | DeviceKind::SrtPtsq | DeviceKind::SrtNosc | DeviceKind::SrtNoPsr => {
+                Topology::Smt
+            }
+            DeviceKind::Crt => Topology::CrossCoupled,
+            DeviceKind::CrtRing4 => Topology::Ring(spec.scheme.ring),
+            kind => panic!("{kind} does not run redundant thread pairs"),
+        }
+    }
+
     /// Number of cores the topology occupies.
     pub fn num_cores(self) -> usize {
         match self {
@@ -177,34 +185,34 @@ impl RmtScheme {
     /// Builds the cores and scheme for `topo`. The caller wraps the cores
     /// in a shared-hierarchy [`Substrate`].
     pub(crate) fn build(
-        opts: &SrtOptions,
+        spec: &MachineSpec,
         threads: &[LogicalThread],
         topo: Topology,
     ) -> (Vec<Core>, RmtScheme) {
         let n = threads.len();
         match topo {
             Topology::Smt => assert!(
-                2 * n <= opts.core.max_threads,
+                2 * n <= spec.core.max_threads,
                 "each redundant pair needs two hardware contexts"
             ),
             Topology::CrossCoupled => {
                 assert!(n >= 1, "need at least one logical thread");
                 assert!(
-                    2 * n <= 2 * opts.core.max_threads,
+                    2 * n <= 2 * spec.core.max_threads,
                     "threads do not fit two cores"
                 );
             }
             Topology::Ring(k) => {
                 assert!(k >= 2, "a ring needs at least two cores");
                 assert!(
-                    2 * n <= k * opts.core.max_threads,
+                    2 * n <= k * spec.core.max_threads,
                     "threads do not fit the ring's cores"
                 );
             }
         }
-        let mut env = RmtEnv::new(opts.env, threads.iter().map(|t| t.memory.clone()).collect());
+        let mut env = RmtEnv::new(spec.env, threads.iter().map(|t| t.memory.clone()).collect());
         let mut cores: Vec<Core> = (0..topo.num_cores())
-            .map(|c| Core::new(opts.core.clone(), c))
+            .map(|c| Core::new(spec.core.clone(), c))
             .collect();
         let mut placement = Vec::new();
         for (i, t) in threads.iter().enumerate() {
@@ -251,15 +259,18 @@ impl RmtScheme {
 }
 
 impl Machine<RmtScheme> {
-    /// Assembles a redundant machine over a shared memory hierarchy with
-    /// the given thread placement.
+    /// Assembles a redundant machine over a shared memory hierarchy. The
+    /// spec's kind decides the thread placement: [`Topology::Smt`] for the
+    /// SRT kinds, [`Topology::CrossCoupled`] for CRT, and a
+    /// `spec.scheme.ring`-core [`Topology::Ring`] for the CRT ring.
     ///
     /// # Panics
     ///
-    /// Panics if the threads do not fit the topology's hardware contexts.
-    pub fn redundant(opts: SrtOptions, threads: Vec<LogicalThread>, topo: Topology) -> Self {
-        let (cores, scheme) = RmtScheme::build(&opts, &threads, topo);
-        Machine::assemble(Substrate::shared(cores, opts.hierarchy), scheme)
+    /// Panics if the kind does not run redundant pairs or the threads do
+    /// not fit the topology's hardware contexts.
+    pub fn redundant(spec: &MachineSpec, threads: Vec<LogicalThread>) -> Self {
+        let (cores, scheme) = RmtScheme::build(spec, &threads, Topology::for_spec(spec));
+        Machine::assemble(Substrate::shared(cores, spec.hierarchy), scheme)
     }
 }
 
@@ -448,21 +459,25 @@ impl LockstepScheme {
 
 impl Machine<LockstepScheme> {
     /// Assembles a lockstepped machine running the given logical threads
-    /// on both cores.
+    /// on both cores, behind a checker with `spec.scheme`'s latency (0 =
+    /// the paper's Lock0, 8 = Lock8) and desynchronization window. The
+    /// checker latency overrides the hierarchy's `checker_penalty` and the
+    /// core's `store_release_delay`.
     ///
     /// # Panics
     ///
     /// Panics if more threads are supplied than one core's contexts.
-    pub fn lockstep(opts: LockstepOptions, threads: Vec<LogicalThread>) -> Self {
+    pub fn lockstep(spec: &MachineSpec, threads: Vec<LogicalThread>) -> Self {
         assert!(
-            threads.len() <= opts.core.max_threads,
+            threads.len() <= spec.core.max_threads,
             "too many logical threads for one core"
         );
-        let mut hier_cfg = opts.hierarchy;
-        hier_cfg.checker_penalty = opts.checker_latency;
-        let mut core_cfg = opts.core;
+        let checker_latency = spec.scheme.checker_latency;
+        let mut hier_cfg = spec.hierarchy;
+        hier_cfg.checker_penalty = checker_latency;
+        let mut core_cfg = spec.core.clone();
         // Every output signal crosses the checker — stores included (§5).
-        core_cfg.store_release_delay = opts.checker_latency;
+        core_cfg.store_release_delay = checker_latency;
         let build_env = || LockstepEnv {
             images: threads.iter().map(|t| t.memory.clone()).collect(),
             log: VecDeque::new(),
@@ -482,7 +497,7 @@ impl Machine<LockstepScheme> {
             LockstepScheme {
                 envs: [build_env(), build_env()],
                 num_logical: threads.len(),
-                desync_window: opts.desync_window,
+                desync_window: spec.scheme.desync_window,
                 checker_faults: Vec::new(),
                 compared_stores: 0,
                 desynced: false,

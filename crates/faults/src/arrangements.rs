@@ -1,11 +1,12 @@
-//! Per-arrangement injection functions: SRT, CRT, base and lockstep.
+//! Injection functions for every arrangement: redundant pairs (SRT and
+//! CRT), the base processor and lockstepped cores.
 //!
-//! Each arrangement contributes one `*_injection_forensic` function — a
-//! pure function of `(options, workload, kind, config, index)` producing
-//! the injection's full [`FaultForensics`] record — plus a thin
-//! `*_injection` wrapper returning just the outcome and a sequential
-//! `run_*_campaign` aggregator. The seeding contract (one RNG stream per
-//! index) makes every campaign order-independent and parallelizable.
+//! [`injection_forensic`] is a pure function of `(spec, workload, kind,
+//! config, index)` producing the injection's full [`FaultForensics`]
+//! record; it dispatches on `spec.scheme.kind` to the arrangement's
+//! injection site and observation policy. [`run_campaign`] is the
+//! sequential aggregator. The seeding contract (one RNG stream per index)
+//! makes every campaign order-independent and parallelizable.
 
 use crate::campaign::{CampaignConfig, CampaignReport};
 use crate::forensics::FaultForensics;
@@ -13,9 +14,7 @@ use crate::model::{FaultKind, FaultOutcome};
 use crate::observe::{
     inject_into_core, inject_with_retry, observe_window, thread, ObservePolicy, Probe,
 };
-use rmt_core::crt::CrtDevice;
-use rmt_core::device::{BaseDevice, Device, SrtDevice, SrtOptions};
-use rmt_core::lockstep::{LockstepDevice, LockstepOptions};
+use rmt_core::{Device, DeviceKind, Machine, MachineSpec};
 use rmt_stats::{FlightRecorder, Xoshiro256};
 use rmt_verify::Oracle;
 use rmt_workloads::Workload;
@@ -56,196 +55,103 @@ fn forensics(
     }
 }
 
-/// Runs a fault-injection campaign on an SRT processor running `workload`.
+/// Runs a fault-injection campaign on the machine `spec` describes,
+/// running `workload`.
 ///
 /// # Examples
 ///
 /// ```
-/// use rmt_faults::{run_srt_campaign, CampaignConfig, FaultKind};
-/// use rmt_core::device::SrtOptions;
+/// use rmt_core::{DeviceKind, MachineSpec};
+/// use rmt_faults::{run_campaign, CampaignConfig, FaultKind};
 /// use rmt_workloads::{Benchmark, Workload};
 ///
 /// let w = Workload::generate(Benchmark::M88ksim, 1);
 /// let cfg = CampaignConfig { injections: 2, warmup_commits: 500, window_commits: 3_000, seed: 1 };
-/// let report = run_srt_campaign(SrtOptions::default(), &w, FaultKind::TransientSq, cfg);
+/// let spec = MachineSpec::for_kind(DeviceKind::SrtNoPsr);
+/// let report = run_campaign(&spec, &w, FaultKind::TransientSq, cfg);
 /// assert_eq!(report.injections, 2);
 /// ```
-pub fn run_srt_campaign(
-    opts: SrtOptions,
+pub fn run_campaign(
+    spec: &MachineSpec,
     workload: &Workload,
     kind: FaultKind,
     cfg: CampaignConfig,
 ) -> CampaignReport {
     CampaignReport::from_outcomes(
         kind,
-        (0..cfg.injections).map(|i| srt_injection(&opts, workload, kind, cfg, i)),
+        (0..cfg.injections).map(|i| injection_forensic(spec, workload, kind, cfg, i).outcome),
     )
 }
 
-/// One SRT injection — number `index` of the campaign described by `cfg`.
+/// One injection — number `index` of the campaign described by `cfg` —
+/// with its full forensic record, on the machine `spec` describes:
+///
+/// * redundant pairs (the SRT and CRT kinds): the fault lands on the
+///   leading thread's core (or an LVQ entry), and detection may cross the
+///   inter-core datapath to the trailing core's checkers;
+/// * the base processor (`Base`, `Base2` — one copy either way): nothing
+///   detects, so every unmasked fault is silent data corruption;
+/// * lockstep: the fault lands on core 1 only (a single-event upset hits
+///   one die location) and the output checker compares every store.
 ///
 /// Pure function of its arguments: the fault site is drawn from a stream
 /// seeded by `split_seed(cfg.seed, index)`, so campaigns may execute their
 /// injections in any order (or in parallel) and aggregate with
 /// [`CampaignReport::from_outcomes`] without changing a single bit of the
 /// report.
-pub fn srt_injection(
-    opts: &SrtOptions,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-    index: usize,
-) -> FaultOutcome {
-    srt_injection_forensic(opts, workload, kind, cfg, index).outcome
-}
-
-/// One SRT injection with its full forensic record. See [`srt_injection`]
-/// for the independence/seeding contract.
-pub fn srt_injection_forensic(
-    opts: &SrtOptions,
+pub fn injection_forensic(
+    spec: &MachineSpec,
     workload: &Workload,
     kind: FaultKind,
     cfg: CampaignConfig,
     index: usize,
 ) -> FaultForensics {
-    let mut rng = Xoshiro256::for_job(cfg.seed, index as u64);
-    let mut rec = FlightRecorder::new(FLIGHT_CAPACITY);
-    let chain = rec.begin_chain();
-    let mut dev = SrtDevice::new(opts.clone(), vec![thread(workload)]);
-    if !dev.run_until_committed(cfg.warmup_commits, 50_000_000) {
-        panic!("warmup did not complete");
+    match spec.scheme.kind {
+        DeviceKind::Base | DeviceKind::Base2 => base_injection(spec, workload, kind, cfg, index),
+        DeviceKind::Lock0 | DeviceKind::Lock8 => {
+            lockstep_injection(spec, workload, kind, cfg, index)
+        }
+        DeviceKind::Srt
+        | DeviceKind::SrtPtsq
+        | DeviceKind::SrtNosc
+        | DeviceKind::SrtNoPsr
+        | DeviceKind::Crt
+        | DeviceKind::CrtRing4 => rmt_injection(spec, workload, kind, cfg, index),
     }
-    dev.drain_detected_faults();
-    let site = inject_with_retry(&mut dev, &mut rng, |dev, rng| match kind {
-        FaultKind::TransientLvq => {
-            let occ = dev.env().pair(0).lvq.len();
-            if occ == 0 {
-                None
-            } else {
-                let idx = rng.below(occ.max(1) as u64) as usize;
-                let bit = rng.below(64);
-                dev.env_mut()
-                    .pair_mut(0)
-                    .lvq
-                    .corrupt_nth(idx, 1 << bit)
-                    .map(|_| crate::forensics::FaultSite {
-                        structure: "lvq",
-                        index: idx as u64,
-                        bit: bit as u8,
-                    })
-            }
-        }
-        _ => {
-            let (lead, _) = dev.pair_tids(0);
-            inject_into_core(dev.core_mut(), lead, kind, rng)
-        }
-    });
-    let inject_cycle = dev.cycle();
-    let Some(site) = site else {
-        return forensics(
-            "srt",
-            kind,
-            index,
-            None,
-            inject_cycle,
-            FaultOutcome::Masked,
-            None,
-            rec,
-            chain,
-        );
+}
+
+/// A redundant-pair injection: SRT and CRT both build a
+/// `Machine<RmtScheme>` and differ only in where the pair is placed.
+fn rmt_injection(
+    spec: &MachineSpec,
+    workload: &Workload,
+    kind: FaultKind,
+    cfg: CampaignConfig,
+    index: usize,
+) -> FaultForensics {
+    let arrangement = match spec.scheme.kind {
+        DeviceKind::Crt | DeviceKind::CrtRing4 => "crt",
+        _ => "srt",
     };
-    rec.record(inject_cycle, chain, "inject", site.bit as u64);
-    let (lead, _) = dev.pair_tids(0);
-    let (outcome, mechanism) = observe_window(
-        &mut dev,
-        workload,
-        cfg,
-        inject_cycle,
-        |dev| Probe {
-            released: dev.core().stats().get("stores_released"),
-            squashes: dev.core().thread_stats(lead).squashes,
-            strikes: dev.core().stats().get("sq_strikes_landed"),
-        },
-        ObservePolicy {
-            poll_detection: true,
-            hang_is_detection: true,
-            golden_compare: true,
-        },
-        None,
-        &mut rec,
-        chain,
-    );
-    forensics(
-        "srt",
-        kind,
-        index,
-        Some(site),
-        inject_cycle,
-        outcome,
-        mechanism,
-        rec,
-        chain,
-    )
-}
-
-/// Runs a fault-injection campaign on a CRT processor: the redundant pair
-/// spans two cores, so a strike on the leading core must be caught across
-/// the inter-core forwarding path.
-pub fn run_crt_campaign(
-    opts: SrtOptions,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-) -> CampaignReport {
-    CampaignReport::from_outcomes(
-        kind,
-        (0..cfg.injections).map(|i| crt_injection(&opts, workload, kind, cfg, i)),
-    )
-}
-
-/// One CRT injection — number `index` of the campaign. See
-/// [`srt_injection`] for the independence/seeding contract.
-pub fn crt_injection(
-    opts: &SrtOptions,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-    index: usize,
-) -> FaultOutcome {
-    crt_injection_forensic(opts, workload, kind, cfg, index).outcome
-}
-
-/// One CRT injection with its full forensic record. Faults land on the
-/// leading core (core 0 for a single logical thread); detection crosses
-/// the 4-cycle inter-core datapath to the trailing core's checkers.
-pub fn crt_injection_forensic(
-    opts: &SrtOptions,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-    index: usize,
-) -> FaultForensics {
     let mut rng = Xoshiro256::for_job(cfg.seed, index as u64);
     let mut rec = FlightRecorder::new(FLIGHT_CAPACITY);
     let chain = rec.begin_chain();
-    let mut dev = CrtDevice::new(opts.clone(), vec![thread(workload)]);
+    let mut dev = Machine::redundant(spec, vec![thread(workload)]);
     if !dev.run_until_committed(cfg.warmup_commits, 50_000_000) {
         panic!("warmup did not complete");
     }
     dev.drain_detected_faults();
-    let p = dev.placement(0);
+    let p = dev.scheme().placement(0);
     let site = inject_with_retry(&mut dev, &mut rng, |dev, rng| match kind {
         FaultKind::TransientLvq => {
-            let occ = dev.env().pair(0).lvq.len();
+            let lvq = &mut dev.scheme_mut().env_mut().pair_mut(0).lvq;
+            let occ = lvq.len();
             if occ == 0 {
                 None
             } else {
                 let idx = rng.below(occ.max(1) as u64) as usize;
                 let bit = rng.below(64);
-                dev.env_mut()
-                    .pair_mut(0)
-                    .lvq
-                    .corrupt_nth(idx, 1 << bit)
+                lvq.corrupt_nth(idx, 1 << bit)
                     .map(|_| crate::forensics::FaultSite {
                         structure: "lvq",
                         index: idx as u64,
@@ -253,12 +159,17 @@ pub fn crt_injection_forensic(
                     })
             }
         }
-        _ => inject_into_core(dev.core_mut(p.lead_core), p.lead_tid, kind, rng),
+        _ => inject_into_core(
+            dev.substrate_mut().core_mut(p.lead_core),
+            p.lead_tid,
+            kind,
+            rng,
+        ),
     });
     let inject_cycle = dev.cycle();
     let Some(site) = site else {
         return forensics(
-            "crt",
+            arrangement,
             kind,
             index,
             None,
@@ -275,10 +186,13 @@ pub fn crt_injection_forensic(
         workload,
         cfg,
         inject_cycle,
-        |dev| Probe {
-            released: dev.core(p.lead_core).stats().get("stores_released"),
-            squashes: dev.core(p.lead_core).thread_stats(p.lead_tid).squashes,
-            strikes: dev.core(p.lead_core).stats().get("sq_strikes_landed"),
+        |dev| {
+            let core = dev.substrate().core(p.lead_core);
+            Probe {
+                released: core.stats().get("stores_released"),
+                squashes: core.thread_stats(p.lead_tid).squashes,
+                strikes: core.stats().get("sq_strikes_landed"),
+            }
         },
         ObservePolicy {
             poll_detection: true,
@@ -290,7 +204,7 @@ pub fn crt_injection_forensic(
         chain,
     );
     forensics(
-        "crt",
+        arrangement,
         kind,
         index,
         Some(site),
@@ -302,35 +216,9 @@ pub fn crt_injection_forensic(
     )
 }
 
-/// Runs a campaign on the *base* processor: no detection mechanism exists,
-/// so every unmasked fault is silent data corruption.
-pub fn run_base_campaign(
-    core_cfg: rmt_pipeline::CoreConfig,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-) -> CampaignReport {
-    CampaignReport::from_outcomes(
-        kind,
-        (0..cfg.injections).map(|i| base_injection(&core_cfg, workload, kind, cfg, i)),
-    )
-}
-
-/// One base-processor injection — number `index` of the campaign. See
-/// [`srt_injection`] for the independence/seeding contract.
-pub fn base_injection(
-    core_cfg: &rmt_pipeline::CoreConfig,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-    index: usize,
-) -> FaultOutcome {
-    base_injection_forensic(core_cfg, workload, kind, cfg, index).outcome
-}
-
-/// One base-processor injection with its full forensic record.
-pub fn base_injection_forensic(
-    core_cfg: &rmt_pipeline::CoreConfig,
+/// A base-processor injection.
+fn base_injection(
+    spec: &MachineSpec,
     workload: &Workload,
     kind: FaultKind,
     cfg: CampaignConfig,
@@ -343,7 +231,7 @@ pub fn base_injection_forensic(
     let mut rng = Xoshiro256::for_job(cfg.seed, index as u64);
     let mut rec = FlightRecorder::new(FLIGHT_CAPACITY);
     let chain = rec.begin_chain();
-    let mut dev = BaseDevice::new(core_cfg.clone(), Default::default(), vec![thread(workload)]);
+    let mut dev = Machine::independent(spec, vec![thread(workload)]);
     // The base machine's commit stream is its architectural output, so
     // the co-simulation oracle is SDC ground truth: attach it before
     // warmup and validate the fault-free prefix, then any divergence in
@@ -357,7 +245,7 @@ pub fn base_injection_forensic(
         panic!("warmup did not complete");
     }
     let site = inject_with_retry(&mut dev, &mut rng, |dev, rng| {
-        inject_into_core(dev.core_mut(), 0, kind, rng)
+        inject_into_core(dev.substrate_mut().core_mut(0), 0, kind, rng)
     });
     let inject_cycle = dev.cycle();
     let Some(site) = site else {
@@ -379,10 +267,13 @@ pub fn base_injection_forensic(
         workload,
         cfg,
         inject_cycle,
-        |dev| Probe {
-            released: dev.core().stats().get("stores_released"),
-            squashes: dev.core().thread_stats(0).squashes,
-            strikes: dev.core().stats().get("sq_strikes_landed"),
+        |dev| {
+            let core = dev.substrate().core(0);
+            Probe {
+                released: core.stats().get("stores_released"),
+                squashes: core.thread_stats(0).squashes,
+                strikes: core.stats().get("sq_strikes_landed"),
+            }
         },
         ObservePolicy {
             poll_detection: false,
@@ -406,35 +297,9 @@ pub fn base_injection_forensic(
     )
 }
 
-/// Runs a campaign on a lockstepped machine; faults are injected into core
-/// 1 only (a single-event upset hits one die location).
-pub fn run_lockstep_campaign(
-    opts: LockstepOptions,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-) -> CampaignReport {
-    CampaignReport::from_outcomes(
-        kind,
-        (0..cfg.injections).map(|i| lockstep_injection(&opts, workload, kind, cfg, i)),
-    )
-}
-
-/// One lockstep injection — number `index` of the campaign. See
-/// [`srt_injection`] for the independence/seeding contract.
-pub fn lockstep_injection(
-    opts: &LockstepOptions,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-    index: usize,
-) -> FaultOutcome {
-    lockstep_injection_forensic(opts, workload, kind, cfg, index).outcome
-}
-
-/// One lockstep injection with its full forensic record.
-pub fn lockstep_injection_forensic(
-    opts: &LockstepOptions,
+/// A lockstep injection, into core 1 only.
+fn lockstep_injection(
+    spec: &MachineSpec,
     workload: &Workload,
     kind: FaultKind,
     cfg: CampaignConfig,
@@ -447,13 +312,13 @@ pub fn lockstep_injection_forensic(
     let mut rng = Xoshiro256::for_job(cfg.seed, index as u64);
     let mut rec = FlightRecorder::new(FLIGHT_CAPACITY);
     let chain = rec.begin_chain();
-    let mut dev = LockstepDevice::new(opts.clone(), vec![thread(workload)]);
+    let mut dev = Machine::lockstep(spec, vec![thread(workload)]);
     if !dev.run_until_committed(cfg.warmup_commits, 50_000_000) {
         panic!("warmup did not complete");
     }
     dev.drain_detected_faults();
     let site = inject_with_retry(&mut dev, &mut rng, |dev, rng| {
-        inject_into_core(dev.core_mut(1), 0, kind, rng)
+        inject_into_core(dev.substrate_mut().core_mut(1), 0, kind, rng)
     });
     let inject_cycle = dev.cycle();
     let Some(site) = site else {
@@ -478,10 +343,13 @@ pub fn lockstep_injection_forensic(
         // The checker compares every released store, so no golden model
         // runs and the released count only feeds the forensic
         // sphere-crossing stamp (from the struck core).
-        |dev| Probe {
-            released: dev.core(1).stats().get("stores_released"),
-            squashes: dev.core(1).thread_stats(0).squashes,
-            strikes: dev.core(1).stats().get("sq_strikes_landed"),
+        |dev| {
+            let core = dev.substrate().core(1);
+            Probe {
+                released: core.stats().get("stores_released"),
+                squashes: core.thread_stats(0).squashes,
+                strikes: core.stats().get("sq_strikes_landed"),
+            }
         },
         ObservePolicy {
             poll_detection: true,

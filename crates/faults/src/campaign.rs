@@ -2,21 +2,16 @@
 //! outcomes against the golden model.
 //!
 //! The per-cycle observation engine lives in [`crate::observe`] and the
-//! per-arrangement injection functions in [`crate::arrangements`]
-//! (re-exported here); this module owns the campaign-level API —
-//! configuration and the aggregate [`CampaignReport`]. Every injection
-//! can produce a full [`crate::FaultForensics`] record (the
-//! `*_injection_forensic` functions); the plain `*_injection` functions
-//! are thin wrappers returning just the classified outcome.
+//! injection functions in [`crate::arrangements`] (re-exported here);
+//! this module owns the campaign-level API — configuration and the
+//! aggregate [`CampaignReport`]. Every injection produces a full
+//! [`crate::FaultForensics`] record whose `outcome` is the classified
+//! result the report aggregates.
 
 use crate::model::{FaultKind, FaultOutcome};
 use rmt_stats::Histogram;
 
-pub use crate::arrangements::{
-    base_injection, base_injection_forensic, crt_injection, crt_injection_forensic,
-    lockstep_injection, lockstep_injection_forensic, run_base_campaign, run_crt_campaign,
-    run_lockstep_campaign, run_srt_campaign, srt_injection, srt_injection_forensic,
-};
+pub use crate::arrangements::{injection_forensic, run_campaign};
 
 /// Campaign parameters.
 #[derive(Debug, Clone, Copy)]
@@ -142,10 +137,12 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rmt_core::crt::CrtDevice;
-    use rmt_core::device::SrtOptions;
-    use rmt_core::lockstep::LockstepOptions;
+    use rmt_core::{DeviceKind, MachineSpec};
     use rmt_workloads::{Benchmark, Workload};
+
+    fn spec(kind: DeviceKind) -> MachineSpec {
+        MachineSpec::for_kind(kind)
+    }
 
     fn quick_cfg(n: usize, seed: u64) -> CampaignConfig {
         CampaignConfig {
@@ -159,8 +156,8 @@ mod tests {
     #[test]
     fn srt_detects_sq_corruption() {
         let w = Workload::generate(Benchmark::Compress, 1);
-        let r = run_srt_campaign(
-            SrtOptions::default(),
+        let r = run_campaign(
+            &spec(DeviceKind::SrtNoPsr),
             &w,
             FaultKind::TransientSq,
             quick_cfg(3, 7),
@@ -177,8 +174,8 @@ mod tests {
     #[test]
     fn srt_handles_register_strikes() {
         let w = Workload::generate(Benchmark::M88ksim, 2);
-        let r = run_srt_campaign(
-            SrtOptions::default(),
+        let r = run_campaign(
+            &spec(DeviceKind::SrtNoPsr),
             &w,
             FaultKind::TransientReg,
             quick_cfg(6, 11),
@@ -192,12 +189,9 @@ mod tests {
     #[test]
     fn crt_detects_across_the_inter_core_path() {
         let w = Workload::generate(Benchmark::Compress, 3);
-        let r = run_crt_campaign(
-            CrtDevice::default_options(),
-            &w,
-            FaultKind::TransientSq,
-            quick_cfg(3, 17),
-        );
+        let mut crt = spec(DeviceKind::Crt);
+        crt.core.preferential_space_redundancy = false;
+        let r = run_campaign(&crt, &w, FaultKind::TransientSq, quick_cfg(3, 17));
         assert_eq!(r.injections, 3);
         assert_eq!(r.silent, 0, "CRT comparator missed a corrupted store");
         assert!(r.detected >= 2, "detected only {} of 3", r.detected);
@@ -208,8 +202,8 @@ mod tests {
         // A stream-heavy workload: corrupted stores persist to the next
         // sweep instead of being overwritten by read-modify-write slots.
         let w = Workload::generate(Benchmark::Swim, 1);
-        let r = run_base_campaign(
-            rmt_pipeline::CoreConfig::base(),
+        let r = run_campaign(
+            &spec(DeviceKind::Base),
             &w,
             FaultKind::TransientSq,
             quick_cfg(6, 5),
@@ -228,8 +222,8 @@ mod tests {
         // oracle classifies them at the first wrong commit. The base
         // machine still detects nothing — corruption is silent or masked.
         let w = Workload::generate(Benchmark::M88ksim, 1);
-        let r = run_base_campaign(
-            rmt_pipeline::CoreConfig::base(),
+        let r = run_campaign(
+            &spec(DeviceKind::Base),
             &w,
             FaultKind::TransientReg,
             quick_cfg(6, 13),
@@ -245,8 +239,8 @@ mod tests {
     #[test]
     fn lockstep_detects_fu_fault() {
         let w = Workload::generate(Benchmark::Compress, 2);
-        let r = run_lockstep_campaign(
-            LockstepOptions::lock0(),
+        let r = run_campaign(
+            &spec(DeviceKind::Lock0),
             &w,
             FaultKind::PermanentFu,
             quick_cfg(2, 3),
@@ -259,8 +253,8 @@ mod tests {
     fn campaign_is_deterministic() {
         let w = Workload::generate(Benchmark::M88ksim, 3);
         let run = || {
-            let r = run_srt_campaign(
-                SrtOptions::default(),
+            let r = run_campaign(
+                &spec(DeviceKind::SrtNoPsr),
                 &w,
                 FaultKind::TransientReg,
                 quick_cfg(3, 9),
@@ -273,8 +267,8 @@ mod tests {
     #[test]
     fn forensic_record_narrates_a_detection() {
         let w = Workload::generate(Benchmark::Compress, 1);
-        let f = srt_injection_forensic(
-            &SrtOptions::default(),
+        let f = injection_forensic(
+            &spec(DeviceKind::SrtNoPsr),
             &w,
             FaultKind::TransientSq,
             quick_cfg(1, 7),
@@ -299,14 +293,13 @@ mod tests {
             assert!(f.latency().unwrap() > 0);
         }
         // Forensics agree with the aggregate path bit-for-bit.
-        let o = srt_injection(
-            &SrtOptions::default(),
+        let r = run_campaign(
+            &spec(DeviceKind::SrtNoPsr),
             &w,
             FaultKind::TransientSq,
             quick_cfg(1, 7),
-            0,
         );
-        assert_eq!(f.outcome, o);
+        assert_eq!(r, CampaignReport::from_outcomes(f.kind, [f.outcome]));
     }
 
     #[test]

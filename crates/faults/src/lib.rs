@@ -28,11 +28,6 @@ pub mod forensics;
 pub mod model;
 mod observe;
 
-pub use campaign::{
-    base_injection, base_injection_forensic, crt_injection, crt_injection_forensic,
-    lockstep_injection, lockstep_injection_forensic, run_base_campaign, run_crt_campaign,
-    run_lockstep_campaign, run_srt_campaign, srt_injection, srt_injection_forensic, CampaignConfig,
-    CampaignReport,
-};
+pub use campaign::{injection_forensic, run_campaign, CampaignConfig, CampaignReport};
 pub use forensics::{FaultForensics, FaultSite};
 pub use model::{FaultKind, FaultOutcome};

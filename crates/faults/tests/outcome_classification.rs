@@ -2,13 +2,8 @@
 //! is classified exactly once, and the detection guarantees of each
 //! sphere of replication hold (§2.1, §7.1.1 of the paper).
 
-use rmt_core::device::SrtOptions;
-use rmt_core::lockstep::LockstepOptions;
-use rmt_faults::{
-    run_base_campaign, run_lockstep_campaign, run_srt_campaign, CampaignConfig, CampaignReport,
-    FaultKind,
-};
-use rmt_pipeline::CoreConfig;
+use rmt_core::{DeviceKind, MachineSpec};
+use rmt_faults::{run_campaign, CampaignConfig, CampaignReport, FaultKind};
 use rmt_workloads::{Benchmark, Workload};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,17 +21,14 @@ fn run(arch: Arch, kind: FaultKind, seed: u64) -> CampaignReport {
         window_commits: 5_000,
         seed,
     };
-    match arch {
-        Arch::Base => run_base_campaign(CoreConfig::base(), &w, kind, cfg),
-        Arch::Srt => {
-            // PSR on: the configuration under which SRT claims permanent
-            // faults (§4.5) in addition to the transient models.
-            let mut opts = SrtOptions::default();
-            opts.core.preferential_space_redundancy = true;
-            run_srt_campaign(opts, &w, kind, cfg)
-        }
-        Arch::Lockstep => run_lockstep_campaign(LockstepOptions::lock0(), &w, kind, cfg),
-    }
+    let machine = match arch {
+        Arch::Base => DeviceKind::Base,
+        // PSR on: the configuration under which SRT claims permanent
+        // faults (§4.5) in addition to the transient models.
+        Arch::Srt => DeviceKind::Srt,
+        Arch::Lockstep => DeviceKind::Lock0,
+    };
+    run_campaign(&MachineSpec::for_kind(machine), &w, kind, cfg)
 }
 
 /// Every `(architecture, fault kind)` combination the models support, with

@@ -11,6 +11,7 @@
 //! runs identical to sequential ones.
 
 use crate::experiment::{DeviceKind, Experiment};
+use rmt_core::MachineSpec;
 use rmt_stats::Json;
 use rmt_workloads::Benchmark;
 use std::collections::HashMap;
@@ -72,18 +73,16 @@ impl BaselineCache {
         // *different* keys compute in parallel; a concurrent miss on the
         // *same* key blocks on this cell until the first computation lands.
         *cell.get_or_init(|| {
-            let mut e = Experiment::new(DeviceKind::Base)
+            let mut spec = MachineSpec::for_kind(DeviceKind::Base);
+            replay_overrides(&mut spec, overrides);
+            Experiment::from_spec(spec)
                 .benchmark(bench)
                 .seed(seed)
                 .warmup(warmup)
-                .measure(measure);
-            for (path, v) in overrides {
-                if path == "scheme.kind" {
-                    continue;
-                }
-                e = e.set(path, v.clone());
-            }
-            e.run().expect("baseline run must succeed").ipc(0)
+                .measure(measure)
+                .run()
+                .expect("baseline run must succeed")
+                .ipc(0)
         })
     }
 
@@ -95,6 +94,23 @@ impl BaselineCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Applies key-path `overrides` to `spec` in order, skipping
+/// `scheme.kind` (the caller owns the device kind).
+///
+/// # Panics
+///
+/// On an unknown key path or ill-typed value.
+pub(crate) fn replay_overrides(spec: &mut MachineSpec, overrides: &[(String, Json)]) {
+    for (path, v) in overrides {
+        if path == "scheme.kind" {
+            continue;
+        }
+        if let Err(e) = spec.set(path, v.clone()) {
+            panic!("machine override failed: {e}");
+        }
     }
 }
 

@@ -1,14 +1,8 @@
 //! The experiment builder: one device configuration, one benchmark set,
 //! one measured interval.
 
-use rmt_core::crt::CrtDevice;
-use rmt_core::device::{BaseDevice, Device, LogicalThread, SrtDevice, SrtOptions};
-use rmt_core::lockstep::{LockstepDevice, LockstepOptions};
-use rmt_core::machine::Machine;
-use rmt_core::schemes::Topology;
+use rmt_core::device::{build_device, Device, LogicalThread};
 use rmt_core::spec::MachineSpec;
-use rmt_mem::HierarchyConfig;
-use rmt_pipeline::CoreConfig;
 use rmt_stats::{Json, MetricsRegistry};
 use rmt_workloads::{Benchmark, Workload};
 
@@ -23,9 +17,9 @@ const PROGRESS_STRIDE: u64 = 4_096;
 
 /// Builder for one simulation run.
 ///
-/// The machine itself is one [`MachineSpec`]: the `tweak_*` closures and
-/// the [`Experiment::set`] key-path overrides are two facades over the
-/// same spec, applied immediately and composing in call order. The
+/// The machine itself is one [`MachineSpec`], given up front
+/// ([`Experiment::from_spec`]) or edited by [`Experiment::set`] key-path
+/// overrides, which apply immediately and compose in call order. The
 /// resolved spec is embedded in the [`RunResult`] as its `config`.
 ///
 /// See the crate-level example.
@@ -104,42 +98,9 @@ impl Experiment {
         self
     }
 
-    /// Applies a closure to the core configuration of whichever device this
-    /// experiment builds (sweeps and ablations).
-    ///
-    /// Tweaks are applied immediately and in call order, so repeated calls
-    /// compose: a later tweak sees (and may overwrite) an earlier one's
-    /// values.
-    pub fn tweak_core(mut self, f: impl FnOnce(&mut CoreConfig)) -> Self {
-        f(&mut self.spec.core);
-        self
-    }
-
-    /// Applies a closure to the full SRT/CRT options (store-queue sweeps,
-    /// forwarding-delay sweeps, fetch-policy ablations). Composes like
-    /// [`Experiment::tweak_core`] — and with [`Experiment::set`] overrides,
-    /// in call order, since both edit the same spec.
-    pub fn tweak_srt(mut self, f: impl FnOnce(&mut SrtOptions)) -> Self {
-        let mut opts = self.srt_options();
-        f(&mut opts);
-        self.spec.core = opts.core;
-        self.spec.hierarchy = opts.hierarchy;
-        self.spec.env = opts.env;
-        self
-    }
-
-    /// Applies a closure to the memory-hierarchy configuration of whichever
-    /// device this experiment builds (prefetch/latency sweeps). Composes
-    /// like [`Experiment::tweak_core`].
-    pub fn tweak_hierarchy(mut self, f: impl FnOnce(&mut HierarchyConfig)) -> Self {
-        f(&mut self.spec.hierarchy);
-        self
-    }
-
     /// Overrides one spec leaf by dotted key path
-    /// (`.set("core.sq_entries", Json::U64(16))`) — the data-driven twin
-    /// of [`Experiment::tweak_core`], applied immediately so it composes
-    /// with closure tweaks in call order.
+    /// (`.set("core.sq_entries", Json::U64(16))`), applied immediately:
+    /// a later override sees (and may overwrite) an earlier one.
     ///
     /// # Panics
     ///
@@ -151,20 +112,6 @@ impl Experiment {
             panic!("experiment override failed: {e}");
         }
         self
-    }
-
-    /// The experiment's current device configuration (inspection and
-    /// tweak-composition tests), assembled from the spec.
-    pub fn options(&self) -> SrtOptions {
-        self.srt_options()
-    }
-
-    fn srt_options(&self) -> SrtOptions {
-        SrtOptions {
-            core: self.spec.core.clone(),
-            hierarchy: self.spec.hierarchy,
-            env: self.spec.env,
-        }
     }
 
     /// Raises the cycle-budget multiplier (slow configurations).
@@ -200,9 +147,10 @@ impl Experiment {
             .collect()
     }
 
-    /// Builds the device this experiment is configured for — the one
-    /// construction path for every [`DeviceKind`] (`run` uses it, and the
-    /// refactor-guard test pins its output).
+    /// Builds the device this experiment is configured for with
+    /// [`rmt_core::build_device`] — the one construction path for every
+    /// [`DeviceKind`] (`run` uses it, and the refactor-guard test pins its
+    /// output).
     ///
     /// # Errors
     ///
@@ -211,63 +159,7 @@ impl Experiment {
         if self.benchmarks.is_empty() {
             return Err(SimError::NoBenchmarks);
         }
-        self.build_device_with(self.logical_threads())
-    }
-
-    /// Builds this experiment's device kind around explicit logical
-    /// threads instead of freshly generated workloads — the re-entry path
-    /// of sampled simulation, where each thread's memory image comes from
-    /// an architectural checkpoint. `Base2` doubling is applied here, so
-    /// callers pass exactly one thread per benchmark for every kind.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::NoBenchmarks`] if `threads` is empty.
-    pub fn build_device_with(
-        &self,
-        threads: Vec<LogicalThread>,
-    ) -> Result<Box<dyn Device>, SimError> {
-        if threads.is_empty() {
-            return Err(SimError::NoBenchmarks);
-        }
-        Ok(match self.kind() {
-            DeviceKind::Base => Box::new(BaseDevice::new(
-                self.spec.core.clone(),
-                self.spec.hierarchy,
-                threads,
-            )),
-            DeviceKind::Base2 => {
-                // Each logical thread twice, no replication: committed is
-                // measured on the even (first-copy) hardware threads.
-                let doubled: Vec<LogicalThread> = threads
-                    .iter()
-                    .flat_map(|t| [t.clone(), t.clone()])
-                    .collect();
-                Box::new(BaseDevice::new(
-                    self.spec.core.clone(),
-                    self.spec.hierarchy,
-                    doubled,
-                ))
-            }
-            DeviceKind::Srt | DeviceKind::SrtPtsq | DeviceKind::SrtNosc | DeviceKind::SrtNoPsr => {
-                Box::new(SrtDevice::new(self.srt_options(), threads))
-            }
-            DeviceKind::Lock0 | DeviceKind::Lock8 => Box::new(LockstepDevice::new(
-                LockstepOptions {
-                    core: self.spec.core.clone(),
-                    hierarchy: self.spec.hierarchy,
-                    checker_latency: self.spec.scheme.checker_latency,
-                    desync_window: self.spec.scheme.desync_window,
-                },
-                threads,
-            )),
-            DeviceKind::Crt => Box::new(CrtDevice::new(self.srt_options(), threads)),
-            DeviceKind::CrtRing4 => Box::new(Machine::redundant(
-                self.srt_options(),
-                threads,
-                Topology::Ring(self.spec.scheme.ring),
-            )),
-        })
+        Ok(build_device(&self.spec, self.logical_threads()))
     }
 
     /// Runs the experiment.
@@ -298,7 +190,7 @@ impl Experiment {
         if self.benchmarks.is_empty() {
             return Err(VerifyError::Sim(SimError::NoBenchmarks));
         }
-        // Mirror `build_device_with`'s Base2 doubling: the oracle keeps
+        // Mirror `build_device`'s Base2 doubling: the oracle keeps
         // one lane per *hardware* logical thread, so on Base2 both
         // copies are independently cross-checked.
         let mut threads = self.logical_threads();

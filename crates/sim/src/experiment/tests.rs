@@ -136,39 +136,33 @@ fn progress_sink_observes_without_perturbing() {
 }
 
 #[test]
-fn tweaks_compose_in_call_order() {
+fn overrides_compose_in_call_order() {
     let e = Experiment::new(DeviceKind::Srt)
-        .tweak_core(|c| c.sq_entries = 16)
-        .tweak_core(|c| c.sq_entries *= 4)
-        .tweak_hierarchy(|h| h.l1d_next_line_prefetch = true)
-        .tweak_srt(|o| o.env.lvq_entries = 99);
+        .set("core.sq_entries", Json::U64(16))
+        .set("core.sq_entries", Json::U64(64))
+        .set("hierarchy.l1d_next_line_prefetch", Json::Bool(true))
+        .set("env.lvq_entries", Json::U64(99));
     assert_eq!(
-        e.options().core.sq_entries,
+        e.spec().core.sq_entries,
         64,
-        "later tweaks must see earlier tweaks' values"
+        "a later override must overwrite an earlier one"
     );
-    assert!(e.options().hierarchy.l1d_next_line_prefetch);
-    assert_eq!(e.options().env.lvq_entries, 99);
+    assert!(e.spec().hierarchy.l1d_next_line_prefetch);
+    assert_eq!(e.spec().env.lvq_entries, 99);
 
-    // Key-path overrides are a facade over the same spec, so they
-    // interleave with closure tweaks in call order too: each one sees
-    // (and may overwrite) everything applied before it.
-    let e = Experiment::new(DeviceKind::Srt)
-        .tweak_core(|c| c.sq_entries = 16)
-        .set("core.sq_entries", Json::U64(8))
-        .tweak_core(|c| c.sq_entries *= 4)
+    // Overrides edit the spec an experiment starts from: everything set
+    // on it before, by hand or by the kind's defaults, stays unless a
+    // key path names it.
+    let mut spec = MachineSpec::for_kind(DeviceKind::Srt);
+    spec.core.sq_entries = 16;
+    let e = Experiment::from_spec(spec)
         .set("env.lvq_entries", Json::U64(99))
-        .tweak_srt(|o| o.env.lvq_entries *= 2);
-    assert_eq!(
-        e.options().core.sq_entries,
-        32,
-        "a closure tweak must see the override applied before it"
-    );
-    assert_eq!(
-        e.options().env.lvq_entries,
-        198,
-        "overrides and closures must compose in call order"
-    );
+        .set("core.lq_entries", Json::U64(32));
+    assert_eq!(e.spec().core.sq_entries, 16);
+    assert_eq!(e.spec().core.lq_entries, 32);
+    assert_eq!(e.spec().env.lvq_entries, 99);
+    assert!(e.spec().core.preferential_space_redundancy);
+    assert_eq!(e.kind(), DeviceKind::Srt);
 }
 
 #[test]
@@ -178,42 +172,28 @@ fn bad_override_panics_with_the_key_path() {
 }
 
 #[test]
-fn set_override_matches_tweak_core() {
-    // The dotted key-path system is a facade over the same spec the
-    // closure API edits, so steering a knob either way must produce
-    // the *same run*: identical cycle count, identical metrics
-    // document, identical embedded config. This is the CI equivalence
-    // gate for the config-as-data refactor.
-    let run = |e: Experiment| {
-        let r = e
-            .benchmark(Benchmark::M88ksim)
-            .seed(3)
-            .warmup(1_000)
-            .measure(4_000)
-            .run()
-            .unwrap();
-        (r.cycles, r.metrics.to_json().encode(), r.config.encode())
-    };
-    let via_set = run(Experiment::new(DeviceKind::Srt).set("core.sq_entries", Json::U64(16)));
-    let via_tweak = run(Experiment::new(DeviceKind::Srt).tweak_core(|c| c.sq_entries = 16));
-    assert_eq!(
-        via_set, via_tweak,
-        "--set and tweak_core must be bitwise equivalent"
-    );
-}
-
-#[test]
 fn run_results_embed_the_resolved_spec() {
     let r = Experiment::new(DeviceKind::Srt)
         .benchmark(Benchmark::M88ksim)
         .warmup(500)
         .measure(1_000)
-        .tweak_core(|c| c.sq_entries = 32)
+        .set("core.sq_entries", Json::U64(32))
         .run()
         .unwrap();
-    let spec = rmt_core::MachineSpec::from_json(&r.config).expect("config must validate");
+    let spec = MachineSpec::from_json(&r.config).expect("config must validate");
     assert_eq!(spec.kind(), DeviceKind::Srt);
     assert_eq!(spec.core.sq_entries, 32);
+
+    // A spec given up front is embedded exactly as given.
+    let mut given = MachineSpec::for_kind(DeviceKind::Lock0);
+    given.env.lvq_ecc = true;
+    let r = Experiment::from_spec(given.clone())
+        .benchmark(Benchmark::M88ksim)
+        .warmup(500)
+        .measure(1_000)
+        .run()
+        .unwrap();
+    assert_eq!(MachineSpec::from_json(&r.config), Ok(given));
 }
 
 #[test]
@@ -262,25 +242,37 @@ fn verified_runs_cross_check_every_commit() {
 }
 
 #[test]
-fn tweak_srt_changes_behaviour() {
-    let small_sq = Experiment::new(DeviceKind::Srt)
-        .benchmark(Benchmark::Compress)
-        .warmup(1_000)
-        .measure(4_000)
-        .tweak_srt(|o| o.core.sq_entries = 8)
-        .run()
-        .unwrap();
-    let big_sq = Experiment::new(DeviceKind::Srt)
-        .benchmark(Benchmark::Compress)
-        .warmup(1_000)
-        .measure(4_000)
-        .tweak_srt(|o| o.core.sq_entries = 128)
-        .run()
-        .unwrap();
+fn store_queue_override_changes_behaviour() {
+    let run = |sq: usize| {
+        let mut spec = MachineSpec::for_kind(DeviceKind::Srt);
+        spec.core.sq_entries = sq;
+        Experiment::from_spec(spec)
+            .benchmark(Benchmark::Compress)
+            .warmup(1_000)
+            .measure(4_000)
+            .run()
+            .unwrap()
+    };
+    let small_sq = run(8);
+    let big_sq = run(128);
     assert!(
         small_sq.cycles > big_sq.cycles,
         "a tiny store queue must hurt: {} vs {}",
         small_sq.cycles,
         big_sq.cycles
     );
+    // The key-path override is the same edit: the same run, bitwise.
+    let via_set = Experiment::new(DeviceKind::Srt)
+        .set("core.sq_entries", Json::U64(8))
+        .benchmark(Benchmark::Compress)
+        .warmup(1_000)
+        .measure(4_000)
+        .run()
+        .unwrap();
+    assert_eq!(via_set.cycles, small_sq.cycles);
+    assert_eq!(
+        via_set.metrics.to_json().encode(),
+        small_sq.metrics.to_json().encode()
+    );
+    assert_eq!(via_set.config, small_sq.config);
 }

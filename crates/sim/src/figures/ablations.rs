@@ -5,8 +5,7 @@
 use super::grid::{run_eff, sweep_eff, sweep_table};
 use super::{FigureCtx, FigureResult, SimScale};
 use crate::experiment::{DeviceKind, Experiment};
-use rmt_core::device::{Device, LogicalThread, SrtDevice, SrtOptions};
-use rmt_pipeline::CoreConfig;
+use rmt_core::{Device, LogicalThread, Machine, MachineSpec};
 use rmt_stats::metrics::mean;
 use rmt_stats::table::fmt3;
 use rmt_stats::Table;
@@ -41,33 +40,31 @@ pub fn abl_fetch_policy(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark])
         // Shared-line-predictor trailing fetch: trailing threads
         // misspeculate, so comparison must move to retirement.
         let w = Workload::generate(b, scale.seed);
-        let mut opts = SrtOptions::default();
-        opts.core.preferential_space_redundancy = true;
-        opts.core.trailing_uses_lpq = false;
-        opts.env.compare_at_retire = true;
-        opts.env.lpq_enabled = false;
-        let mut dev = SrtDevice::new(opts, vec![LogicalThread::from(&w)]);
+        let mut spec = MachineSpec::for_kind(DeviceKind::Srt);
+        spec.core.trailing_uses_lpq = false;
+        spec.env.compare_at_retire = true;
+        spec.env.lpq_enabled = false;
+        ctx.apply(&mut spec);
+        let mut dev = Machine::redundant(&spec, vec![LogicalThread::from(&w)]);
         let target = scale.warmup + scale.measure;
         assert!(
             dev.run_until_committed(target, target * 200),
             "{b} shared-fetch run timed out"
         );
-        let (lead, trail) = dev.pair_tids(0);
+        let p = dev.scheme().placement(0);
+        let core = dev.substrate().core(0);
         let eff = {
-            let ipc = dev.core().thread_stats(lead).committed as f64 / dev.cycle() as f64;
+            let ipc = core.thread_stats(p.lead_tid).committed as f64 / dev.cycle() as f64;
             // Compare whole-run IPC against a whole-run base IPC for the
             // same instruction count (no warmup split needed for a ratio of
             // identically-measured runs).
-            let mut base = rmt_core::device::BaseDevice::new(
-                CoreConfig::base(),
-                Default::default(),
-                vec![LogicalThread::from(&w)],
-            );
+            let mut base =
+                Machine::independent(&ctx.spec(DeviceKind::Base), vec![LogicalThread::from(&w)]);
             assert!(base.run_until_committed(target, target * 100));
             let base_ipc = base.committed(0) as f64 / base.cycle() as f64;
             ipc / base_ipc
         };
-        let trail_squashes = dev.core().thread_stats(trail).squashes;
+        let trail_squashes = core.thread_stats(p.trail_tid).squashes;
         (lpq, eff, trail_squashes)
     });
 
@@ -109,22 +106,18 @@ pub fn abl_slack(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> Fig
         if i % 2 == 0 {
             run_eff(ctx, DeviceKind::Srt, &[b], scale).0
         } else {
-            let r = ctx
-                .apply(
-                    Experiment::new(DeviceKind::Srt)
-                        .benchmark(b)
-                        .seed(scale.seed)
-                        .warmup(scale.warmup)
-                        .measure(scale.measure)
-                        .tweak_srt(|o| o.core.trailing_fetch_priority = false)
-                        .max_cycle_factor(120),
-                )
+            let mut spec = MachineSpec::for_kind(DeviceKind::Srt);
+            spec.core.trailing_fetch_priority = false;
+            ctx.apply(&mut spec);
+            let r = Experiment::from_spec(spec)
+                .benchmark(b)
+                .seed(scale.seed)
+                .warmup(scale.warmup)
+                .measure(scale.measure)
+                .max_cycle_factor(120)
                 .run()
                 .expect("icount run");
-            r.ipc(0)
-                / ctx
-                    .baselines
-                    .ipc_with(b, scale.seed, scale.warmup, scale.measure, &ctx.overrides)
+            r.ipc(0) / ctx.base_ipc(b, scale)
         }
     });
     let mut t = Table::with_columns(&["benchmark", "trailing priority", "ICOUNT only"]);
@@ -190,17 +183,15 @@ pub fn abl_crt_delay(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) ->
 pub fn abl_prefetch(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> FigureResult {
     // Two jobs per benchmark: prefetch off (even) and on (odd).
     let ipcs = ctx.runner.run(benches.len() * 2, |i| {
-        let pf = i % 2 == 1;
-        let r = ctx
-            .apply(
-                Experiment::new(DeviceKind::Base)
-                    .benchmark(benches[i / 2])
-                    .seed(scale.seed)
-                    .warmup(scale.warmup)
-                    .measure(scale.measure)
-                    .tweak_hierarchy(move |h| h.l1d_next_line_prefetch = pf)
-                    .max_cycle_factor(150),
-            )
+        let mut spec = MachineSpec::for_kind(DeviceKind::Base);
+        spec.hierarchy.l1d_next_line_prefetch = i % 2 == 1;
+        ctx.apply(&mut spec);
+        let r = Experiment::from_spec(spec)
+            .benchmark(benches[i / 2])
+            .seed(scale.seed)
+            .warmup(scale.warmup)
+            .measure(scale.measure)
+            .max_cycle_factor(150)
             .run()
             .expect("prefetch run");
         ctx.runner.add_sim_cycles(r.cycles);

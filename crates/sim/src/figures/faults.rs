@@ -3,19 +3,24 @@
 //! `results/fault_forensics.json`.
 
 use super::{FigureCtx, FigureResult, SimScale};
-use crate::runner::{par_base_campaign, par_crt_campaign, par_lockstep_campaign, par_srt_campaign};
-use rmt_core::crt::CrtDevice;
-use rmt_core::device::SrtOptions;
-use rmt_faults::campaign::{
-    base_injection_forensic, crt_injection_forensic, lockstep_injection_forensic,
-    srt_injection_forensic,
-};
-use rmt_faults::{CampaignConfig, FaultForensics, FaultKind};
-use rmt_pipeline::CoreConfig;
+use crate::experiment::DeviceKind;
+use crate::runner::par_campaign;
+use rmt_core::MachineSpec;
+use rmt_faults::{injection_forensic, CampaignConfig, FaultForensics, FaultKind};
 use rmt_stats::table::fmt3;
 use rmt_stats::Table;
 use rmt_workloads::{Benchmark, Workload};
 use std::collections::BTreeMap;
+
+/// The paper's CRT machine without preferential space redundancy — the
+/// configuration every committed CRT fault golden was recorded on — with
+/// the context's overrides applied.
+fn crt_spec(ctx: &FigureCtx) -> MachineSpec {
+    let mut spec = MachineSpec::for_kind(DeviceKind::Crt);
+    spec.core.preferential_space_redundancy = false;
+    ctx.apply(&mut spec);
+    spec
+}
 
 /// Renders a bucket-granular latency percentile, `"-"` when nothing was
 /// detected.
@@ -72,65 +77,41 @@ pub fn fault_coverage(ctx: &FigureCtx, scale: SimScale, bench: Benchmark) -> Fig
             summary.insert(format!("{machine}_{}_p95", r.kind.name()), p95 as f64);
         }
     };
+    let mut campaign = |machine: &str, spec: &MachineSpec, kinds: &[FaultKind]| {
+        for &kind in kinds {
+            add(
+                &mut t,
+                machine,
+                par_campaign(&ctx.runner, spec, &w, kind, cfg),
+            );
+        }
+    };
     // Base machine: no detection at all.
-    let base_cfg = CoreConfig::base();
-    for kind in [FaultKind::TransientReg, FaultKind::TransientSq] {
-        add(
-            &mut t,
-            "base",
-            par_base_campaign(&ctx.runner, &base_cfg, &w, kind, cfg),
-        );
-    }
+    let transients = [FaultKind::TransientReg, FaultKind::TransientSq];
+    campaign("base", &ctx.spec(DeviceKind::Base), &transients);
     // SRT with PSR: all models.
-    let mut psr_opts = SrtOptions::default();
-    psr_opts.core.preferential_space_redundancy = true;
-    for kind in FaultKind::ALL {
-        add(
-            &mut t,
-            "srt",
-            par_srt_campaign(&ctx.runner, &psr_opts, &w, kind, cfg),
-        );
-    }
+    campaign("srt", &ctx.spec(DeviceKind::Srt), &FaultKind::ALL);
     // SRT without PSR: permanent faults (the coverage PSR exists to fix).
-    add(
-        &mut t,
+    campaign(
         "srt-nopsr",
-        par_srt_campaign(
-            &ctx.runner,
-            &SrtOptions::default(),
-            &w,
-            FaultKind::PermanentFu,
-            cfg,
-        ),
+        &ctx.spec(DeviceKind::SrtNoPsr),
+        &[FaultKind::PermanentFu],
     );
     // SRT with the ECC the paper mandates for the LVQ (§2.1): strikes on
     // LVQ entries are corrected before they can diverge the threads.
-    let mut ecc_opts = psr_opts.clone();
-    ecc_opts.env.lvq_ecc = true;
-    add(
-        &mut t,
-        "srt-ecc",
-        par_srt_campaign(&ctx.runner, &ecc_opts, &w, FaultKind::TransientLvq, cfg),
-    );
+    let mut ecc = MachineSpec::for_kind(DeviceKind::Srt);
+    ecc.env.lvq_ecc = true;
+    ctx.apply(&mut ecc);
+    campaign("srt-ecc", &ecc, &[FaultKind::TransientLvq]);
     // CRT: the same strikes detected across the inter-core datapath —
     // latency includes the cross-core forwarding delay.
-    let crt_opts = CrtDevice::default_options();
-    for kind in [FaultKind::TransientReg, FaultKind::TransientSq] {
-        add(
-            &mut t,
-            "crt",
-            par_crt_campaign(&ctx.runner, &crt_opts, &w, kind, cfg),
-        );
-    }
+    campaign("crt", &crt_spec(ctx), &transients);
     // Lockstep: permanent + register faults.
-    let lock_opts = rmt_core::lockstep::LockstepOptions::lock8();
-    for kind in [FaultKind::TransientReg, FaultKind::PermanentFu] {
-        add(
-            &mut t,
-            "lockstep",
-            par_lockstep_campaign(&ctx.runner, &lock_opts, &w, kind, cfg),
-        );
-    }
+    campaign(
+        "lockstep",
+        &ctx.spec(DeviceKind::Lock8),
+        &[FaultKind::TransientReg, FaultKind::PermanentFu],
+    );
     FigureResult {
         table: t,
         summary,
@@ -156,21 +137,19 @@ pub fn fault_forensics(
         window_commits: scale.measure.min(15_000),
         seed: 0xdecaf,
     };
-    let mut psr_opts = SrtOptions::default();
-    psr_opts.core.preferential_space_redundancy = true;
-    let crt_opts = CrtDevice::default_options();
-    let lock_opts = rmt_core::lockstep::LockstepOptions::lock8();
-    let base_cfg = CoreConfig::base();
-    let n = cfg.injections;
     // Arrangement-major fan-out: the store-queue strike is the fault the
     // sphere-of-replication story is about, so SRT/CRT/base all take it;
     // lockstep takes the permanent FU fault its checker exists to catch.
-    let records = ctx.runner.run(4 * n, |i| match (i / n, i % n) {
-        (0, j) => srt_injection_forensic(&psr_opts, &w, FaultKind::TransientSq, cfg, j),
-        (1, j) => crt_injection_forensic(&crt_opts, &w, FaultKind::TransientSq, cfg, j),
-        (2, j) => lockstep_injection_forensic(&lock_opts, &w, FaultKind::PermanentFu, cfg, j),
-        (3, j) => base_injection_forensic(&base_cfg, &w, FaultKind::TransientSq, cfg, j),
-        _ => unreachable!("i < 4 * n"),
+    let arrangements = [
+        (ctx.spec(DeviceKind::Srt), FaultKind::TransientSq),
+        (crt_spec(ctx), FaultKind::TransientSq),
+        (ctx.spec(DeviceKind::Lock8), FaultKind::PermanentFu),
+        (ctx.spec(DeviceKind::Base), FaultKind::TransientSq),
+    ];
+    let n = cfg.injections;
+    let records = ctx.runner.run(arrangements.len() * n, |i| {
+        let (spec, kind) = &arrangements[i / n];
+        injection_forensic(spec, &w, *kind, cfg, i % n)
     });
 
     let mut t = Table::with_columns(&[

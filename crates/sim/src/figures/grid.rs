@@ -3,8 +3,8 @@
 //! Every efficiency figure is the same shape: a grid of benchmark-mix
 //! rows × device-variant columns, one [`Experiment`] per cell, each
 //! cell's SMT efficiency taken against the shared baseline cache. A
-//! [`Variant`] names the column: a [`DeviceKind`] plus an optional
-//! options tweak (that is how sweeps express their parameter axis).
+//! [`Variant`] names the column: a labelled [`MachineSpec`] (sweeps
+//! express their parameter axis as one edited spec per value).
 //!
 //! [`eff_grid`] fans the cells across the runner row-major with the
 //! variant index innermost — the job-index order every `--jobs`
@@ -12,7 +12,7 @@
 
 use super::{FigureCtx, FigureResult, SimScale};
 use crate::experiment::{DeviceKind, Experiment};
-use rmt_core::device::SrtOptions;
+use rmt_core::MachineSpec;
 use rmt_stats::metrics::{mean, smt_efficiency};
 use rmt_stats::table::fmt3;
 use rmt_stats::{MetricsSnapshot, Table, TimeSeries};
@@ -20,31 +20,26 @@ use rmt_workloads::mix::mix_name;
 use rmt_workloads::Benchmark;
 use std::collections::BTreeMap;
 
-/// An options tweak a [`Variant`] applies on top of its kind's defaults.
-pub(crate) type Tweak<'a> = Box<dyn Fn(&mut SrtOptions) + Sync + 'a>;
-
-/// One column of an efficiency grid: which device to build and how to
+/// One column of an efficiency grid: which machine to build and how to
 /// label the cell's metric snapshot.
-pub(crate) struct Variant<'a> {
-    /// The device kind the cell's experiment constructs.
-    pub kind: DeviceKind,
+pub(crate) struct Variant {
+    /// The machine the cell's experiment constructs (before the
+    /// context's CLI overrides).
+    pub spec: MachineSpec,
     /// Metric-snapshot key suffix (`"mix/label"`).
     pub label: String,
     /// Cycle-budget multiplier override for slow configurations.
     pub max_cycle_factor: Option<u64>,
-    /// Options tweak applied on top of the kind's defaults.
-    pub tweak: Option<Tweak<'a>>,
 }
 
-impl Variant<'_> {
-    /// A plain column: the kind with its default options, labelled by
-    /// the kind's name.
+impl Variant {
+    /// A plain column: the kind's default spec, labelled by the kind's
+    /// name.
     pub fn plain(kind: DeviceKind) -> Self {
         Variant {
-            kind,
+            spec: MachineSpec::for_kind(kind),
             label: kind.name().to_string(),
             max_cycle_factor: None,
-            tweak: None,
         }
     }
 }
@@ -57,7 +52,11 @@ fn eff_cell(
     benches: &[Benchmark],
     scale: SimScale,
 ) -> (f64, MetricsSnapshot, TimeSeries) {
-    let mut e = Experiment::new(variant.kind)
+    // CLI overrides land after the variant's own edits: the CLI wins.
+    let mut spec = variant.spec.clone();
+    ctx.apply(&mut spec);
+    let kind = spec.kind();
+    let mut e = Experiment::from_spec(spec)
         .benchmarks(benches)
         .seed(scale.seed)
         .warmup(scale.warmup)
@@ -65,28 +64,17 @@ fn eff_cell(
     if let Some(factor) = variant.max_cycle_factor {
         e = e.max_cycle_factor(factor);
     }
-    if let Some(tweak) = &variant.tweak {
-        e = e.tweak_srt(|o| tweak(o));
-    }
-    // CLI overrides land after the variant's own tweak: the CLI wins.
-    e = ctx.apply(e);
     if let Some(every) = ctx.epoch {
         e = e.epoch(every);
     }
     let r = e
         .run()
-        .unwrap_or_else(|e| panic!("{} on {benches:?} failed: {e}", variant.kind));
+        .unwrap_or_else(|e| panic!("{kind} on {benches:?} failed: {e}"));
     ctx.runner.add_sim_cycles(r.cycles);
     let pairs: Vec<(f64, f64)> = benches
         .iter()
         .enumerate()
-        .map(|(i, &b)| {
-            (
-                r.ipc(i),
-                ctx.baselines
-                    .ipc_with(b, scale.seed, scale.warmup, scale.measure, &ctx.overrides),
-            )
-        })
+        .map(|(i, &b)| (r.ipc(i), ctx.base_ipc(b, scale)))
         .collect();
     (smt_efficiency(&pairs), r.metrics, r.timeseries)
 }
@@ -158,10 +146,10 @@ pub(crate) fn grid_eff(
 }
 
 /// [`eff_grid`] over a parameter axis: single-benchmark rows × one
-/// tweaked variant per parameter value, metric snapshots keyed
-/// `"bench/label=param"`.
+/// variant per parameter value (`kind`'s default spec edited by `edit`),
+/// metric snapshots keyed `"bench/label=param"`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_eff<P: Copy + Sync + std::fmt::Display>(
+pub(crate) fn sweep_eff<P: Copy + std::fmt::Display>(
     ctx: &FigureCtx,
     scale: SimScale,
     benches: &[Benchmark],
@@ -169,17 +157,19 @@ pub(crate) fn sweep_eff<P: Copy + Sync + std::fmt::Display>(
     params: &[P],
     param_label: &str,
     max_cycle_factor: u64,
-    tweak: impl Fn(&mut SrtOptions, P) + Sync,
+    edit: impl Fn(&mut MachineSpec, P),
 ) -> GridOut {
     let rows: Vec<Vec<Benchmark>> = benches.iter().map(|&b| vec![b]).collect();
-    let tweak = &tweak;
     let variants: Vec<Variant> = params
         .iter()
-        .map(|&p| Variant {
-            kind,
-            label: format!("{param_label}={p}"),
-            max_cycle_factor: Some(max_cycle_factor),
-            tweak: Some(Box::new(move |o: &mut SrtOptions| tweak(o, p))),
+        .map(|&p| {
+            let mut spec = MachineSpec::for_kind(kind);
+            edit(&mut spec, p);
+            Variant {
+                spec,
+                label: format!("{param_label}={p}"),
+                max_cycle_factor: Some(max_cycle_factor),
+            }
         })
         .collect();
     eff_grid(ctx, scale, &rows, &variants)

@@ -17,7 +17,7 @@
 //!
 //! * `grid` — the declarative experiment grid all efficiency figures fan
 //!   out through: benchmark-mix rows × device `Variant` columns (a
-//!   `DeviceKind` plus an optional options tweak), one job per cell.
+//!   labelled `MachineSpec`), one job per cell.
 //! * `machine` — Table 1 and Figure 2, read back from the live config.
 //! * `sampling` — the sampled Figure 6 grid (SMARTS-style windows with
 //!   paired Base denominators) and the sampled-vs-full error validation.
@@ -58,10 +58,12 @@ pub use srt::{fig6_srt_single, fig7_psr, fig8_srt_multi, fig9_storeq};
 pub use suite::suite_summary;
 pub use workloads::{slack_profile, workload_chars};
 
-use crate::baseline::BaselineCache;
-use crate::experiment::Experiment;
+use crate::baseline::{replay_overrides, BaselineCache};
+use crate::experiment::DeviceKind;
 use crate::runner::Runner;
+use rmt_core::MachineSpec;
 use rmt_stats::{Json, MetricsSnapshot, Table, TimeSeries};
+use rmt_workloads::Benchmark;
 use std::collections::BTreeMap;
 
 /// How much simulation to spend per data point.
@@ -122,10 +124,11 @@ pub struct FigureCtx {
     /// the figure's [`FigureResult::timeseries`] carries them.
     pub epoch: Option<u64>,
     /// Machine-spec key-path overrides (the `--set`/`--config` flags),
-    /// replayed onto **every** experiment a figure driver submits —
-    /// including the Base denominators — after the driver's own variant
-    /// tweaks, so the CLI always has the last word. The `scheme.kind`
-    /// path is skipped: the figure's columns own the device kind.
+    /// replayed onto **every** machine a figure driver builds — grid
+    /// experiments, hand-built devices, fault campaigns and the Base
+    /// denominators — after the driver's own spec edits, so the CLI
+    /// always has the last word. The `scheme.kind` path is skipped: the
+    /// figure's columns own the device kind.
     pub overrides: Vec<(String, Json)>,
 }
 
@@ -166,17 +169,35 @@ impl FigureCtx {
         self
     }
 
-    /// Replays this context's overrides onto one experiment (after any
-    /// driver tweaks — the CLI has the last word). Every site that builds
-    /// an [`Experiment`] for a figure funnels through here.
-    pub fn apply(&self, mut e: Experiment) -> Experiment {
-        for (path, v) in &self.overrides {
-            if path == "scheme.kind" {
-                continue;
-            }
-            e = e.set(path, v.clone());
-        }
-        e
+    /// Replays this context's overrides onto one machine spec (after the
+    /// driver's own edits — the CLI has the last word). Every machine a
+    /// figure builds comes from a spec that went through here.
+    ///
+    /// # Panics
+    ///
+    /// On an unknown key path or ill-typed value (CLI layers validate
+    /// overrides before installing them).
+    pub fn apply(&self, spec: &mut MachineSpec) {
+        replay_overrides(spec, &self.overrides);
+    }
+
+    /// `kind`'s default spec with this context's overrides applied.
+    pub fn spec(&self, kind: DeviceKind) -> MachineSpec {
+        let mut spec = MachineSpec::for_kind(kind);
+        self.apply(&mut spec);
+        spec
+    }
+
+    /// The shared single-thread Base IPC of `bench` at `scale` under this
+    /// context's overrides — the SMT-efficiency denominator.
+    pub fn base_ipc(&self, bench: Benchmark, scale: SimScale) -> f64 {
+        self.baselines.ipc_with(
+            bench,
+            scale.seed,
+            scale.warmup,
+            scale.measure,
+            &self.overrides,
+        )
     }
 }
 

@@ -42,13 +42,11 @@ pub struct SampledGrid {
 }
 
 fn exp(ctx: &FigureCtx, kind: DeviceKind, bench: Benchmark, scale: SimScale) -> Experiment {
-    ctx.apply(
-        Experiment::new(kind)
-            .benchmark(bench)
-            .seed(scale.seed)
-            .warmup(scale.warmup)
-            .measure(scale.measure),
-    )
+    Experiment::from_spec(ctx.spec(kind))
+        .benchmark(bench)
+        .seed(scale.seed)
+        .warmup(scale.warmup)
+        .measure(scale.measure)
 }
 
 /// Runs the sampled efficiency grid for Figure 6's kinds: one checkpoint

@@ -201,15 +201,13 @@ pub fn sensitivity_sweep(
         let mut spec = cfg.base.clone();
         spec.set(&axis.path, axis.values[v].clone())
             .expect("validated at parse time");
-        let r = ctx
-            .apply(
-                Experiment::from_spec(spec)
-                    .benchmark(bench)
-                    .seed(scale.seed)
-                    .warmup(scale.warmup)
-                    .measure(scale.measure)
-                    .max_cycle_factor(max_cycle_factor),
-            )
+        ctx.apply(&mut spec);
+        let r = Experiment::from_spec(spec)
+            .benchmark(bench)
+            .seed(scale.seed)
+            .warmup(scale.warmup)
+            .measure(scale.measure)
+            .max_cycle_factor(max_cycle_factor)
             .run()
             .unwrap_or_else(|e| {
                 panic!("sweep cell {}={} on {bench} failed: {e}", axis.path, {
@@ -217,14 +215,7 @@ pub fn sensitivity_sweep(
                 })
             });
         ctx.runner.add_sim_cycles(r.cycles);
-        r.ipc(0)
-            / ctx.baselines.ipc_with(
-                bench,
-                scale.seed,
-                scale.warmup,
-                scale.measure,
-                &ctx.overrides,
-            )
+        r.ipc(0) / ctx.base_ipc(bench, scale)
     });
 
     let mut cols: Vec<String> = vec!["axis".into(), "value".into()];

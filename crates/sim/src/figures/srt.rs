@@ -5,8 +5,7 @@
 use super::grid::grid_eff;
 use super::{FigureCtx, FigureResult, SimScale};
 use crate::experiment::DeviceKind;
-use rmt_core::device::{Device, LogicalThread, SrtDevice, SrtOptions};
-use rmt_pipeline::CoreConfig;
+use rmt_core::{Device, LogicalThread, Machine, MachineSpec};
 use rmt_stats::metrics::{degradation_pct, mean};
 use rmt_stats::table::{fmt3, fmt_pct};
 use rmt_stats::Table;
@@ -56,17 +55,23 @@ pub fn fig6_srt_single(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) 
     }
 }
 
-fn same_fu_fraction(psr_enabled: bool, bench: Benchmark, scale: SimScale) -> (f64, f64) {
-    let mut opts = SrtOptions::default();
-    opts.core.preferential_space_redundancy = psr_enabled;
+fn same_fu_fraction(
+    ctx: &FigureCtx,
+    psr_enabled: bool,
+    bench: Benchmark,
+    scale: SimScale,
+) -> (f64, f64) {
+    let mut spec = MachineSpec::for_kind(DeviceKind::SrtNoPsr);
+    spec.core.preferential_space_redundancy = psr_enabled;
+    ctx.apply(&mut spec);
     let w = Workload::generate(bench, scale.seed);
-    let mut dev = SrtDevice::new(opts, vec![LogicalThread::from(&w)]);
+    let mut dev = Machine::redundant(&spec, vec![LogicalThread::from(&w)]);
     let ok = dev.run_until_committed(
         scale.warmup + scale.measure,
         (scale.warmup + scale.measure) * 100,
     );
     assert!(ok, "{bench}: PSR run timed out");
-    let psr = &dev.env().pair(0).psr;
+    let psr = &dev.scheme().env().pair(0).psr;
     (psr.same_fu_fraction(), psr.same_half_fraction())
 }
 
@@ -75,7 +80,7 @@ fn same_fu_fraction(psr_enabled: bool, bench: Benchmark, scale: SimScale) -> (f6
 pub fn fig7_psr(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> FigureResult {
     // Two jobs per benchmark: PSR off (even indices) and on (odd).
     let points = ctx.runner.run(benches.len() * 2, |i| {
-        same_fu_fraction(i % 2 == 1, benches[i / 2], scale)
+        same_fu_fraction(ctx, i % 2 == 1, benches[i / 2], scale)
     });
     let mut t = Table::with_columns(&[
         "benchmark",
@@ -161,18 +166,18 @@ pub fn fig9_storeq(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> F
         let w = Workload::generate(b, scale.seed);
         let target = scale.warmup + scale.measure;
 
-        let mut base = rmt_core::device::BaseDevice::new(
-            CoreConfig::base(),
-            Default::default(),
+        let mut base =
+            Machine::independent(&ctx.spec(DeviceKind::Base), vec![LogicalThread::from(&w)]);
+        assert!(base.run_until_committed(target, target * 100));
+        let base_life = base.substrate().core(0).store_lifetime(0).mean();
+
+        let mut srt = Machine::redundant(
+            &ctx.spec(DeviceKind::SrtNoPsr),
             vec![LogicalThread::from(&w)],
         );
-        assert!(base.run_until_committed(target, target * 100));
-        let base_life = base.core().store_lifetime(0).mean();
-
-        let mut srt = SrtDevice::new(SrtOptions::default(), vec![LogicalThread::from(&w)]);
         assert!(srt.run_until_committed(target, target * 100));
-        let (lead, _) = srt.pair_tids(0);
-        let life = srt.core().store_lifetime(lead);
+        let lead = srt.scheme().placement(0).lead_tid;
+        let life = srt.substrate().core(0).store_lifetime(lead);
         (
             base_life,
             life.mean(),
@@ -267,6 +272,21 @@ mod tests {
             r.value("mean_lifetime_delta") > 5.0,
             "SRT must lengthen store lifetimes: {}",
             r.value("mean_lifetime_delta")
+        );
+    }
+
+    #[test]
+    fn fig9_replays_cli_overrides_onto_its_machines() {
+        // `--set core.sq_entries=16` must reach the hand-built base and
+        // SRT machines, not just the embedded config.
+        let benches = &[Benchmark::M88ksim];
+        let plain = fig9_storeq(&FigureCtx::new(1), SimScale::quick(), benches);
+        let ctx = FigureCtx::new(1)
+            .with_overrides(vec![("core.sq_entries".into(), rmt_stats::Json::U64(16))]);
+        let small_sq = fig9_storeq(&ctx, SimScale::quick(), benches);
+        assert_ne!(
+            plain.table, small_sq.table,
+            "a 16-entry store queue must change store lifetimes"
         );
     }
 }

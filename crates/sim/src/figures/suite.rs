@@ -22,9 +22,7 @@ pub fn suite_summary(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) ->
     let mut crt_col = Vec::new();
     let mut summary = BTreeMap::new();
     for (b, row) in benches.iter().zip(&grid.effs) {
-        let ipc = ctx
-            .baselines
-            .ipc(*b, scale.seed, scale.warmup, scale.measure);
+        let ipc = ctx.base_ipc(*b, scale);
         srt_col.push(row[0]);
         crt_col.push(row[1]);
         summary.insert(format!("{}_base_ipc", b.name()), ipc);

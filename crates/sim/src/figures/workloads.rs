@@ -2,8 +2,8 @@
 //! workload characterization table.
 
 use super::{FigureCtx, FigureResult, SimScale};
-use rmt_core::device::{Device, LogicalThread, SrtDevice, SrtOptions};
-use rmt_pipeline::CoreConfig;
+use crate::experiment::DeviceKind;
+use rmt_core::{Device, LogicalThread, Machine};
 use rmt_stats::metrics::mean;
 use rmt_stats::table::{fmt3, fmt_pct};
 use rmt_stats::Table;
@@ -18,13 +18,16 @@ pub fn slack_profile(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) ->
     let points = ctx.runner.run(benches.len(), |i| {
         let b = benches[i];
         let w = Workload::generate(b, scale.seed);
-        let mut dev = SrtDevice::new(SrtOptions::default(), vec![LogicalThread::from(&w)]);
+        let mut dev = Machine::redundant(
+            &ctx.spec(DeviceKind::SrtNoPsr),
+            vec![LogicalThread::from(&w)],
+        );
         let target = scale.warmup + scale.measure;
         assert!(
             dev.run_until_committed(target, target * 120),
             "{b} timed out"
         );
-        let pair = dev.env().pair(0);
+        let pair = dev.scheme().env().pair(0);
         (
             pair.slack.mean(),
             pair.slack.percentile(95.0).unwrap_or(0),
@@ -92,14 +95,9 @@ pub fn workload_chars(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -
         // Dynamic behaviour on the base machine: IPC from the warm
         // measurement window (the same number every SMT-efficiency in this
         // suite divides by); squash rate over the whole run.
-        let ipc = ctx
-            .baselines
-            .ipc(b, scale.seed, scale.warmup, scale.measure);
-        let mut dev = rmt_core::device::BaseDevice::new(
-            CoreConfig::base(),
-            Default::default(),
-            vec![LogicalThread::from(&w)],
-        );
+        let ipc = ctx.base_ipc(b, scale);
+        let mut dev =
+            Machine::independent(&ctx.spec(DeviceKind::Base), vec![LogicalThread::from(&w)]);
         let target = scale.warmup + scale.measure;
         assert!(
             dev.run_until_committed(target, target * 120),
@@ -112,7 +110,8 @@ pub fn workload_chars(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -
             loads: frac(&|i| i.op.is_load()),
             stores: frac(&|i| i.op.is_store()),
             fp: frac(&|i| matches!(i.op.fu_class(), rmt_isa::FuClass::Fp)),
-            squash_rate: dev.core().thread_stats(0).squashes as f64 / committed * 1_000.0,
+            squash_rate: dev.substrate().core(0).thread_stats(0).squashes as f64 / committed
+                * 1_000.0,
             working_set: b.profile().working_set,
         }
     });

@@ -28,13 +28,8 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
-use rmt_core::device::SrtOptions;
-use rmt_core::lockstep::LockstepOptions;
-use rmt_faults::campaign::{
-    base_injection, crt_injection, lockstep_injection, srt_injection, srt_injection_forensic,
-};
-use rmt_faults::{CampaignConfig, CampaignReport, FaultForensics, FaultKind};
-use rmt_pipeline::CoreConfig;
+use rmt_core::MachineSpec;
+use rmt_faults::{injection_forensic, CampaignConfig, CampaignReport, FaultForensics, FaultKind};
 use rmt_workloads::Workload;
 use std::collections::VecDeque;
 use std::fmt;
@@ -294,79 +289,37 @@ impl Default for Runner {
 // Parallel fault campaigns
 // ====================================================================
 
-/// [`rmt_faults::run_srt_campaign`] with injections fanned across the
+/// [`rmt_faults::run_campaign`] with injections fanned across the
 /// runner. Identical report to the sequential form for any worker count
 /// (each injection draws from its own [`split_seed`]-derived stream, and
 /// outcomes are aggregated in index order).
 ///
 /// [`split_seed`]: rmt_stats::rng::split_seed
-pub fn par_srt_campaign(
+pub fn par_campaign(
     runner: &Runner,
-    opts: &SrtOptions,
+    spec: &MachineSpec,
     workload: &Workload,
     kind: FaultKind,
     cfg: CampaignConfig,
 ) -> CampaignReport {
     let outcomes = runner.run(cfg.injections, |i| {
-        srt_injection(opts, workload, kind, cfg, i)
+        injection_forensic(spec, workload, kind, cfg, i).outcome
     });
     CampaignReport::from_outcomes(kind, outcomes)
 }
 
-/// [`rmt_faults::run_base_campaign`] fanned across the runner.
-pub fn par_base_campaign(
-    runner: &Runner,
-    core_cfg: &CoreConfig,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-) -> CampaignReport {
-    let outcomes = runner.run(cfg.injections, |i| {
-        base_injection(core_cfg, workload, kind, cfg, i)
-    });
-    CampaignReport::from_outcomes(kind, outcomes)
-}
-
-/// [`rmt_faults::run_crt_campaign`] fanned across the runner.
-pub fn par_crt_campaign(
-    runner: &Runner,
-    opts: &SrtOptions,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-) -> CampaignReport {
-    let outcomes = runner.run(cfg.injections, |i| {
-        crt_injection(opts, workload, kind, cfg, i)
-    });
-    CampaignReport::from_outcomes(kind, outcomes)
-}
-
-/// [`rmt_faults::run_lockstep_campaign`] fanned across the runner.
-pub fn par_lockstep_campaign(
-    runner: &Runner,
-    opts: &LockstepOptions,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-) -> CampaignReport {
-    let outcomes = runner.run(cfg.injections, |i| {
-        lockstep_injection(opts, workload, kind, cfg, i)
-    });
-    CampaignReport::from_outcomes(kind, outcomes)
-}
-
-/// A full forensic SRT campaign fanned across the runner: one
+/// A full forensic campaign fanned across the runner: one
 /// [`FaultForensics`] record per injection, ordered by injection index —
 /// bitwise identical at any worker count, like the aggregate campaigns.
-pub fn par_srt_forensics(
+pub fn par_forensics(
     runner: &Runner,
-    opts: &SrtOptions,
+    spec: &MachineSpec,
     workload: &Workload,
     kind: FaultKind,
     cfg: CampaignConfig,
 ) -> Vec<FaultForensics> {
     runner.run(cfg.injections, |i| {
-        srt_injection_forensic(opts, workload, kind, cfg, i)
+        injection_forensic(spec, workload, kind, cfg, i)
     })
 }
 

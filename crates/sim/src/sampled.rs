@@ -27,7 +27,7 @@
 //! tests assert both).
 
 use crate::experiment::{DeviceKind, Experiment, SimError, VerifyError};
-use rmt_core::device::LogicalThread;
+use rmt_core::device::{build_device, LogicalThread};
 use rmt_isa::Program;
 use rmt_sample::{Checkpoint, FastForward, SamplePlan};
 use rmt_stats::{mean_ci95, Estimate};
@@ -214,7 +214,7 @@ impl Experiment {
             .zip(&programs)
             .map(|(cp, p)| LogicalThread::new(p.clone(), cp.memory.clone()))
             .collect();
-        let mut device = self.build_device_with(threads).map_err(VerifyError::Sim)?;
+        let mut device = build_device(self.spec(), threads);
         // One oracle lane per hardware logical thread (Base2 copies each
         // get their own), seeded like the device itself.
         let mut oracle = verify.then(|| {

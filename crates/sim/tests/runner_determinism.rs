@@ -4,11 +4,11 @@
 //! one (more workers than this host has cores, so stealing actually
 //! happens).
 
-use rmt_core::device::SrtOptions;
-use rmt_faults::{run_srt_campaign, CampaignConfig, FaultKind};
+use rmt_core::{DeviceKind, MachineSpec};
+use rmt_faults::{run_campaign, CampaignConfig, FaultKind};
 use rmt_sample::SamplePlan;
 use rmt_sim::figures::{self, FigureCtx};
-use rmt_sim::runner::{par_srt_campaign, par_srt_forensics};
+use rmt_sim::runner::{par_campaign, par_forensics};
 use rmt_sim::{Runner, SimScale};
 use rmt_workloads::{Benchmark, Workload};
 
@@ -84,8 +84,9 @@ fn srt_campaign_is_identical_sequential_and_parallel() {
         seed: 11,
     };
     let kind = FaultKind::TransientReg;
-    let seq = run_srt_campaign(SrtOptions::default(), &w, kind, cfg);
-    let par = par_srt_campaign(&Runner::new(8), &SrtOptions::default(), &w, kind, cfg);
+    let spec = MachineSpec::for_kind(DeviceKind::SrtNoPsr);
+    let seq = run_campaign(&spec, &w, kind, cfg);
+    let par = par_campaign(&Runner::new(8), &spec, &w, kind, cfg);
     // `CampaignReport` equality covers the outcome counts *and* the
     // detection-latency histogram bin-by-bin.
     assert_eq!(seq, par, "campaign report differs across worker counts");
@@ -132,9 +133,9 @@ fn forensic_campaign_is_identical_sequential_and_parallel() {
         seed: 21,
     };
     let kind = FaultKind::TransientSq;
-    let opts = SrtOptions::default();
-    let seq = par_srt_forensics(&Runner::new(1), &opts, &w, kind, cfg);
-    let par = par_srt_forensics(&Runner::new(8), &opts, &w, kind, cfg);
+    let spec = MachineSpec::for_kind(DeviceKind::SrtNoPsr);
+    let seq = par_forensics(&Runner::new(1), &spec, &w, kind, cfg);
+    let par = par_forensics(&Runner::new(8), &spec, &w, kind, cfg);
     assert_eq!(seq.len(), par.len());
     for (a, b) in seq.iter().zip(&par) {
         // Structural equality plus the serialized record — the bytes that

@@ -4,10 +4,7 @@
 use crate::fuzz::{self, FuzzConfig};
 use crate::oracle::{Divergence, Oracle};
 use crate::shrink;
-use rmt_core::{
-    BaseDevice, CrtDevice, Device, LockstepDevice, LockstepOptions, LogicalThread, Machine,
-    RecoverableSrt, SrtDevice, SrtOptions, Topology,
-};
+use rmt_core::{build_device, Device, DeviceKind, LogicalThread, Machine, MachineSpec};
 use rmt_isa::{MemImage, Program};
 use rmt_pipeline::CoreConfig;
 use std::rc::Rc;
@@ -26,7 +23,7 @@ pub enum Arrangement {
     /// Four cores in a ring, four logical copies of the program.
     Ring4,
     /// SRT with checkpoint/rollback recovery.
-    RecoverableSrt,
+    SrtRecovery,
 }
 
 impl Arrangement {
@@ -37,7 +34,7 @@ impl Arrangement {
         Arrangement::Crt,
         Arrangement::Lockstep,
         Arrangement::Ring4,
-        Arrangement::RecoverableSrt,
+        Arrangement::SrtRecovery,
     ];
 
     /// Stable display name.
@@ -48,7 +45,7 @@ impl Arrangement {
             Arrangement::Crt => "crt",
             Arrangement::Lockstep => "lockstep",
             Arrangement::Ring4 => "ring4",
-            Arrangement::RecoverableSrt => "recoverable-srt",
+            Arrangement::SrtRecovery => "recoverable-srt",
         }
     }
 
@@ -59,10 +56,25 @@ impl Arrangement {
             _ => 1,
         }
     }
+
+    /// The machine kind the arrangement builds (recoverable SRT layers
+    /// recovery over the plain SRT-without-PSR machine).
+    fn kind(self) -> DeviceKind {
+        match self {
+            Arrangement::Base => DeviceKind::Base,
+            Arrangement::Srt | Arrangement::SrtRecovery => DeviceKind::SrtNoPsr,
+            Arrangement::Crt => DeviceKind::Crt,
+            Arrangement::Lockstep => DeviceKind::Lock0,
+            Arrangement::Ring4 => DeviceKind::CrtRing4,
+        }
+    }
 }
 
 /// Builds `arr` running `copies` logical instances of `program` on empty
-/// memory images, plus the matching oracle lanes.
+/// memory images, plus the matching oracle lanes. The machine is the
+/// arrangement kind's default spec over the caller's core configuration,
+/// except that the kind keeps its own per-thread store-queue setting
+/// (CRT and the ring use the paper's per-thread store queues).
 pub fn build_arrangement(
     arr: Arrangement,
     core: CoreConfig,
@@ -72,49 +84,14 @@ pub fn build_arrangement(
         .map(|_| LogicalThread::new(program.clone(), MemImage::new()))
         .collect();
     let oracle = Oracle::for_threads(&threads);
+    let mut spec = MachineSpec::for_kind(arr.kind());
+    spec.core = CoreConfig {
+        per_thread_store_queues: spec.core.per_thread_store_queues,
+        ..core
+    };
     let device: Box<dyn Device> = match arr {
-        Arrangement::Base => Box::new(BaseDevice::new(core, Default::default(), threads)),
-        Arrangement::Srt => Box::new(SrtDevice::new(
-            SrtOptions {
-                core,
-                ..Default::default()
-            },
-            threads,
-        )),
-        Arrangement::Crt => {
-            let mut opts = CrtDevice::default_options();
-            // The paper's CRT per-thread store queues, over the caller's
-            // core configuration.
-            opts.core = CoreConfig {
-                per_thread_store_queues: true,
-                ..core
-            };
-            Box::new(CrtDevice::new(opts, threads))
-        }
-        Arrangement::Lockstep => Box::new(LockstepDevice::new(
-            LockstepOptions {
-                core,
-                ..LockstepOptions::lock0()
-            },
-            threads,
-        )),
-        Arrangement::Ring4 => {
-            let mut opts = SrtOptions {
-                core,
-                ..Default::default()
-            };
-            opts.env.cross_core_delay = 4;
-            opts.core.per_thread_store_queues = true;
-            Box::new(Machine::redundant(opts, threads, Topology::Ring(4)))
-        }
-        Arrangement::RecoverableSrt => Box::new(RecoverableSrt::new(
-            SrtOptions {
-                core,
-                ..Default::default()
-            },
-            threads,
-            2_000,
-        )),
+        Arrangement::SrtRecovery => Box::new(Machine::recoverable(&spec, threads, 2_000)),
+        _ => build_device(&spec, threads),
     };
     (device, oracle)
 }

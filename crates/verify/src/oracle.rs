@@ -165,17 +165,12 @@ impl Lane {
 /// # Examples
 ///
 /// ```
-/// use rmt_core::{BaseDevice, Device, LogicalThread};
-/// use rmt_pipeline::CoreConfig;
+/// use rmt_core::{Device, LogicalThread, Machine, MachineSpec};
 /// use rmt_verify::Oracle;
 /// use rmt_workloads::{Benchmark, Workload};
 ///
 /// let w = Workload::generate(Benchmark::M88ksim, 1);
-/// let mut d = BaseDevice::new(
-///     CoreConfig::base(),
-///     Default::default(),
-///     vec![LogicalThread::from(&w)],
-/// );
+/// let mut d = Machine::independent(&MachineSpec::default(), vec![LogicalThread::from(&w)]);
 /// let mut oracle = Oracle::new(vec![(w.program.clone().into(), w.memory.clone())]);
 /// oracle.attach(&mut d);
 /// while d.committed(0) < 2_000 {

@@ -5,9 +5,8 @@
 //! cargo run --release --example fault_detection
 //! ```
 
-use rmt::core::device::SrtOptions;
-use rmt::faults::{run_base_campaign, run_srt_campaign, CampaignConfig, FaultKind};
-use rmt::pipeline::CoreConfig;
+use rmt::core::{DeviceKind, MachineSpec};
+use rmt::faults::{run_campaign, CampaignConfig, FaultKind};
 use rmt::workloads::{Benchmark, Workload};
 
 fn main() {
@@ -24,14 +23,16 @@ fn main() {
         cfg.injections
     );
 
-    let base = run_base_campaign(CoreConfig::base(), &w, FaultKind::TransientSq, cfg);
+    let base_spec = MachineSpec::for_kind(DeviceKind::Base);
+    let base = run_campaign(&base_spec, &w, FaultKind::TransientSq, cfg);
     println!("base processor (no detection mechanism):");
     println!(
         "  detected {} | masked {} | SILENT DATA CORRUPTION {}",
         base.detected, base.masked, base.silent
     );
 
-    let srt = run_srt_campaign(SrtOptions::default(), &w, FaultKind::TransientSq, cfg);
+    let srt_spec = MachineSpec::for_kind(DeviceKind::SrtNoPsr);
+    let srt = run_campaign(&srt_spec, &w, FaultKind::TransientSq, cfg);
     println!("\nSRT processor (store comparator at the sphere boundary):");
     println!(
         "  detected {} | masked {} | silent {}",
@@ -44,9 +45,8 @@ fn main() {
     );
 
     // Permanent faults: why preferential space redundancy exists (§4.5).
-    let mut psr = SrtOptions::default();
-    psr.core.preferential_space_redundancy = true;
-    let perm = run_srt_campaign(psr, &w, FaultKind::PermanentFu, cfg);
+    let psr_spec = MachineSpec::for_kind(DeviceKind::Srt);
+    let perm = run_campaign(&psr_spec, &w, FaultKind::PermanentFu, cfg);
     println!("\nSRT + preferential space redundancy vs a stuck-at functional unit:");
     println!(
         "  detected {} of {} injections, mean latency {:.0} cycles",

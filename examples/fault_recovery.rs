@@ -6,15 +6,14 @@
 //! cargo run --release --example fault_recovery
 //! ```
 
-use rmt::core::device::{Device, LogicalThread, SrtOptions};
-use rmt::core::recovery::RecoverableSrt;
+use rmt::core::{Device, DeviceKind, LogicalThread, Machine, MachineSpec};
 use rmt::isa::interp::Interpreter;
 use rmt::workloads::{Benchmark, Workload};
 
 fn main() {
     let w = Workload::generate(Benchmark::Swim, 1);
-    let mut dev = RecoverableSrt::new(
-        SrtOptions::default(),
+    let mut dev = Machine::recoverable(
+        &MachineSpec::for_kind(DeviceKind::SrtNoPsr),
         vec![LogicalThread::from(&w)],
         4_000, // checkpoint every 4k committed instructions
     );
@@ -28,7 +27,7 @@ fn main() {
     );
 
     println!("\nstriking bit 11 of the next store to pass the commit point...");
-    dev.core_mut().arm_sq_strike(0, 1 << 11);
+    dev.substrate_mut().core_mut(0).arm_sq_strike(0, 1 << 11);
     dev.run_until_committed(40_000, 200_000_000);
     println!(
         "  detection+rollback happened {} time(s); execution continued to {} commits",

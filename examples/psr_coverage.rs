@@ -6,16 +6,19 @@
 //! cargo run --release --example psr_coverage
 //! ```
 
-use rmt::core::device::{Device, LogicalThread, SrtDevice, SrtOptions};
+use rmt::core::{Device, DeviceKind, LogicalThread, Machine, MachineSpec};
 use rmt::workloads::{Benchmark, Workload};
 
 fn same_fu(psr: bool) -> (f64, f64) {
-    let mut opts = SrtOptions::default();
-    opts.core.preferential_space_redundancy = psr;
+    let kind = if psr {
+        DeviceKind::Srt
+    } else {
+        DeviceKind::SrtNoPsr
+    };
     let w = Workload::generate(Benchmark::M88ksim, 1);
-    let mut dev = SrtDevice::new(opts, vec![LogicalThread::from(&w)]);
+    let mut dev = Machine::redundant(&MachineSpec::for_kind(kind), vec![LogicalThread::from(&w)]);
     dev.run_until_committed(30_000, 10_000_000);
-    let t = &dev.env().pair(0).psr;
+    let t = &dev.scheme().env().pair(0).psr;
     (t.same_fu_fraction(), t.same_half_fraction())
 }
 

@@ -8,7 +8,7 @@
 //! build the exact pathological instruction sequences; the core's
 //! no-retirement watchdog turns any regression into a panic.
 
-use rmt::core::device::{Device, LogicalThread, SrtDevice, SrtOptions};
+use rmt::core::{Device, DeviceKind, LogicalThread, Machine, MachineSpec, RmtScheme};
 use rmt::isa::inst::{Inst, Reg};
 use rmt::isa::program::ProgramBuilder;
 use rmt::isa::MemImage;
@@ -50,12 +50,13 @@ fn partial_forward_program() -> ProgramBuilder {
     b
 }
 
-fn run_srt(b: ProgramBuilder, commits: u64) -> SrtDevice {
+fn srt(threads: Vec<LogicalThread>) -> Machine<RmtScheme> {
+    Machine::redundant(&MachineSpec::for_kind(DeviceKind::SrtNoPsr), threads)
+}
+
+fn run_srt(b: ProgramBuilder, commits: u64) -> Machine<RmtScheme> {
     let program = Rc::new(b.build().unwrap());
-    let mut dev = SrtDevice::new(
-        SrtOptions::default(),
-        vec![LogicalThread::new(program, MemImage::new())],
-    );
+    let mut dev = srt(vec![LogicalThread::new(program, MemImage::new())]);
     // The watchdog inside the core panics on 100k retire-free cycles, so
     // reaching the commit target proves liveness.
     assert!(
@@ -69,20 +70,24 @@ fn run_srt(b: ProgramBuilder, commits: u64) -> SrtDevice {
 fn membar_in_chunk_does_not_deadlock_srt() {
     let dev = run_srt(membar_heavy_program(), 20_000);
     assert!(
-        dev.core().stats().get("membar_waits") > 0,
+        dev.substrate().core(0).stats().get("membar_waits") > 0,
         "barrier never waited"
     );
-    assert_eq!(dev.env().pair(0).comparator.mismatches(), 0);
+    assert_eq!(dev.scheme().env().pair(0).comparator.mismatches(), 0);
 }
 
 #[test]
 fn partial_forward_in_chunk_does_not_deadlock_srt() {
     let dev = run_srt(partial_forward_program(), 20_000);
     assert!(
-        dev.core().stats().get("partial_forward_stalls") > 0,
+        dev.substrate()
+            .core(0)
+            .stats()
+            .get("partial_forward_stalls")
+            > 0,
         "the pathological pattern never exercised partial forwarding"
     );
-    assert_eq!(dev.env().pair(0).comparator.mismatches(), 0);
+    assert_eq!(dev.scheme().env().pair(0).comparator.mismatches(), 0);
 }
 
 #[test]
@@ -91,16 +96,17 @@ fn combined_pathologies_under_four_contexts() {
     // §4.3 per-thread reservations must keep all four contexts live.
     let a = Rc::new(membar_heavy_program().build().unwrap());
     let b = Rc::new(partial_forward_program().build().unwrap());
-    let mut dev = SrtDevice::new(
-        SrtOptions::default(),
-        vec![
-            LogicalThread::new(a, MemImage::new()),
-            LogicalThread::new(b, MemImage::new()),
-        ],
-    );
+    let mut dev = srt(vec![
+        LogicalThread::new(a, MemImage::new()),
+        LogicalThread::new(b, MemImage::new()),
+    ]);
     assert!(dev.run_until_committed(10_000, 50_000_000));
     for i in 0..2 {
-        assert_eq!(dev.env().pair(i).comparator.mismatches(), 0, "pair {i}");
+        assert_eq!(
+            dev.scheme().env().pair(i).comparator.mismatches(),
+            0,
+            "pair {i}"
+        );
     }
 }
 
@@ -108,13 +114,12 @@ fn combined_pathologies_under_four_contexts() {
 fn store_release_delay_throttles_but_preserves_liveness() {
     // The lockstep checker's store-path delay must never wedge the machine,
     // even combined with memory barriers.
-    use rmt::core::lockstep::{LockstepDevice, LockstepOptions};
     let program = Rc::new(membar_heavy_program().build().unwrap());
-    let mut opts = LockstepOptions::lock8();
-    opts.checker_latency = 32; // far worse than Lock8
-    let mut dev = LockstepDevice::new(opts, vec![LogicalThread::new(program, MemImage::new())]);
+    let mut spec = MachineSpec::for_kind(DeviceKind::Lock8);
+    spec.scheme.checker_latency = 32; // far worse than Lock8
+    let mut dev = Machine::lockstep(&spec, vec![LogicalThread::new(program, MemImage::new())]);
     assert!(dev.run_until_committed(10_000, 50_000_000));
-    assert!(!dev.desynced());
+    assert!(!dev.scheme().desynced());
 }
 
 #[test]
@@ -132,9 +137,9 @@ fn uncached_polling_does_not_deadlock_srt() {
     b.push(Inst::addi(r(2), r(3), 1));
     b.push_branch(Inst::j(0), "loop");
     let dev = run_srt(b, 5_000);
-    assert!(dev.core().stats().get("uncached_loads") > 100);
-    assert!(dev.core().stats().get("uncached_load_waits") > 0);
-    assert_eq!(dev.env().pair(0).comparator.mismatches(), 0);
+    assert!(dev.substrate().core(0).stats().get("uncached_loads") > 100);
+    assert!(dev.substrate().core(0).stats().get("uncached_load_waits") > 0);
+    assert_eq!(dev.scheme().env().pair(0).comparator.mismatches(), 0);
 }
 
 #[test]
@@ -142,8 +147,6 @@ fn uncached_loads_see_drained_stores_exactly() {
     // Correctness: the polled value must round-trip exactly (the load
     // bypasses store-queue forwarding, so ordering discipline is the only
     // thing keeping it right).
-    use rmt::core::device::BaseDevice;
-    use rmt::pipeline::CoreConfig;
     let mut b = ProgramBuilder::new();
     b.push(Inst::addi(r(1), Reg::ZERO, 0x100));
     b.push(Inst::addi(r(2), Reg::ZERO, 0));
@@ -155,16 +158,15 @@ fn uncached_loads_see_drained_stores_exactly() {
     b.push_branch(Inst::blt(r(2), r(4), 0), "loop");
     b.push(Inst::halt());
     let program = Rc::new(b.build().unwrap());
-    let mut dev = BaseDevice::new(
-        CoreConfig::base(),
-        Default::default(),
+    let mut dev = Machine::independent(
+        &MachineSpec::default(),
         vec![LogicalThread::new(program, MemImage::new())],
     );
     let mut guard = 0;
-    while !(dev.core().all_halted() && dev.core().in_flight(0) == 0) {
+    while !(dev.substrate().core(0).all_halted() && dev.substrate().core(0).in_flight(0) == 0) {
         dev.tick();
         guard += 1;
         assert!(guard < 2_000_000, "stuck");
     }
-    assert_eq!(dev.core().arch_reg(0, r(2)), 200);
+    assert_eq!(dev.substrate().core(0).arch_reg(0, r(2)), 200);
 }

@@ -3,13 +3,14 @@
 //! every cycle attributed to exactly one category), snapshots must be
 //! reproducible, and the JSON rendering must round-trip.
 
-use rmt::core::crt::CrtDevice;
-use rmt::core::device::{BaseDevice, Device, LogicalThread, SrtDevice, SrtOptions};
-use rmt::core::lockstep::{LockstepDevice, LockstepOptions};
-use rmt::core::recovery::RecoverableSrt;
+use rmt::core::{Device, DeviceKind, LogicalThread, Machine, MachineSpec};
 use rmt::pipeline::CoreConfig;
 use rmt::stats::{MetricsRegistry, MetricsSnapshot};
 use rmt::workloads::{Benchmark, Workload};
+
+fn spec(kind: DeviceKind) -> MachineSpec {
+    MachineSpec::for_kind(kind)
+}
 
 fn snapshot(dev: &dyn Device) -> MetricsSnapshot {
     let mut reg = MetricsRegistry::new();
@@ -58,11 +59,7 @@ fn assert_conservation(snap: &MetricsSnapshot, core_prefixes: &[&str]) {
 #[test]
 fn base_device_conserves_issue_slots() {
     let w = Workload::generate(Benchmark::Gcc, 5);
-    let mut dev = BaseDevice::new(
-        CoreConfig::base(),
-        Default::default(),
-        vec![LogicalThread::from(&w)],
-    );
+    let mut dev = Machine::independent(&spec(DeviceKind::Base), vec![LogicalThread::from(&w)]);
     assert!(dev.run_until_committed(8_000, 4_000_000));
     let snap = snapshot(&dev);
     assert_conservation(&snap, &["core0"]);
@@ -71,7 +68,7 @@ fn base_device_conserves_issue_slots() {
 #[test]
 fn srt_device_conserves_issue_slots_and_exports_rmt_state() {
     let w = Workload::generate(Benchmark::Compress, 5);
-    let mut dev = SrtDevice::new(SrtOptions::default(), vec![LogicalThread::from(&w)]);
+    let mut dev = Machine::redundant(&spec(DeviceKind::SrtNoPsr), vec![LogicalThread::from(&w)]);
     assert!(dev.run_until_committed(8_000, 4_000_000));
     let snap = snapshot(&dev);
     assert_conservation(&snap, &["core0"]);
@@ -86,7 +83,9 @@ fn srt_device_conserves_issue_slots_and_exports_rmt_state() {
 #[test]
 fn crt_device_conserves_issue_slots_on_both_cores() {
     let w = Workload::generate(Benchmark::Swim, 5);
-    let mut dev = CrtDevice::new(CrtDevice::default_options(), vec![LogicalThread::from(&w)]);
+    let mut crt = spec(DeviceKind::Crt);
+    crt.core.preferential_space_redundancy = false;
+    let mut dev = Machine::redundant(&crt, vec![LogicalThread::from(&w)]);
     assert!(dev.run_until_committed(6_000, 6_000_000));
     let snap = snapshot(&dev);
     assert_conservation(&snap, &["core0", "core1"]);
@@ -96,7 +95,7 @@ fn crt_device_conserves_issue_slots_on_both_cores() {
 #[test]
 fn lockstep_device_conserves_issue_slots_on_both_cores() {
     let w = Workload::generate(Benchmark::Ijpeg, 5);
-    let mut dev = LockstepDevice::new(LockstepOptions::lock8(), vec![LogicalThread::from(&w)]);
+    let mut dev = Machine::lockstep(&spec(DeviceKind::Lock8), vec![LogicalThread::from(&w)]);
     assert!(dev.run_until_committed(6_000, 6_000_000));
     let snap = snapshot(&dev);
     assert_conservation(&snap, &["core0", "core1"]);
@@ -108,7 +107,11 @@ fn lockstep_device_conserves_issue_slots_on_both_cores() {
 #[test]
 fn recoverable_srt_conserves_issue_slots_and_exports_recovery_state() {
     let w = Workload::generate(Benchmark::M88ksim, 5);
-    let mut dev = RecoverableSrt::new(SrtOptions::default(), vec![LogicalThread::from(&w)], 3_000);
+    let mut dev = Machine::recoverable(
+        &spec(DeviceKind::SrtNoPsr),
+        vec![LogicalThread::from(&w)],
+        3_000,
+    );
     assert!(dev.run_until_committed(8_000, 6_000_000));
     let snap = snapshot(&dev);
     // Conservation must survive the checkpoint quiesce windows, where
@@ -123,7 +126,8 @@ fn recoverable_srt_conserves_issue_slots_and_exports_recovery_state() {
 fn snapshots_are_reproducible_and_json_round_trips() {
     let run = || {
         let w = Workload::generate(Benchmark::M88ksim, 9);
-        let mut dev = SrtDevice::new(SrtOptions::default(), vec![LogicalThread::from(&w)]);
+        let mut dev =
+            Machine::redundant(&spec(DeviceKind::SrtNoPsr), vec![LogicalThread::from(&w)]);
         assert!(dev.run_until_committed(5_000, 3_000_000));
         snapshot(&dev)
     };
@@ -140,11 +144,7 @@ fn snapshots_are_reproducible_and_json_round_trips() {
 #[test]
 fn occupancy_histograms_track_live_queues() {
     let w = Workload::generate(Benchmark::Fpppp, 3);
-    let mut dev = BaseDevice::new(
-        CoreConfig::base(),
-        Default::default(),
-        vec![LogicalThread::from(&w)],
-    );
+    let mut dev = Machine::independent(&spec(DeviceKind::Base), vec![LogicalThread::from(&w)]);
     assert!(dev.run_until_committed(5_000, 3_000_000));
     let snap = snapshot(&dev);
     for q in ["iq_half0", "iq_half1", "lq", "sq", "rmb"] {

@@ -2,8 +2,7 @@
 //! replay, the machine's architectural history must be *indistinguishable*
 //! from a fault-free run — the golden model's store stream, exactly.
 
-use rmt::core::device::{Device, LogicalThread, SrtOptions};
-use rmt::core::recovery::RecoverableSrt;
+use rmt::core::{Device, DeviceKind, LogicalThread, Machine, MachineSpec, RecoveringScheme};
 use rmt::isa::interp::Interpreter;
 use rmt::workloads::{Benchmark, Workload};
 
@@ -18,10 +17,14 @@ fn golden_digest_at_stores(w: &Workload, stores: u64) -> u64 {
     interp.mem().digest()
 }
 
-fn recoverable(bench: Benchmark, seed: u64, interval: u64) -> (Workload, RecoverableSrt) {
+fn recoverable(
+    bench: Benchmark,
+    seed: u64,
+    interval: u64,
+) -> (Workload, Machine<RecoveringScheme>) {
     let w = Workload::generate(bench, seed);
-    let dev = RecoverableSrt::new(
-        SrtOptions::default(),
+    let dev = Machine::recoverable(
+        &MachineSpec::for_kind(DeviceKind::SrtNoPsr),
         vec![LogicalThread::from(&w)],
         interval,
     );
@@ -30,7 +33,7 @@ fn recoverable(bench: Benchmark, seed: u64, interval: u64) -> (Workload, Recover
 
 /// Stores reflected in pair 0's memory (releases minus those undone by
 /// recovery rollbacks).
-fn released(dev: &RecoverableSrt) -> u64 {
+fn released(dev: &Machine<RecoveringScheme>) -> u64 {
     dev.effective_releases(0)
 }
 
@@ -38,7 +41,7 @@ fn released(dev: &RecoverableSrt) -> u64 {
 fn store_strike_is_recovered_exactly() {
     let (w, mut dev) = recoverable(Benchmark::Swim, 3, 4_000);
     assert!(dev.run_until_committed(6_000, 30_000_000));
-    dev.core_mut().arm_sq_strike(0, 1 << 11);
+    dev.substrate_mut().core_mut(0).arm_sq_strike(0, 1 << 11);
     assert!(dev.run_until_committed(40_000, 120_000_000));
     assert_eq!(
         dev.recoveries(),
@@ -62,9 +65,11 @@ fn register_strikes_are_recovered_exactly() {
     let mut recovered = 0;
     for round in 0..4 {
         // Strike a live register each round.
-        let live = dev.core().live_phys_regs();
+        let live = dev.substrate().core(0).live_phys_regs();
         let reg = live[rng.below(live.len() as u64) as usize];
-        dev.core_mut().corrupt_phys_reg(reg, 1 << rng.below(64));
+        dev.substrate_mut()
+            .core_mut(0)
+            .corrupt_phys_reg(reg, 1 << rng.below(64));
         let target = dev.committed(0) + 10_000;
         assert!(
             dev.run_until_committed(target, 200_000_000),
@@ -86,7 +91,7 @@ fn repeated_strikes_keep_recovering() {
     let (w, mut dev) = recoverable(Benchmark::Compress, 7, 3_000);
     assert!(dev.run_until_committed(4_000, 30_000_000));
     for _ in 0..3 {
-        dev.core_mut().arm_sq_strike(0, 1 << 21);
+        dev.substrate_mut().core_mut(0).arm_sq_strike(0, 1 << 21);
         let target = dev.committed(0) + 8_000;
         assert!(dev.run_until_committed(target, 200_000_000));
     }

@@ -2,12 +2,26 @@
 //! multithreading must uphold, checked end-to-end through the whole stack
 //! (workload generator → pipeline → RMT device → golden model).
 
-use rmt::core::crt::CrtDevice;
-use rmt::core::device::{BaseDevice, Device, LogicalThread, SrtDevice, SrtOptions};
-use rmt::core::lockstep::{LockstepDevice, LockstepOptions};
+use rmt::core::{
+    Device, DeviceKind, IndependentScheme, LogicalThread, Machine, MachineSpec, RmtScheme,
+};
 use rmt::isa::interp::Interpreter;
-use rmt::pipeline::CoreConfig;
 use rmt::workloads::{Benchmark, Workload};
+
+fn base(threads: Vec<LogicalThread>) -> Machine<IndependentScheme> {
+    Machine::independent(&MachineSpec::for_kind(DeviceKind::Base), threads)
+}
+
+fn srt(threads: Vec<LogicalThread>) -> Machine<RmtScheme> {
+    Machine::redundant(&MachineSpec::for_kind(DeviceKind::SrtNoPsr), threads)
+}
+
+/// The paper's CRT machine without preferential space redundancy.
+fn crt(threads: Vec<LogicalThread>) -> Machine<RmtScheme> {
+    let mut spec = MachineSpec::for_kind(DeviceKind::Crt);
+    spec.core.preferential_space_redundancy = false;
+    Machine::redundant(&spec, threads)
+}
 
 /// Runs the golden interpreter until it has committed exactly `stores`
 /// stores; returns its memory digest.
@@ -28,9 +42,9 @@ fn srt_released_stores_equal_golden_prefix() {
     // sphere of replication is exactly the golden store stream.
     for &b in &[Benchmark::Compress, Benchmark::Gcc, Benchmark::Swim] {
         let w = Workload::generate(b, 21);
-        let mut dev = SrtDevice::new(SrtOptions::default(), vec![LogicalThread::from(&w)]);
+        let mut dev = srt(vec![LogicalThread::from(&w)]);
         assert!(dev.run_until_committed(20_000, 10_000_000), "{b} timed out");
-        let released = dev.core().stats().get("stores_released");
+        let released = dev.substrate().core(0).stats().get("stores_released");
         assert!(released > 100, "{b}: too few stores to be meaningful");
         assert_eq!(
             dev.image(0).digest(),
@@ -45,14 +59,15 @@ fn srt_released_stores_equal_golden_prefix() {
 fn crt_released_stores_equal_golden_prefix() {
     let a = Workload::generate(Benchmark::Ijpeg, 5);
     let b = Workload::generate(Benchmark::Fpppp, 5);
-    let mut dev = CrtDevice::new(
-        CrtDevice::default_options(),
-        vec![LogicalThread::from(&a), LogicalThread::from(&b)],
-    );
+    let mut dev = crt(vec![LogicalThread::from(&a), LogicalThread::from(&b)]);
     assert!(dev.run_until_committed(15_000, 20_000_000));
     for (i, w) in [&a, &b].into_iter().enumerate() {
-        let p = dev.placement(i);
-        let released: u64 = dev.core(p.lead_core).store_lifetime(p.lead_tid).count();
+        let p = dev.scheme().placement(i);
+        let released: u64 = dev
+            .substrate()
+            .core(p.lead_core)
+            .store_lifetime(p.lead_tid)
+            .count();
         assert!(released > 50, "pair {i}: too few stores");
         assert_eq!(
             dev.image(i).digest(),
@@ -68,16 +83,12 @@ fn base_and_srt_memories_agree_at_equal_store_counts() {
     // Redundant execution must be architecturally invisible: base and SRT
     // runs of the same program produce identical store prefixes.
     let w = Workload::generate(Benchmark::Vortex, 13);
-    let mut base = BaseDevice::new(
-        CoreConfig::base(),
-        Default::default(),
-        vec![LogicalThread::from(&w)],
-    );
+    let mut base = base(vec![LogicalThread::from(&w)]);
     assert!(base.run_until_committed(15_000, 10_000_000));
-    let mut srt = SrtDevice::new(SrtOptions::default(), vec![LogicalThread::from(&w)]);
+    let mut srt = srt(vec![LogicalThread::from(&w)]);
     assert!(srt.run_until_committed(15_000, 10_000_000));
-    let base_released = base.core().stats().get("stores_released");
-    let srt_released = srt.core().stats().get("stores_released");
+    let base_released = base.substrate().core(0).stats().get("stores_released");
+    let srt_released = srt.substrate().core(0).stats().get("stores_released");
     let common = base_released.min(srt_released);
     assert_eq!(
         golden_digest_at_stores(&w, common),
@@ -99,17 +110,18 @@ fn trailing_thread_is_sheltered() {
     // §4/§5: the trailing thread never misspeculates (LPQ), never touches
     // the data cache, and never misses the LVQ address check.
     let w = Workload::generate(Benchmark::Go, 17);
-    let mut dev = SrtDevice::new(SrtOptions::default(), vec![LogicalThread::from(&w)]);
+    let mut dev = srt(vec![LogicalThread::from(&w)]);
     assert!(dev.run_until_committed(15_000, 10_000_000));
-    let (lead, trail) = dev.pair_tids(0);
-    assert_eq!(dev.core().thread_stats(trail).squashes, 0);
+    let p = dev.scheme().placement(0);
+    let core = dev.substrate().core(0);
+    assert_eq!(core.thread_stats(p.trail_tid).squashes, 0);
     assert!(
-        dev.core().thread_stats(lead).squashes > 0,
+        core.thread_stats(p.lead_tid).squashes > 0,
         "go must mispredict"
     );
     // Trailing commits track leading commits.
-    let lead_n = dev.core().thread_stats(lead).committed;
-    let trail_n = dev.core().thread_stats(trail).committed;
+    let lead_n = core.thread_stats(p.lead_tid).committed;
+    let trail_n = core.thread_stats(p.trail_tid).committed;
     assert!(trail_n <= lead_n);
     assert!(
         lead_n - trail_n < 2_000,
@@ -120,18 +132,16 @@ fn trailing_thread_is_sheltered() {
 #[test]
 fn lockstep_cores_stay_bit_identical() {
     let w = Workload::generate(Benchmark::Perl, 3);
-    let mut dev = LockstepDevice::new(LockstepOptions::lock8(), vec![LogicalThread::from(&w)]);
+    let mut dev = Machine::lockstep(
+        &MachineSpec::for_kind(DeviceKind::Lock8),
+        vec![LogicalThread::from(&w)],
+    );
     assert!(dev.run_until_committed(15_000, 10_000_000));
-    assert!(!dev.desynced());
+    assert!(!dev.scheme().desynced());
     assert!(dev.drain_detected_faults().is_empty());
-    assert_eq!(
-        dev.core(0).thread_stats(0).committed,
-        dev.core(1).thread_stats(0).committed
-    );
-    assert_eq!(
-        dev.core(0).stats().get("squashes"),
-        dev.core(1).stats().get("squashes")
-    );
+    let (c0, c1) = (dev.substrate().core(0), dev.substrate().core(1));
+    assert_eq!(c0.thread_stats(0).committed, c1.thread_stats(0).committed);
+    assert_eq!(c0.stats().get("squashes"), c1.stats().get("squashes"));
 }
 
 #[test]
@@ -140,10 +150,10 @@ fn srt_handles_all_eighteen_benchmarks() {
     // or phantom detections.
     for &b in rmt::workloads::profile::ALL_BENCHMARKS {
         let w = Workload::generate(b, 2);
-        let mut dev = SrtDevice::new(SrtOptions::default(), vec![LogicalThread::from(&w)]);
+        let mut dev = srt(vec![LogicalThread::from(&w)]);
         assert!(dev.run_until_committed(4_000, 10_000_000), "{b} timed out");
         assert!(dev.drain_detected_faults().is_empty(), "{b}: phantom fault");
-        assert_eq!(dev.env().pair(0).comparator.mismatches(), 0, "{b}");
+        assert_eq!(dev.scheme().env().pair(0).comparator.mismatches(), 0, "{b}");
     }
 }
 
@@ -151,11 +161,11 @@ fn srt_handles_all_eighteen_benchmarks() {
 fn per_thread_store_queues_never_hurt() {
     for &b in &[Benchmark::Swim, Benchmark::Compress] {
         let w = Workload::generate(b, 7);
-        let mut plain = SrtDevice::new(SrtOptions::default(), vec![LogicalThread::from(&w)]);
+        let mut plain = srt(vec![LogicalThread::from(&w)]);
         assert!(plain.run_until_committed(10_000, 10_000_000));
-        let mut ptsq_opts = SrtOptions::default();
-        ptsq_opts.core.per_thread_store_queues = true;
-        let mut ptsq = SrtDevice::new(ptsq_opts, vec![LogicalThread::from(&w)]);
+        let mut ptsq_spec = MachineSpec::for_kind(DeviceKind::SrtNoPsr);
+        ptsq_spec.core.per_thread_store_queues = true;
+        let mut ptsq = Machine::redundant(&ptsq_spec, vec![LogicalThread::from(&w)]);
         assert!(ptsq.run_until_committed(10_000, 10_000_000));
         assert!(
             ptsq.cycle() <= plain.cycle() + plain.cycle() / 20,
@@ -172,15 +182,13 @@ fn four_context_srt_runs_two_programs() {
     // redundant pairs filling all four hardware contexts.
     let a = Workload::generate(Benchmark::Gcc, 9);
     let b = Workload::generate(Benchmark::Swim, 9);
-    let mut dev = SrtDevice::new(
-        SrtOptions::default(),
-        vec![LogicalThread::from(&a), LogicalThread::from(&b)],
-    );
+    let mut dev = srt(vec![LogicalThread::from(&a), LogicalThread::from(&b)]);
     assert!(dev.run_until_committed(8_000, 20_000_000));
     assert!(dev.drain_detected_faults().is_empty());
     for i in 0..2 {
-        assert_eq!(dev.env().pair(i).comparator.mismatches(), 0);
-        assert!(dev.env().pair(i).comparator.matches() > 50);
+        let comparator = &dev.scheme().env().pair(i).comparator;
+        assert_eq!(comparator.mismatches(), 0);
+        assert!(comparator.matches() > 50);
     }
 }
 
@@ -196,11 +204,7 @@ fn four_independent_threads_stay_isolated() {
         Benchmark::Swim,
     ];
     let ws: Vec<Workload> = benches.iter().map(|&b| Workload::generate(b, 31)).collect();
-    let mut dev = BaseDevice::new(
-        CoreConfig::base(),
-        Default::default(),
-        ws.iter().map(LogicalThread::from).collect(),
-    );
+    let mut dev = base(ws.iter().map(LogicalThread::from).collect());
     assert!(dev.run_until_committed(10_000, 30_000_000));
     for (i, w) in ws.iter().enumerate() {
         let committed = dev.committed(i);
@@ -218,9 +222,9 @@ fn four_independent_threads_stay_isolated() {
 #[test]
 fn crt_slack_is_bounded_by_queue_capacities() {
     let w = Workload::generate(Benchmark::Swim, 8);
-    let mut dev = CrtDevice::new(CrtDevice::default_options(), vec![LogicalThread::from(&w)]);
+    let mut dev = crt(vec![LogicalThread::from(&w)]);
     assert!(dev.run_until_committed(20_000, 20_000_000));
-    let pair = dev.env().pair(0);
+    let pair = dev.scheme().env().pair(0);
     // The LVQ (64 loads) bounds slack: with ~27% loads the ceiling is a few
     // hundred instructions.
     assert!(
