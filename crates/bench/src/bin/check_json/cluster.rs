@@ -1,5 +1,5 @@
-//! Validators for `rmt-cluster` documents: run envelopes (merged result
-//! plus dispatch provenance) and `clustergen` scaling reports.
+//! Validators for `rmt-cluster` run envelopes: a merged result plus its
+//! dispatch provenance.
 
 use crate::service::check_service_result;
 use rmt_sim::service::ClusterPlan;
@@ -148,96 +148,5 @@ pub(crate) fn check_cluster_envelope(doc: &Json) -> Result<(), String> {
         .and_then(|h| h.get("wall_seconds"))
         .and_then(Json::as_f64)
         .ok_or("`host.wall_seconds` is not a number")?;
-    Ok(())
-}
-
-/// A `clustergen` scaling report: the fleet-invariant facts (cell count,
-/// fleet sizes, the result digest every phase must have agreed on) at the
-/// top level, and a miss/hit phase pair per fleet size under `host`.
-pub(crate) fn check_clustergen(doc: &Json) -> Result<(), String> {
-    for (key, kind) in [
-        ("title", "string"),
-        ("sweep", "string"),
-        ("scale", "string"),
-    ] {
-        doc.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("`{key}` is not a {kind}"))?;
-    }
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_u64)
-        .ok_or("`cells` is not a u64")?;
-    if cells == 0 {
-        return Err("`cells` must be >= 1".into());
-    }
-    let fleets: Vec<u64> = doc
-        .get("fleets")
-        .and_then(Json::as_array)
-        .ok_or("`fleets` is not an array")?
-        .iter()
-        .map(|f| f.as_u64().ok_or("`fleets` entries must be u64"))
-        .collect::<Result<_, _>>()?;
-    if fleets.first() != Some(&1) || fleets.len() != 2 || fleets[1] < 2 {
-        return Err(format!(
-            "`fleets` must be [1, N >= 2] (single-process reference vs a real \
-             fleet), got {fleets:?}"
-        ));
-    }
-    let result_digest = doc
-        .get("result_digest")
-        .and_then(Json::as_str)
-        .ok_or("`result_digest` is not a string")?;
-    if !rmt_stats::digest::is_digest(result_digest) {
-        return Err(format!(
-            "`result_digest` is not a well-formed digest: `{result_digest}`"
-        ));
-    }
-    let host = doc.get("host").ok_or("missing `host`")?;
-    host.get("wall_seconds")
-        .and_then(Json::as_f64)
-        .ok_or("`host.wall_seconds` is not a number")?;
-    for key in ["miss_speedup", "hit_speedup"] {
-        let v = host
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("`host.{key}` is not a number"))?;
-        if !(v.is_finite() && v > 0.0) {
-            return Err(format!("`host.{key}` must be a positive ratio, got {v}"));
-        }
-    }
-    let phases = host
-        .get("phases")
-        .and_then(Json::as_array)
-        .ok_or("`host.phases` is not an array")?;
-    // Every fleet size runs exactly a miss phase and a hit phase.
-    for &fleet in &fleets {
-        for want in ["miss", "hit"] {
-            let found = phases.iter().filter(|p| {
-                p.get("workers").and_then(Json::as_u64) == Some(fleet)
-                    && p.get("phase").and_then(Json::as_str) == Some(want)
-            });
-            if found.count() != 1 {
-                return Err(format!(
-                    "`host.phases` must contain exactly one {want} phase at \
-                     {fleet} worker(s)"
-                ));
-            }
-        }
-    }
-    if phases.len() != 2 * fleets.len() {
-        return Err(format!(
-            "`host.phases` has {} entries, want {} (a miss/hit pair per fleet)",
-            phases.len(),
-            2 * fleets.len()
-        ));
-    }
-    for (i, p) in phases.iter().enumerate() {
-        for key in ["wall_seconds", "cells_per_sec"] {
-            p.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("`host.phases[{i}].{key}` is not a number"))?;
-        }
-    }
     Ok(())
 }

@@ -18,18 +18,12 @@
 //!   digest that **recomputes** from the echoed canonical request, a
 //!   coherent `cache_hit`/`job`/`status` combination, and (for cache
 //!   hits) a valid embedded run or sweep result document;
-//! * `rmt-serve/loadgen/v1` — a `loadgen` report: phase counts must be
-//!   internally consistent (unique-request phase all misses, repeat
-//!   phase all hits, ratio exactly half), latencies confined to `host`;
 //! * `rmt-cluster/v1` — an `rmt-cluster` envelope: the top-level digest
 //!   and **every per-cell digest** must recompute from the echoed
 //!   canonical requests, the cell sequence must be exactly the plan
 //!   expansion of the request, the merged `result` must be a valid
 //!   run/sweep document, and a distributed run must carry a coherent
-//!   `cluster` metrics section (cell/unit/worker counts that add up);
-//! * `rmt-cluster/clustergen/v1` — a `clustergen` scaling report:
-//!   deterministic facts (cell count, fleet sizes, the fleet-invariant
-//!   result digest) at the top level, timings confined to `host`.
+//!   `cluster` metrics section (cell/unit/worker counts that add up).
 //!
 //! With `--compare`, additionally requires the candidate to reproduce the
 //! committed golden bitwise, key by key, ignoring only `host` and
@@ -49,10 +43,10 @@
 mod cluster;
 mod service;
 
-use cluster::{check_cluster_envelope, check_clustergen};
+use cluster::check_cluster_envelope;
 use rmt_stats::json::parse;
 use rmt_stats::Json;
-use service::{check_envelope, check_loadgen, check_service_result};
+use service::{check_envelope, check_service_result};
 
 /// Keys `--compare` skips: both legitimately vary between hosts and
 /// fleets while the rest of the document must reproduce bitwise.
@@ -155,9 +149,7 @@ fn check_file(path: &str) -> Result<(), String> {
             _ => check_figure(&doc),
         },
         Some("rmt-serve/v1") => check_envelope(&doc),
-        Some("rmt-serve/loadgen/v1") => check_loadgen(&doc),
         Some("rmt-cluster/v1") => check_cluster_envelope(&doc),
-        Some("rmt-cluster/clustergen/v1") => check_clustergen(&doc),
         Some(other) => Err(format!("unknown document schema `{other}`")),
     }
 }

@@ -1,6 +1,5 @@
-//! Validators for `rmt-serve` documents: response envelopes, bare
-//! run/sweep result documents (what `/v1/results/<digest>` serves), and
-//! `loadgen` throughput reports.
+//! Validators for `rmt-serve` documents: response envelopes and bare
+//! run/sweep result documents (what `/v1/results/<digest>` serves).
 
 use crate::{check_snapshot, check_timeseries};
 use rmt_sim::ServiceRequest;
@@ -165,70 +164,5 @@ fn check_sweep_result(result: &Json) -> Result<(), String> {
     }
     rmt_core::MachineSpec::from_json(result.get("config").ok_or("sweep result lacks `config`")?)
         .map_err(|e| format!("invalid sweep result `config`: {e}"))?;
-    Ok(())
-}
-
-/// A `loadgen` report: the deterministic counts must be internally
-/// consistent — every unique request misses, every repeat hits, and the
-/// hit ratio is exactly one half. Latency/throughput live under `host`.
-pub(crate) fn check_loadgen(doc: &Json) -> Result<(), String> {
-    let field = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("`{key}` is not a u64"))
-    };
-    let clients = field("clients")?;
-    let per_client = field("requests_per_client")?;
-    let unique = field("unique_requests")?;
-    if clients * per_client != unique {
-        return Err(format!(
-            "`unique_requests` is {unique}, but {clients} clients x {per_client} \
-             requests = {}",
-            clients * per_client
-        ));
-    }
-    for (phase, want_hits) in [("miss", 0), ("hit", unique)] {
-        let p = doc.get(phase).ok_or_else(|| format!("missing `{phase}`"))?;
-        let requests = p
-            .get("requests")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("`{phase}.requests` is not a u64"))?;
-        let hits = p
-            .get("cache_hits")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("`{phase}.cache_hits` is not a u64"))?;
-        if requests != unique {
-            return Err(format!(
-                "`{phase}.requests` is {requests}, want {unique} (one per unique document)"
-            ));
-        }
-        if hits != want_hits {
-            return Err(format!(
-                "`{phase}.cache_hits` is {hits}, want {want_hits} — the cache \
-                 contract (first submission simulates, repeats hit) is broken"
-            ));
-        }
-    }
-    let ratio = doc
-        .get("cache_hit_ratio")
-        .and_then(Json::as_f64)
-        .ok_or("`cache_hit_ratio` is not a number")?;
-    if ratio != 0.5 {
-        return Err(format!("`cache_hit_ratio` is {ratio}, want exactly 0.5"));
-    }
-    let host = doc.get("host").ok_or("missing `host`")?;
-    host.get("wall_seconds")
-        .and_then(Json::as_f64)
-        .ok_or("`host.wall_seconds` is not a number")?;
-    for phase in ["miss", "hit"] {
-        let p = host
-            .get(phase)
-            .ok_or_else(|| format!("missing `host.{phase}`"))?;
-        for key in ["throughput_rps", "mean_ms", "p50_ms", "p95_ms"] {
-            p.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("`host.{phase}.{key}` is not a number"))?;
-        }
-    }
     Ok(())
 }

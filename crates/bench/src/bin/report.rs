@@ -489,57 +489,6 @@ fn render_cluster(anchor: &str, file: &str, doc: &Json) -> (String, String) {
     (title, s)
 }
 
-/// A `clustergen` scaling report: the miss/hit wall times per fleet size
-/// and the headline speedups.
-fn render_clustergen(anchor: &str, file: &str, doc: &Json) -> (String, String) {
-    let title = doc
-        .get("title")
-        .and_then(Json::as_str)
-        .unwrap_or("cluster scaling")
-        .to_string();
-    let host = doc.get("host");
-    let ratio = |k: &str| {
-        host.and_then(|h| h.get(k))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0)
-    };
-    let mut s = format!(
-        "<section id=\"{anchor}\"><h2>{}</h2>\n\
-         <p class=\"meta\">{} cells per phase, result digest {} \
-         <span class=\"file\">({})</span></p>\n\
-         <table class=\"kv\"><tbody>\n\
-         <tr><td>miss-phase speedup</td><td>{:.2}x</td></tr>\n\
-         <tr><td>hit-phase speedup</td><td>{:.2}x</td></tr>\n\
-         </tbody></table>\n",
-        esc(&title),
-        doc.get("cells").and_then(Json::as_u64).unwrap_or(0),
-        esc(doc
-            .get("result_digest")
-            .and_then(Json::as_str)
-            .unwrap_or("?")),
-        esc(file),
-        ratio("miss_speedup"),
-        ratio("hit_speedup"),
-    );
-    s += "<table><thead><tr><th>workers</th><th>phase</th>\
-          <th>wall (s)</th><th>cells/s</th></tr></thead><tbody>\n";
-    for p in host
-        .and_then(|h| h.get("phases"))
-        .and_then(Json::as_array)
-        .unwrap_or(&[])
-    {
-        s += &format!(
-            "<tr><td>{}</td><td>{}</td><td>{:.2}</td><td>{:.2}</td></tr>\n",
-            p.get("workers").and_then(Json::as_u64).unwrap_or(0),
-            esc(p.get("phase").and_then(Json::as_str).unwrap_or("?")),
-            p.get("wall_seconds").and_then(Json::as_f64).unwrap_or(0.0),
-            p.get("cells_per_sec").and_then(Json::as_f64).unwrap_or(0.0),
-        );
-    }
-    s += "</tbody></table>\n</section>\n";
-    (title, s)
-}
-
 const STYLE: &str = "\
 body{font:14px/1.5 system-ui,sans-serif;margin:2em auto;max-width:72em;\
 padding:0 1em;color:#1a1a1a;background:#fdfdfc}\
@@ -630,10 +579,6 @@ fn main() {
             sections += &render_doc(&anchor, file, &doc);
         } else if schema == Some("rmt-cluster/v1") {
             let (t, s) = render_cluster(&anchor, file, &doc);
-            title = t;
-            sections += &s;
-        } else if schema == Some("rmt-cluster/clustergen/v1") {
-            let (t, s) = render_clustergen(&anchor, file, &doc);
             title = t;
             sections += &s;
         } else if let Some(result) = service_result(&doc) {

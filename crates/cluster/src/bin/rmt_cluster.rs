@@ -19,8 +19,12 @@
 //! - `--workers a:p,...` — an existing fleet of `rmt-serve` addresses,
 //! - `--spawn N` — N self-launched local workers on ephemeral ports
 //!   (each an embedded `rmt-serve` with its own cache directory), or
-//! - `--local` — no fleet at all: the request executes in-process,
-//!   producing the reference document cluster runs are compared against.
+//! - `--local` — no fleet at all: the same plan's cells run on `--jobs`
+//!   threads of this process (`ServiceRequest::execute`). This is the
+//!   single-process sweep front end, and its document is the reference
+//!   cluster runs are compared against; the committed
+//!   `results/sensitivity_slack_sq.json` is
+//!   `rmt-cluster sweeps/slack_sq.json --local --standard --jobs 2`.
 //!
 //! `--out` writes the full `rmt-cluster/v1` envelope (merged result,
 //! per-cell provenance, cluster metrics); `--result-out` writes just the

@@ -21,8 +21,12 @@
 //!   `--worker` mode (an embedded `rmt-serve` each).
 //! - [`metrics`] — the `"cluster"` section riding on merged documents.
 //!
-//! The `rmt-cluster` binary fronts all of this; `clustergen` benchmarks
-//! 1-vs-N-worker scaling into `BENCH_PR10.json`.
+//! The `rmt-cluster` binary fronts all of this, and with `--local` it is
+//! also the single-process sweep front end: the same plan, with every
+//! cell computed on this process's threads by
+//! [`ServiceRequest::execute`](rmt_sim::ServiceRequest::execute). Fleet
+//! throughput is measured by the `benchmark/` package's `cluster_sweep`
+//! workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

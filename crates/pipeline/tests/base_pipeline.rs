@@ -176,21 +176,10 @@ fn synthetic_benchmark_matches_interpreter_exactly() {
         let committed = core.thread_stats(0).committed;
         interp.run(committed).unwrap();
 
-        // Compare registers r1..r63 via digests of committed state: the
-        // pipeline is mid-flight, so quiesce it first by stopping fetch...
-        // Simplest exact check: memory contents must agree after draining
-        // in-flight state (stores only leave the SQ when retired+released;
-        // retired state is a prefix of interpreter state). Run the drain:
-        for c in cycle..cycle + 5_000 {
-            // Stop fetching new work by not advancing? The core keeps
-            // running; instead compare *store streams*: every released
-            // store must equal an interpreter store. We approximate by
-            // digest comparison of memory after the same committed count:
-            // in-flight stores beyond `committed` have not been released
-            // (release requires retirement), so images agree exactly.
-            let _ = c;
-            break;
-        }
+        // Compare memory images at the same committed count: stores leave
+        // the store queue only once retired and released, so in-flight
+        // stores beyond `committed` have not reached memory, and the
+        // pipeline's image must equal the interpreter's exactly.
         assert_eq!(
             env.image(0, 0).digest(),
             interp.mem().digest(),

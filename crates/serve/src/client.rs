@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 client over `TcpStream`, shared by the
-//! `rmtc` CLI, the `loadgen` driver, the `rmt-cluster` coordinator, and
-//! the end-to-end tests. One [`Client`] holds one keep-alive connection
+//! `rmtc` CLI, the `rmt-cluster` coordinator, the `benchmark/` package
+//! and the end-to-end tests. One [`Client`] holds one keep-alive connection
 //! and reconnects transparently if the server closed it.
 //!
 //! Timeouts are explicit: [`Client::with_timeouts`] bounds both the TCP

@@ -14,11 +14,12 @@
 //! * [`cache`] — in-memory LRU over an atomic-rename disk tier.
 //! * [`jobs`] — bounded queue with in-flight dedup and graceful drain.
 //! * [`server`] — endpoints, worker pool, `/metrics` snapshot.
-//! * [`client`] — the minimal blocking client behind `rmtc` and `loadgen`.
+//! * [`client`] — the minimal blocking client behind `rmtc` and the
+//!   `rmt-cluster` coordinator.
 //!
-//! Binaries: `rmt-serve` (the daemon), `rmtc` (submit/poll/fetch), and
-//! `loadgen` (closed-loop throughput/latency driver emitting
-//! `BENCH_PR9.json`).
+//! Binaries: `rmt-serve` (the daemon) and `rmtc` (submit/poll/fetch).
+//! The daemon's throughput and latency under load are measured by the
+//! `benchmark/` package's `serve_mixed` workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

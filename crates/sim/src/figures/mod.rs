@@ -39,7 +39,6 @@ mod faults;
 mod grid;
 mod machine;
 mod sampling;
-mod sensitivity;
 mod srt;
 mod suite;
 mod workloads;
@@ -53,7 +52,6 @@ pub use machine::{fig2_pipeline, table1};
 pub use sampling::{
     fig6_full_grid, fig6_sampled_grid, fig6_srt_single_sampled, sampling_validation, SampledGrid,
 };
-pub use sensitivity::{sensitivity_sweep, SweepAxis, SweepConfig, SweepRow};
 pub use srt::{fig6_srt_single, fig7_psr, fig8_srt_multi, fig9_storeq};
 pub use suite::suite_summary;
 pub use workloads::{slack_profile, workload_chars};

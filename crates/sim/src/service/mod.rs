@@ -12,8 +12,11 @@
 //! exactly one result document, bitwise, forever.
 //!
 //! [`ServiceRequest::execute`] runs the request synchronously and returns
-//! the result document. A [`ProgressSink`] can be attached for live job
-//! progress (instructions committed for runs, cells completed for
+//! the result document. A sweep runs as its [`ClusterPlan`]: expand into
+//! content-addressed cells, run each distinct cell, merge — the same path
+//! a distributed fleet takes, so one process and a fleet differ only in
+//! who computes each cell. A [`ProgressSink`] can be attached for live
+//! job progress (instructions committed for runs, cells completed for
 //! sweeps); observation only — the result is bit-for-bit identical with
 //! or without one.
 //!
@@ -33,25 +36,27 @@
 //! ```
 
 pub mod plan;
+pub mod sweep;
 
 pub use plan::{CellRole, ClusterCell, ClusterPlan};
+pub use sweep::{SweepAxis, SweepConfig, SweepRow};
 
 use crate::experiment::Experiment;
-use crate::figures::{sensitivity_sweep, FigureCtx, SimScale, SweepConfig};
-use crate::runner::ProgressSink;
+use crate::figures::SimScale;
+use crate::runner::{ProgressSink, Runner};
 use rmt_core::spec::{DeviceKind, MachineSpec};
 use rmt_stats::Json;
 use rmt_workloads::profile::ALL_BENCHMARKS;
 use rmt_workloads::Benchmark;
+use std::collections::HashMap;
 
 /// Default cycle-budget multiplier for service runs — the same default an
 /// [`Experiment`] carries, so a served run is bitwise identical to the
 /// figure binaries' cells.
 pub const RUN_MAX_CYCLE_FACTOR: u64 = 60;
 
-/// Default cycle-budget multiplier for service sweeps — the `sweep`
-/// binary's generous budget, because axes deliberately visit starved
-/// configurations.
+/// Default cycle-budget multiplier for the grid cells of service sweeps:
+/// generous, because axes deliberately visit starved configurations.
 pub const SWEEP_MAX_CYCLE_FACTOR: u64 = 150;
 
 /// One single-machine run: a resolved spec, benchmarks, and scale.
@@ -69,7 +74,7 @@ pub struct RunRequest {
     pub max_cycle_factor: u64,
 }
 
-/// One declarative sensitivity sweep (the `sweep` binary's file schema).
+/// One declarative sensitivity sweep (a `sweeps/*.json` file plus scale).
 #[derive(Debug, Clone)]
 pub struct SweepRequest {
     /// The validated sweep: base spec, benchmarks, axes.
@@ -151,12 +156,13 @@ fn parse_u64_or(doc: &Json, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
-/// `"spec"`/`"base"`-style machine field: a kind name or a full document.
-fn parse_spec(v: &Json) -> Result<MachineSpec, String> {
+/// The `key` (`"spec"` or `"base"`) machine field: a kind name or a full
+/// document.
+fn parse_spec(v: &Json, key: &str) -> Result<MachineSpec, String> {
     match v {
         Json::Str(kind_name) => {
             let kind = DeviceKind::from_name(kind_name)
-                .ok_or_else(|| format!("unknown device kind `{kind_name}` in `spec`"))?;
+                .ok_or_else(|| format!("unknown device kind `{kind_name}` in `{key}`"))?;
             Ok(MachineSpec::for_kind(kind))
         }
         spec_doc => MachineSpec::from_json(spec_doc).map_err(|e| e.to_string()),
@@ -218,7 +224,8 @@ impl ServiceRequest {
                         "max_cycle_factor",
                     ],
                 )?;
-                let spec = parse_spec(doc.get("spec").ok_or("run request needs a `spec`")?)?;
+                let spec =
+                    parse_spec(doc.get("spec").ok_or("run request needs a `spec`")?, "spec")?;
                 Ok(ServiceRequest::Run(RunRequest {
                     spec,
                     benches: parse_benches(doc)?,
@@ -310,9 +317,12 @@ impl ServiceRequest {
 
     /// Executes the request and returns its result document. `jobs` bounds
     /// the worker threads a sweep fans its cells across (a single run is
-    /// one simulation regardless). The optional [`ProgressSink`] receives
-    /// `(instructions committed, warmup + measure)` for runs and
-    /// `(cells done, cells total)` for sweeps.
+    /// one simulation regardless). A sweep expands into its
+    /// [`ClusterPlan`], runs each distinct cell as a single-run request,
+    /// and returns [`ClusterPlan::merge`] of the results. The optional
+    /// [`ProgressSink`] receives `(instructions committed, warmup +
+    /// measure)` for runs and `(distinct cells done, distinct cells
+    /// total)` for sweeps.
     ///
     /// Deterministic: the document is bitwise identical for any `jobs`
     /// value, with or without a sink — the property that makes the result
@@ -320,7 +330,8 @@ impl ServiceRequest {
     ///
     /// # Errors
     ///
-    /// A message describing the simulation failure (cycle-budget timeout).
+    /// A message describing the simulation failure (cycle-budget timeout);
+    /// for a sweep, it names the digest of the failing cell.
     pub fn execute(&self, jobs: usize, progress: Option<ProgressSink>) -> Result<Json, String> {
         match self {
             ServiceRequest::Run(r) => {
@@ -359,23 +370,28 @@ impl ServiceRequest {
                     .with("timeseries", out.timeseries.to_json())
                     .with("config", out.config))
             }
-            ServiceRequest::Sweep(s) => {
-                let mut ctx = FigureCtx::new(jobs);
-                ctx.runner.set_hook(progress);
-                let (r, rows) = sensitivity_sweep(&ctx, s.scale, &s.cfg, s.max_cycle_factor);
-                let mut summary = Json::obj();
-                for (k, v) in &r.summary {
-                    summary.set(k, Json::F64(*v));
-                }
-                Ok(Json::obj()
-                    .with("type", Json::Str("sweep".into()))
-                    .with("name", Json::Str(s.cfg.name.clone()))
-                    .with("summary", summary)
-                    .with(
-                        "sweep",
-                        Json::Arr(rows.iter().map(|row| row.to_json()).collect()),
-                    )
-                    .with("config", s.cfg.base.to_json()))
+            ServiceRequest::Sweep(_) => {
+                let plan = ClusterPlan::expand(self);
+                let units: Vec<&ClusterCell> = plan
+                    .distinct_digests()
+                    .into_iter()
+                    .map(|d| {
+                        plan.cells
+                            .iter()
+                            .find(|c| c.digest == d)
+                            .expect("every unit digest names a plan cell")
+                    })
+                    .collect();
+                let mut runner = Runner::new(jobs);
+                runner.set_hook(progress);
+                let results = runner.run(units.len(), |i| {
+                    let cell = units[i];
+                    cell.request
+                        .execute(1, None)
+                        .map(|doc| (cell.digest.clone(), doc))
+                        .map_err(|e| format!("cell {}: {e}", cell.digest))
+                });
+                plan.merge(&results.into_iter().collect::<Result<HashMap<_, _>, _>>()?)
             }
         }
     }

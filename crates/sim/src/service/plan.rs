@@ -1,26 +1,30 @@
-//! Cell expansion and deterministic merge for distributed execution.
+//! Cell expansion and deterministic merge: the one sweep path.
 //!
 //! A [`ServiceRequest`] is either one simulation (a run) or a grid of
 //! independent simulations (a sweep: every `(axis value, benchmark)`
 //! cell plus one Base-machine denominator per benchmark). A
 //! [`ClusterPlan`] makes that grid explicit: [`ClusterPlan::expand`]
 //! turns a request into per-cell **run** requests — each a full
-//! [`ServiceRequest`] with its own canonical digest, dispatchable to any
-//! `rmt-serve` worker — and [`ClusterPlan::merge`] folds the per-cell
-//! result documents back into the exact document
-//! [`ServiceRequest::execute`] would have produced in one process.
+//! [`ServiceRequest`] with its own canonical digest — and
+//! [`ClusterPlan::merge`] folds the per-cell result documents back into
+//! the request's result document.
+//!
+//! Every sweep runs this way. [`ServiceRequest::execute`] computes the
+//! distinct cells on a local [`Runner`](crate::runner::Runner) (which is
+//! what the `rmt-serve` daemon and `rmt-cluster --local` call), and the
+//! `rmt-cluster` coordinator has a fleet of `rmt-serve` workers compute
+//! them; both hand the results to the same merge.
 //!
 //! The merge is *deterministic by construction*: cells are keyed by
 //! content digest and folded in declarative grid order, so the merged
-//! document is bitwise independent of which worker produced each cell,
+//! document is bitwise independent of which process produced each cell,
 //! in what order results arrived, how many duplicates were dispatched,
-//! or how many attempts failed along the way. This is the property the
-//! `rmt-cluster` coordinator's correctness gate rides on, and it is
-//! enforced by unit tests here plus a shuffling/duplicating property
-//! test in the cluster crate.
+//! or how many attempts failed along the way. This is enforced by unit
+//! tests here, a shuffling/duplicating property test in the cluster
+//! crate, and an independent reference built from direct
+//! [`Experiment`](crate::Experiment) runs in the root `tests/`.
 
-use super::{RunRequest, ServiceRequest, SweepRequest, RUN_MAX_CYCLE_FACTOR};
-use crate::figures::SweepRow;
+use super::{RunRequest, ServiceRequest, SweepRequest, SweepRow, RUN_MAX_CYCLE_FACTOR};
 use rmt_core::spec::{DeviceKind, MachineSpec};
 use rmt_stats::metrics::mean;
 use rmt_stats::Json;
@@ -119,12 +123,10 @@ impl ClusterPlan {
     ///
     /// A **run** request is one cell (a single simulation is already the
     /// unit of work). A **sweep** request becomes one Base-machine
-    /// baseline cell per benchmark — the denominators
-    /// [`BaselineCache`](crate::BaselineCache) would compute in-process,
-    /// with the default run cycle budget — followed by one cell per
+    /// baseline cell per benchmark — the SMT-efficiency denominators, with
+    /// the default run cycle budget — followed by one cell per
     /// `(axis, value, benchmark)` grid position carrying the sweep's own
-    /// cycle budget, exactly the experiments
-    /// [`sensitivity_sweep`](crate::figures::sensitivity_sweep) fans out.
+    /// cycle budget.
     pub fn expand(request: &ServiceRequest) -> ClusterPlan {
         let mut cells = Vec::new();
         match request {
@@ -194,11 +196,11 @@ impl ClusterPlan {
     }
 
     /// Folds per-cell result documents (keyed by cell digest) into the
-    /// document [`ServiceRequest::execute`] produces for the original
-    /// request — bitwise, regardless of who computed each cell or in what
-    /// order the map was populated. Efficiencies are recomputed from each
-    /// cell's integer `committed`/`cycles` pair, the identical float
-    /// operations the in-process sweep performs.
+    /// original request's result document — bitwise, regardless of who
+    /// computed each cell or in what order the map was populated. A cell's
+    /// efficiency is its thread-0 IPC over its benchmark's Base IPC, both
+    /// recomputed from the integer `committed`/`cycles` pairs, and each
+    /// row's mean is [`mean`] over its benchmarks in declared order.
     ///
     /// # Errors
     ///
@@ -223,8 +225,7 @@ impl ClusterPlan {
                 base_ipc.insert(bench, ipc_of(lookup(&cell.digest)?, &cell.digest)?);
             }
         }
-        // Grid cells in declarative order -> rows, exactly like
-        // `sensitivity_sweep` + `ServiceRequest::execute`.
+        // Grid cells in declarative order -> one row per (axis, value).
         let nb = s.cfg.benches.len();
         let mut effs: Vec<f64> = Vec::with_capacity(nb);
         let mut rows: Vec<SweepRow> = Vec::new();
@@ -336,24 +337,6 @@ mod tests {
         results.insert(req.digest(), direct.clone());
         let merged = plan.merge(&results).unwrap();
         assert_eq!(merged.encode(), direct.encode());
-    }
-
-    #[test]
-    fn merged_sweep_is_bitwise_identical_to_single_process_execute() {
-        let req = sweep_request();
-        let single = req.execute(2, None).unwrap();
-        let plan = ClusterPlan::expand(&req);
-        // Execute every cell independently, as a worker fleet would.
-        let mut results = HashMap::new();
-        for cell in &plan.cells {
-            results.insert(cell.digest.clone(), cell.request.execute(1, None).unwrap());
-        }
-        let merged = plan.merge(&results).unwrap();
-        assert_eq!(
-            merged.encode(),
-            single.encode(),
-            "merged cells must reproduce the one-process sweep document bitwise"
-        );
     }
 
     #[test]

@@ -169,6 +169,6 @@ mod tests {
         assert!(!is_digest(&"a".repeat(33)));
         assert!(!is_digest(&"Z".repeat(32)));
         assert!(!is_digest(&"A".repeat(32)), "uppercase hex is not ours");
-        assert!(is_digest(&"0123456789abcdef0123456789abcdef".to_string()));
+        assert!(is_digest("0123456789abcdef0123456789abcdef"));
     }
 }

@@ -26,8 +26,8 @@ section() {
 section "lint: rustfmt"
 cargo fmt --check
 
-section "lint: clippy"
-cargo clippy --all-targets -- -D warnings
+section "lint: clippy (every workspace crate, tests included)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 section "lint: file size (src/*.rs <= 700 lines)"
 # Monoliths like the old 1257-line figures.rs must not silently regrow.
@@ -69,15 +69,23 @@ cargo run --release -p rmt-bench --bin fig6_srt_single -- \
     --scale quick --jobs 2 --benches m88ksim,ijpeg --json "$tmpdir/fig6.json" > /dev/null
 cargo run --release -p rmt-bench --bin check_json -- "$tmpdir/fig6.json"
 
-section "smoke: declarative sensitivity sweep (quick scale)"
-cargo run --release -p rmt-bench --bin sweep -- sweeps/slack_sq.json \
-    --scale quick --jobs 2 --json "$tmpdir/sweep.json" > /dev/null
-cargo run --release -p rmt-bench --bin check_json -- "$tmpdir/sweep.json"
+section "golden: declarative sensitivity sweep must regenerate bitwise"
+# The single-process front end runs the sweep through the same
+# expand -> cells -> merge path as a fleet; the committed result document
+# must come back byte for byte.
+cargo run --release -p rmt-cluster --bin rmt-cluster -- sweeps/slack_sq.json \
+    --local --standard --jobs 2 --result-out "$tmpdir/sensitivity.json" > /dev/null
+if ! cmp results/sensitivity_slack_sq.json "$tmpdir/sensitivity.json"; then
+    echo "error: results/sensitivity_slack_sq.json is stale; regenerate with:" >&2
+    echo "  rmt-cluster sweeps/slack_sq.json --local --standard --jobs 2 --result-out results/sensitivity_slack_sq.json" >&2
+    exit 1
+fi
 
-section "tests: rmt-serve parser fuzz + daemon end-to-end suites"
-# The serving crates live below the root package, so the tier-1
-# `cargo test -q` above does not reach them; run them explicitly.
-cargo test --release -q -p rmt-serve
+section "tests: every workspace crate"
+# The root manifest is itself a package, so the tier-1 `cargo test -q`
+# above tests only `rmt`; this reaches every member crate's unit and
+# integration suites (serving, cluster, simulator, pipeline, ...).
+cargo test --workspace --release -q
 
 section "smoke: rmt-serve round trip (miss simulates, repeat hits cache)"
 # An ephemeral-port daemon driven through real sockets: the first
@@ -111,11 +119,6 @@ section "benchmark: build and test the out-of-workspace benchmark package"
 # the crates could otherwise break it unnoticed.
 cargo build --release --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
-
-section "tests: rmt-cluster merge property + chaos end-to-end suites"
-# Like the serving crates, rmt-cluster sits below the root package and
-# needs an explicit test invocation.
-cargo test --release -q -p rmt-cluster
 
 section "smoke: rmt-cluster 2-worker sweep is bitwise identical to one process"
 # The distributed-determinism contract, end to end over real processes:
@@ -159,7 +162,7 @@ cargo run --release -p rmt-bench --bin check_json -- \
     results/fig6_srt_single.json results/fig6_epoch.json \
     results/fault_forensics.json results/sampling_validation.json \
     results/sensitivity_slack_sq.json results/serve_roundtrip.json \
-    BENCH_PR2.json BENCH_PR9.json BENCH_PR10.json
+    BENCH_PR2.json
 
 section "golden: committed results must regenerate bitwise (sans host)"
 cargo run --release -p rmt-bench --bin fig6_srt_single -- \
@@ -198,7 +201,7 @@ fi
 section "smoke: HTML report renders the committed artifacts"
 cargo run --release -p rmt-bench --bin report -- --out "$tmpdir/report.html" \
     results/fig6_srt_single.json results/fig6_epoch.json \
-    results/fault_forensics.json "$tmpdir/cluster_env.json" BENCH_PR10.json
+    results/fault_forensics.json "$tmpdir/cluster_env.json"
 [ -s "$tmpdir/report.html" ] || { echo "error: report is empty" >&2; exit 1; }
 grep -q '</html>' "$tmpdir/report.html"
 grep -q '<svg' "$tmpdir/report.html"
