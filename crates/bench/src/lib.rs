@@ -59,8 +59,7 @@ pub struct FigureArgs {
     /// interval; others ignore the flag.
     pub sample: bool,
     /// The sampling plan (defaults to [`SamplePlan::default`]); tuned by
-    /// `--sample-windows`, `--sample-warmup`, `--sample-measure` and
-    /// `--sample-warm`.
+    /// `--set sample.*` like any other spec leaf.
     pub plan: SamplePlan,
     /// Epoch width in cycles for time-series telemetry (`--epoch N`);
     /// `None` leaves sampling off and the `timeseries` section empty.
@@ -69,8 +68,8 @@ pub struct FigureArgs {
     /// Observation only: the result payload stays bitwise identical.
     pub progress: bool,
     /// The resolved machine spec: `--config PATH`'s document (default:
-    /// the paper's base machine) with every `--set`/`--sample-*` edit
-    /// applied in CLI order. Embedded under `"config"` in JSON reports.
+    /// the paper's base machine) with every `--set` edit applied in CLI
+    /// order. Embedded under `"config"` in JSON reports.
     pub spec: MachineSpec,
     /// Key-path overrides extracted from [`FigureArgs::spec`] (its diff
     /// against the default spec of its own kind), replayed onto every
@@ -187,35 +186,6 @@ impl FigureArgs {
                         .unwrap_or_else(|e| usage(&e.to_string()));
                 }
                 "--print-config" => print_config = true,
-                // The --sample-* flags are spelled-out shorthands for
-                // --set sample.*: they edit the same spec at their CLI
-                // position, so either spelling composes last-wins.
-                "--sample-windows" => {
-                    spec.sample.windows = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage("--sample-windows needs a positive number"))
-                }
-                "--sample-warmup" => {
-                    spec.sample.warmup = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--sample-warmup needs a number"))
-                }
-                "--sample-measure" => {
-                    spec.sample.measure = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage("--sample-measure needs a positive number"))
-                }
-                "--sample-warm" => {
-                    spec.sample.warm_window = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--sample-warm needs a number"))
-                }
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown argument `{other}`")),
             }
@@ -257,7 +227,6 @@ fn usage(msg: &str) -> ! {
         "usage: <figure-binary> [--quick|--standard|--full|--scale S] [--seed N] \
          [--benches a,b,c] [--jobs N] [--json PATH] \
          [--config PATH] [--set key.path=value]... [--print-config] [--sample] \
-         [--sample-windows N] [--sample-warmup N] [--sample-measure N] [--sample-warm N] \
          [--epoch N] [--progress]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 })
@@ -515,13 +484,13 @@ mod tests {
     }
 
     #[test]
-    fn sample_flags_and_sample_set_edit_the_same_spec() {
-        let a = parse(&["--sample-windows", "4", "--set", "sample.measure=1500"]);
+    fn sample_set_edits_the_spec_and_the_plan() {
+        let a = parse(&["--set", "sample.windows=4", "--set", "sample.measure=1500"]);
         assert_eq!(a.spec.sample.windows, 4);
         assert_eq!(a.plan.windows, 4);
         assert_eq!(a.plan.measure, 1_500);
-        // Last edit wins regardless of spelling.
-        let b = parse(&["--set", "sample.windows=6", "--sample-windows", "3"]);
+        // Last edit wins.
+        let b = parse(&["--set", "sample.windows=6", "--set", "sample.windows=3"]);
         assert_eq!(b.plan.windows, 3);
     }
 

@@ -123,7 +123,7 @@ fn parse_args() -> Args {
             }
             "--inflight" => a.inflight = count("--inflight", &value("--inflight")),
             "--timeout" => a.timeout_secs = count("--timeout", &value("--timeout")) as u64,
-            "--jobs" | "--inner-jobs" => a.jobs = count("--jobs", &value("--jobs")),
+            "--jobs" => a.jobs = count("--jobs", &value("--jobs")),
             "--spawn-dir" => a.spawn_dir = Some(PathBuf::from(value("--spawn-dir"))),
             "--server-workers" => {
                 a.server_workers = count("--server-workers", &value("--server-workers"))

@@ -135,7 +135,7 @@ pub fn spawn_fleet(n: usize, cfg: &SpawnConfig) -> Result<LocalFleet, String> {
                 &cache.display().to_string(),
                 "--server-workers",
                 &cfg.server_workers.to_string(),
-                "--inner-jobs",
+                "--jobs",
                 &cfg.inner_jobs.to_string(),
             ])
             .stdin(Stdio::null())

@@ -467,6 +467,16 @@ mod tests {
     }
 
     #[test]
+    fn sample_plan_needs_a_window_and_a_measured_instruction() {
+        // `set` round-trips through the codec `--config` files use too.
+        let mut s = MachineSpec::default();
+        for path in ["sample.windows", "sample.measure"] {
+            let e = s.set(path, Json::U64(0)).unwrap_err();
+            assert!(e.message.contains(path), "{e}");
+        }
+    }
+
+    #[test]
     fn get_reads_leaves_and_sections() {
         let s = MachineSpec::default();
         assert_eq!(s.get("core.sq_entries"), Some(Json::U64(64)));

@@ -389,6 +389,14 @@ fn sample_from_json(v: &Json, path: &str) -> Result<SampleSpec, SpecError> {
     let warmup = f.u64("warmup")?;
     let measure = f.u64("measure")?;
     let warm_window = f.usize("warm_window")?;
+    // A plan needs at least one window of at least one measured
+    // instruction: zero windows has no positions to sample, and a zero
+    // measure divides by zero in every efficiency.
+    for (key, n) in [("windows", windows as u64), ("measure", measure)] {
+        if n == 0 {
+            return Err(SpecError::new(format!("`{path}.{key}` must be at least 1")));
+        }
+    }
     let mode_name = f.str("mode")?;
     let seed = f.u64("mode_seed")?;
     let mode = match mode_name {

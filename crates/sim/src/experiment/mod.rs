@@ -15,6 +15,16 @@ pub use rmt_core::spec::DeviceKind;
 /// never influences the simulation.
 const PROGRESS_STRIDE: u64 = 4_096;
 
+/// A run's cycle budget, `(warmup + measure) * max_cycle_factor +
+/// 200_000`, or `None` when it overflows a `u64` (service requests are
+/// then rejected at parse time, experiments fail before simulating).
+pub fn cycle_budget(warmup: u64, measure: u64, max_cycle_factor: u64) -> Option<u64> {
+    warmup
+        .checked_add(measure)?
+        .checked_mul(max_cycle_factor)?
+        .checked_add(200_000)
+}
+
 /// Builder for one simulation run.
 ///
 /// The machine itself is one [`MachineSpec`], given up front
@@ -167,7 +177,8 @@ impl Experiment {
     /// # Errors
     ///
     /// [`SimError::NoBenchmarks`] if no benchmark was added;
-    /// [`SimError::Timeout`] if the run exceeds the cycle budget.
+    /// [`SimError::BudgetOverflow`] if the cycle budget does not fit in a
+    /// `u64`; [`SimError::Timeout`] if the run exceeds it.
     pub fn run(self) -> Result<RunResult, SimError> {
         match self.run_inner(None) {
             Ok((result, _)) => Ok(result),
@@ -212,6 +223,8 @@ impl Experiment {
         self,
         mut oracle: Option<&mut rmt_verify::Oracle>,
     ) -> Result<(RunResult, u64), VerifyError> {
+        let budget = cycle_budget(self.warmup, self.measure, self.max_cycle_factor)
+            .ok_or(VerifyError::Sim(SimError::BudgetOverflow))?;
         let mut device = self.build_device().map_err(VerifyError::Sim)?;
         if self.epoch > 0 {
             device.enable_epoch_sampling(self.epoch);
@@ -224,7 +237,6 @@ impl Experiment {
             _ => (0..self.benchmarks.len()).collect(),
         };
 
-        let budget = (self.warmup + self.measure) * self.max_cycle_factor + 200_000;
         // Per-thread measurement windows, as in the paper's fixed
         // instruction count per program: thread i's window opens when it
         // commits its `warmup`-th instruction and closes when it commits

@@ -21,6 +21,14 @@ fn empty_experiment_errors() {
 }
 
 #[test]
+fn an_overflowing_cycle_budget_errors_before_simulating() {
+    assert_eq!(cycle_budget(1, 2, 3), Some(200_009));
+    let e = Experiment::new(DeviceKind::Srt).benchmark(Benchmark::M88ksim);
+    let err = e.warmup(u64::MAX).measure(1).run().unwrap_err();
+    assert_eq!(err, SimError::BudgetOverflow);
+}
+
+#[test]
 fn base_and_srt_run() {
     let base = quick(DeviceKind::Base, Benchmark::M88ksim);
     let srt = quick(DeviceKind::Srt, Benchmark::M88ksim);

@@ -2,7 +2,7 @@
 //! trailing-fetch policy and priority, CRT cross-core delay, and the
 //! next-line prefetch extension.
 
-use super::grid::{run_eff, sweep_eff, sweep_table};
+use super::grid::{eff_grid, eff_row, sweep_figure, Variant};
 use super::{FigureCtx, FigureResult, SimScale};
 use crate::experiment::{DeviceKind, Experiment};
 use rmt_core::{Device, LogicalThread, Machine, MachineSpec};
@@ -15,28 +15,26 @@ use std::collections::BTreeMap;
 /// Store-queue size sweep (the motivation for per-thread store queues,
 /// §4.2): SRT efficiency as the shared store queue grows.
 pub fn abl_sq_size(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> FigureResult {
-    let sizes = [16usize, 32, 64, 128, 256];
-    let grid = sweep_eff(
+    let sizes = [16, 32, 64, 128, 256];
+    sweep_figure(
         ctx,
         scale,
         benches,
         DeviceKind::Srt,
-        &sizes,
+        "core.sq_entries",
         "SQ",
+        &sizes,
         120,
-        |o, s| {
-            o.core.sq_entries = s;
-        },
-    );
-    sweep_table(benches, &sizes, "SQ", "eff_sq", grid)
+    )
 }
 
 /// Trailing-fetch policy ablation (§4.4): the line prediction queue vs
 /// fetching the trailing thread through the shared line predictor.
 pub fn abl_fetch_policy(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> FigureResult {
-    let points = ctx.runner.run(benches.len(), |i| {
+    let rows: Vec<Vec<Benchmark>> = benches.iter().map(|&b| vec![b]).collect();
+    let lpq = eff_grid(ctx, scale, &rows, &[Variant::plain(DeviceKind::Srt)]);
+    let shared = ctx.runner.run(benches.len(), |i| {
         let b = benches[i];
-        let lpq = run_eff(ctx, DeviceKind::Srt, &[b], scale).0;
         // Shared-line-predictor trailing fetch: trailing threads
         // misspeculate, so comparison must move to retirement.
         let w = Workload::generate(b, scale.seed);
@@ -64,8 +62,7 @@ pub fn abl_fetch_policy(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark])
             let base_ipc = base.committed(0) as f64 / base.cycle() as f64;
             ipc / base_ipc
         };
-        let trail_squashes = core.thread_stats(p.trail_tid).squashes;
-        (lpq, eff, trail_squashes)
+        (eff, core.thread_stats(p.trail_tid).squashes)
     });
 
     let mut t = Table::with_columns(&[
@@ -74,21 +71,15 @@ pub fn abl_fetch_policy(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark])
         "SRT (shared line pred)",
         "trailing squashes (shared)",
     ]);
-    let mut lpq_col = Vec::new();
-    let mut shared_col = Vec::new();
-    for (b, &(lpq, eff, trail_squashes)) in benches.iter().zip(&points) {
-        lpq_col.push(lpq);
-        shared_col.push(eff);
-        t.row(vec![
-            b.name().into(),
-            fmt3(lpq),
-            fmt3(eff),
-            trail_squashes.to_string(),
-        ]);
+    for ((b, row), &(eff, trail_squashes)) in benches.iter().zip(&lpq.effs).zip(&shared) {
+        let mut cells = eff_row(b.name().into(), &[row[0], eff]);
+        cells.push(trail_squashes.to_string());
+        t.row(cells);
     }
+    let shared_effs: Vec<f64> = shared.iter().map(|p| p.0).collect();
     let mut summary = BTreeMap::new();
-    summary.insert("lpq_mean".into(), mean(&lpq_col));
-    summary.insert("shared_mean".into(), mean(&shared_col));
+    summary.insert("lpq_mean".into(), lpq.means()[0]);
+    summary.insert("shared_mean".into(), mean(&shared_effs));
     FigureResult {
         table: t,
         summary,
@@ -100,37 +91,26 @@ pub fn abl_fetch_policy(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark])
 /// Trailing-fetch priority ablation (§4.4's "best performance was achieved
 /// by giving the trailing thread priority").
 pub fn abl_slack(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> FigureResult {
-    // Two jobs per benchmark: trailing priority (even) and ICOUNT (odd).
-    let points = ctx.runner.run(benches.len() * 2, |i| {
-        let b = benches[i / 2];
-        if i % 2 == 0 {
-            run_eff(ctx, DeviceKind::Srt, &[b], scale).0
-        } else {
-            let mut spec = MachineSpec::for_kind(DeviceKind::Srt);
-            spec.core.trailing_fetch_priority = false;
-            ctx.apply(&mut spec);
-            let r = Experiment::from_spec(spec)
-                .benchmark(b)
-                .seed(scale.seed)
-                .warmup(scale.warmup)
-                .measure(scale.measure)
-                .max_cycle_factor(120)
-                .run()
-                .expect("icount run");
-            r.ipc(0) / ctx.base_ipc(b, scale)
-        }
-    });
+    let mut icount = MachineSpec::for_kind(DeviceKind::Srt);
+    icount.core.trailing_fetch_priority = false;
+    let variants = [
+        Variant::plain(DeviceKind::Srt),
+        Variant {
+            spec: icount,
+            label: "ICOUNT".into(),
+            max_cycle_factor: 120,
+        },
+    ];
+    let rows: Vec<Vec<Benchmark>> = benches.iter().map(|&b| vec![b]).collect();
+    let grid = eff_grid(ctx, scale, &rows, &variants);
     let mut t = Table::with_columns(&["benchmark", "trailing priority", "ICOUNT only"]);
-    let mut pri = Vec::new();
-    let mut icount = Vec::new();
-    for (b, pair) in benches.iter().zip(points.chunks(2)) {
-        pri.push(pair[0]);
-        icount.push(pair[1]);
-        t.row(vec![b.name().into(), fmt3(pair[0]), fmt3(pair[1])]);
+    for (b, row) in benches.iter().zip(&grid.effs) {
+        t.row(eff_row(b.name().into(), row));
     }
+    let m = grid.means();
     let mut summary = BTreeMap::new();
-    summary.insert("priority_mean".into(), mean(&pri));
-    summary.insert("icount_mean".into(), mean(&icount));
+    summary.insert("priority_mean".into(), m[0]);
+    summary.insert("icount_mean".into(), m[1]);
     FigureResult {
         table: t,
         summary,
@@ -143,39 +123,33 @@ pub fn abl_slack(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> Fig
 /// redundant threads; too small and the leading thread stalls at
 /// retirement, too large buys nothing.
 pub fn abl_lvq_size(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> FigureResult {
-    let sizes = [8usize, 16, 32, 64, 128];
-    let grid = sweep_eff(
+    let sizes = [8, 16, 32, 64, 128];
+    sweep_figure(
         ctx,
         scale,
         benches,
         DeviceKind::Srt,
-        &sizes,
+        "env.lvq_entries",
         "LVQ",
+        &sizes,
         150,
-        |o, sz| {
-            o.env.lvq_entries = sz;
-        },
-    );
-    sweep_table(benches, &sizes, "LVQ", "eff_lvq", grid)
+    )
 }
 
 /// CRT inter-core forwarding-delay sweep: the paper argues the forwarding
 /// queues decouple the threads, so CRT tolerates cross-core latency (§5).
 pub fn abl_crt_delay(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> FigureResult {
-    let delays = [0u64, 2, 4, 8, 16, 32];
-    let grid = sweep_eff(
+    let delays = [0, 2, 4, 8, 16, 32];
+    sweep_figure(
         ctx,
         scale,
         benches,
         DeviceKind::Crt,
-        &delays,
+        "env.cross_core_delay",
         "delay",
+        &delays,
         150,
-        |o, d| {
-            o.env.cross_core_delay = d;
-        },
-    );
-    sweep_table(benches, &delays, "delay", "eff_delay", grid)
+    )
 }
 
 /// Next-line L1D prefetch ablation (extension; the paper's machine has no

@@ -2,11 +2,10 @@
 //! plus the fabric extension figure — CRT's cross-coupling generalised to
 //! a four-core ring.
 
-use super::grid::grid_eff;
+use super::grid::{eff_grid, eff_row, Variant};
 use super::{FigureCtx, FigureResult, SimScale};
 use crate::experiment::DeviceKind;
-use rmt_stats::metrics::mean;
-use rmt_stats::table::{fmt3, fmt_pct};
+use rmt_stats::table::fmt_pct;
 use rmt_stats::Table;
 use rmt_workloads::mix::{four_program_mixes, mix_name, two_program_mixes};
 use rmt_workloads::Benchmark;
@@ -19,44 +18,25 @@ fn crt_vs_lockstep(
     label: &str,
 ) -> FigureResult {
     let kinds = [DeviceKind::Lock0, DeviceKind::Lock8, DeviceKind::Crt];
-    let grid = grid_eff(ctx, scale, mixes, &kinds);
+    let grid = eff_grid(ctx, scale, mixes, &kinds.map(Variant::plain));
 
     let mut t = Table::with_columns(&[label, "Lock0", "Lock8", "CRT", "CRT vs Lock8"]);
-    let mut l0 = Vec::new();
-    let mut l8 = Vec::new();
-    let mut crt = Vec::new();
+    let gain = |row: &[f64]| (row[2] / row[1] - 1.0) * 100.0;
     for (mix, row) in mixes.iter().zip(&grid.effs) {
-        let (e0, e8, ec) = (row[0], row[1], row[2]);
-        l0.push(e0);
-        l8.push(e8);
-        crt.push(ec);
-        let gain = (ec / e8 - 1.0) * 100.0;
-        t.row(vec![
-            mix_name(mix),
-            fmt3(e0),
-            fmt3(e8),
-            fmt3(ec),
-            fmt_pct(gain),
-        ]);
+        let mut cells = eff_row(mix_name(mix), row);
+        cells.push(fmt_pct(gain(row)));
+        t.row(cells);
     }
-    let gain = (mean(&crt) / mean(&l8) - 1.0) * 100.0;
-    let max_gain = crt
-        .iter()
-        .zip(&l8)
-        .map(|(c, l)| (c / l - 1.0) * 100.0)
-        .fold(f64::MIN, f64::max);
-    t.row(vec![
-        "average".into(),
-        fmt3(mean(&l0)),
-        fmt3(mean(&l8)),
-        fmt3(mean(&crt)),
-        fmt_pct(gain),
-    ]);
+    let m = grid.means();
+    let max_gain = grid.effs.iter().map(|r| gain(r)).fold(f64::MIN, f64::max);
+    let mut cells = eff_row("average".into(), &m);
+    cells.push(fmt_pct(gain(&m)));
+    t.row(cells);
     let mut summary = BTreeMap::new();
-    summary.insert("lock0_mean".into(), mean(&l0));
-    summary.insert("lock8_mean".into(), mean(&l8));
-    summary.insert("crt_mean".into(), mean(&crt));
-    summary.insert("crt_vs_lock8_pct".into(), gain);
+    summary.insert("lock0_mean".into(), m[0]);
+    summary.insert("lock8_mean".into(), m[1]);
+    summary.insert("crt_mean".into(), m[2]);
+    summary.insert("crt_vs_lock8_pct".into(), gain(&m));
     summary.insert("crt_vs_lock8_max_pct".into(), max_gain);
     FigureResult {
         table: t,
@@ -94,33 +74,23 @@ pub fn fig12_crt_four(ctx: &FigureCtx, scale: SimScale) -> FigureResult {
 /// quick checks.
 pub fn fig_ring4(ctx: &FigureCtx, scale: SimScale, mixes: &[Vec<Benchmark>]) -> FigureResult {
     let kinds = [DeviceKind::Crt, DeviceKind::CrtRing4];
-    let grid = grid_eff(ctx, scale, mixes, &kinds);
+    let grid = eff_grid(ctx, scale, mixes, &kinds.map(Variant::plain));
 
     let mut t = Table::with_columns(&["mix", "CRT (2 cores)", "CRT ring-4", "ring vs CRT"]);
-    let mut crt = Vec::new();
-    let mut ring = Vec::new();
+    let gain = |row: &[f64]| (row[1] / row[0] - 1.0) * 100.0;
     for (mix, row) in mixes.iter().zip(&grid.effs) {
-        let (ec, er) = (row[0], row[1]);
-        crt.push(ec);
-        ring.push(er);
-        t.row(vec![
-            mix_name(mix),
-            fmt3(ec),
-            fmt3(er),
-            fmt_pct((er / ec - 1.0) * 100.0),
-        ]);
+        let mut cells = eff_row(mix_name(mix), row);
+        cells.push(fmt_pct(gain(row)));
+        t.row(cells);
     }
-    let gain = (mean(&ring) / mean(&crt) - 1.0) * 100.0;
-    t.row(vec![
-        "average".into(),
-        fmt3(mean(&crt)),
-        fmt3(mean(&ring)),
-        fmt_pct(gain),
-    ]);
+    let m = grid.means();
+    let mut cells = eff_row("average".into(), &m);
+    cells.push(fmt_pct(gain(&m)));
+    t.row(cells);
     let mut summary = BTreeMap::new();
-    summary.insert("crt_mean".into(), mean(&crt));
-    summary.insert("ring4_mean".into(), mean(&ring));
-    summary.insert("ring4_vs_crt_pct".into(), gain);
+    summary.insert("crt_mean".into(), m[0]);
+    summary.insert("ring4_mean".into(), m[1]);
+    summary.insert("ring4_vs_crt_pct".into(), gain(&m));
     FigureResult {
         table: t,
         summary,

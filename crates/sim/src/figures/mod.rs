@@ -6,18 +6,18 @@
 //! that print these.
 //!
 //! Each driver takes a [`FigureCtx`] and submits its independent data
-//! points — `(device kind, benchmark/mix, scale)` experiments, or
-//! per-injection fault-campaign jobs — to the context's [`Runner`].
-//! Results are gathered by job index and baselines are memoized once per
-//! key, so a figure is **bitwise identical** at any `--jobs` level (the
-//! determinism tests assert this).
+//! points to the context's [`Runner`]: efficiency tables as
+//! [`ClusterPlan`](crate::service::ClusterPlan) grids through the
+//! executor the sweeps use (each Base denominator simulated once per
+//! plan), other drivers as hand-built runs or fault-campaign jobs.
+//! Results are gathered by job index, so a figure is **bitwise
+//! identical** at any `--jobs` level (the determinism tests assert this).
 //!
 //! The module is organised by topic, with every driver re-exported flat
 //! so callers keep writing `figures::fig6_srt_single`:
 //!
-//! * `grid` — the declarative experiment grid all efficiency figures fan
-//!   out through: benchmark-mix rows × device `Variant` columns (a
-//!   labelled `MachineSpec`), one job per cell.
+//! * `grid` — efficiency tables as plans: benchmark-mix rows × device
+//!   `Variant` columns (a labelled `MachineSpec`), one job per cell.
 //! * `machine` — Table 1 and Figure 2, read back from the live config.
 //! * `sampling` — the sampled Figure 6 grid (SMARTS-style windows with
 //!   paired Base denominators) and the sampled-vs-full error validation.
@@ -56,12 +56,11 @@ pub use srt::{fig6_srt_single, fig7_psr, fig8_srt_multi, fig9_storeq};
 pub use suite::suite_summary;
 pub use workloads::{slack_profile, workload_chars};
 
-use crate::baseline::{replay_overrides, BaselineCache};
 use crate::experiment::DeviceKind;
 use crate::runner::Runner;
+use crate::service::plan::replay;
 use rmt_core::MachineSpec;
 use rmt_stats::{Json, MetricsSnapshot, Table, TimeSeries};
-use rmt_workloads::Benchmark;
 use std::collections::BTreeMap;
 
 /// How much simulation to spend per data point.
@@ -108,15 +107,11 @@ impl SimScale {
 }
 
 /// Shared execution context for a figure suite: the parallel [`Runner`]
-/// and the [`BaselineCache`] whose base-IPC denominators are computed
-/// exactly once per `(bench, seed, warmup, measure)` across every figure
-/// run through it.
+/// plus the CLI's epoch and machine settings every driver honours.
 #[derive(Debug, Default)]
 pub struct FigureCtx {
     /// The job pool figures fan their data points across.
     pub runner: Runner,
-    /// Memoized single-thread base IPCs shared by all drivers and workers.
-    pub baselines: BaselineCache,
     /// When set, every grid experiment samples its metric registry into
     /// per-epoch deltas at this cycle interval (the `--epoch` flag), and
     /// the figure's [`FigureResult::timeseries`] carries them.
@@ -135,24 +130,9 @@ impl FigureCtx {
     pub fn new(jobs: usize) -> Self {
         FigureCtx {
             runner: Runner::new(jobs),
-            baselines: BaselineCache::new(),
             epoch: None,
             overrides: Vec::new(),
         }
-    }
-
-    /// A context sized to the host's available parallelism.
-    pub fn available() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-    }
-
-    /// A single-worker context (the sequential reference).
-    pub fn sequential() -> Self {
-        Self::new(1)
     }
 
     /// Enables per-epoch time-series sampling on every grid experiment.
@@ -176,7 +156,7 @@ impl FigureCtx {
     /// On an unknown key path or ill-typed value (CLI layers validate
     /// overrides before installing them).
     pub fn apply(&self, spec: &mut MachineSpec) {
-        replay_overrides(spec, &self.overrides);
+        replay(spec, &self.overrides);
     }
 
     /// `kind`'s default spec with this context's overrides applied.
@@ -184,18 +164,6 @@ impl FigureCtx {
         let mut spec = MachineSpec::for_kind(kind);
         self.apply(&mut spec);
         spec
-    }
-
-    /// The shared single-thread Base IPC of `bench` at `scale` under this
-    /// context's overrides — the SMT-efficiency denominator.
-    pub fn base_ipc(&self, bench: Benchmark, scale: SimScale) -> f64 {
-        self.baselines.ipc_with(
-            bench,
-            scale.seed,
-            scale.warmup,
-            scale.measure,
-            &self.overrides,
-        )
     }
 }
 

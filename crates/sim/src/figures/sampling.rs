@@ -11,7 +11,7 @@
 //! Everything fans across the context's [`Runner`](crate::Runner) and is
 //! bitwise identical at any `--jobs` level.
 
-use super::grid::grid_eff;
+use super::grid::{eff_grid, Variant};
 use super::{FigureCtx, FigureResult, SimScale};
 use crate::experiment::{DeviceKind, Experiment};
 use rmt_sample::SamplePlan;
@@ -179,7 +179,7 @@ pub fn fig6_srt_single_sampled(
 /// baseline cache.
 pub fn fig6_full_grid(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> Vec<Vec<f64>> {
     let rows: Vec<Vec<Benchmark>> = benches.iter().map(|&b| vec![b]).collect();
-    grid_eff(ctx, scale, &rows, &FIG6_KINDS).effs
+    eff_grid(ctx, scale, &rows, &FIG6_KINDS.map(Variant::plain)).effs
 }
 
 /// The sampled-vs-full validation table: one row per benchmark × kind

@@ -2,7 +2,7 @@
 //! efficiency, preferential space redundancy, two-logical-thread runs and
 //! the store-lifetime analysis.
 
-use super::grid::grid_eff;
+use super::grid::{eff_grid, eff_row, Variant};
 use super::{FigureCtx, FigureResult, SimScale};
 use crate::experiment::DeviceKind;
 use rmt_core::{Device, LogicalThread, Machine, MachineSpec};
@@ -23,30 +23,22 @@ pub fn fig6_srt_single(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) 
         DeviceKind::SrtPtsq,
     ];
     let rows: Vec<Vec<Benchmark>> = benches.iter().map(|&b| vec![b]).collect();
-    let grid = grid_eff(ctx, scale, &rows, &kinds);
+    let grid = eff_grid(ctx, scale, &rows, &kinds.map(Variant::plain));
 
     let mut t = Table::with_columns(&["benchmark", "Base2", "SRT+nosc", "SRT", "SRT+ptsq"]);
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); kinds.len()];
     for (b, row) in benches.iter().zip(&grid.effs) {
-        let mut cells = vec![b.name().to_string()];
-        for (k, &eff) in row.iter().enumerate() {
-            cols[k].push(eff);
-            cells.push(fmt3(eff));
-        }
-        t.row(cells);
+        t.row(eff_row(b.name().into(), row));
     }
-    let mut avg_cells = vec!["average".to_string()];
+    let means = grid.means();
+    t.row(eff_row("average".into(), &means));
     let mut summary = BTreeMap::new();
-    for (k, &kind) in kinds.iter().enumerate() {
-        let m = mean(&cols[k]);
-        avg_cells.push(fmt3(m));
+    for (kind, m) in kinds.iter().zip(means) {
         summary.insert(format!("{}_mean_efficiency", kind.name()), m);
         summary.insert(
             format!("{}_mean_degradation_pct", kind.name()),
             degradation_pct(1.0, m),
         );
     }
-    t.row(avg_cells);
     FigureResult {
         table: t,
         summary,
@@ -127,29 +119,18 @@ pub fn fig7_psr(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> Figu
 pub fn fig8_srt_multi(ctx: &FigureCtx, scale: SimScale) -> FigureResult {
     let kinds = [DeviceKind::Base, DeviceKind::Srt, DeviceKind::SrtPtsq];
     let pairs: Vec<Vec<Benchmark>> = two_program_mixes().iter().map(|m| m.to_vec()).collect();
-    let grid = grid_eff(ctx, scale, &pairs, &kinds);
+    let grid = eff_grid(ctx, scale, &pairs, &kinds.map(Variant::plain));
 
     let mut t = Table::with_columns(&["pair", "Base(2 threads)", "SRT", "SRT+ptsq"]);
-    let mut base_col = Vec::new();
-    let mut srt_col = Vec::new();
-    let mut ptsq_col = Vec::new();
     for (pair, row) in pairs.iter().zip(&grid.effs) {
-        let (base, srt, ptsq) = (row[0], row[1], row[2]);
-        base_col.push(base);
-        srt_col.push(srt);
-        ptsq_col.push(ptsq);
-        t.row(vec![mix_name(pair), fmt3(base), fmt3(srt), fmt3(ptsq)]);
+        t.row(eff_row(mix_name(pair), row));
     }
-    t.row(vec![
-        "average".into(),
-        fmt3(mean(&base_col)),
-        fmt3(mean(&srt_col)),
-        fmt3(mean(&ptsq_col)),
-    ]);
+    let m = grid.means();
+    t.row(eff_row("average".into(), &m));
     let mut summary = BTreeMap::new();
-    summary.insert("base2t_mean_efficiency".into(), mean(&base_col));
-    summary.insert("srt_mean_efficiency".into(), mean(&srt_col));
-    summary.insert("ptsq_mean_efficiency".into(), mean(&ptsq_col));
+    summary.insert("base2t_mean_efficiency".into(), m[0]);
+    summary.insert("srt_mean_efficiency".into(), m[1]);
+    summary.insert("ptsq_mean_efficiency".into(), m[2]);
     FigureResult {
         table: t,
         summary,
@@ -252,8 +233,8 @@ mod tests {
         assert!(nosc >= srt * 0.98, "nosc should not be slower than SRT");
         assert!(ptsq >= srt * 0.99, "ptsq should not be slower than SRT");
         assert!(srt > 0.3, "SRT implausibly slow: {srt}");
-        // One baseline per benchmark, however many device kinds ran.
-        assert_eq!(ctx.baselines.len(), QUICK_BENCHES.len());
+        // One job per grid cell; the denominators ride inside them.
+        assert_eq!(ctx.runner.jobs_executed(), QUICK_BENCHES.len() * 4);
     }
 
     #[test]

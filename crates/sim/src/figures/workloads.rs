@@ -1,6 +1,7 @@
 //! Workload-facing figures: the redundant-thread slack profile and the
 //! workload characterization table.
 
+use super::grid::{eff_grid, Variant};
 use super::{FigureCtx, FigureResult, SimScale};
 use crate::experiment::DeviceKind;
 use rmt_core::{Device, LogicalThread, Machine};
@@ -74,48 +75,11 @@ pub fn slack_profile(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) ->
 /// synthetic benchmark, next to the base-processor IPC (the credibility
 /// table for the SPEC95 substitution in DESIGN.md §1).
 pub fn workload_chars(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> FigureResult {
-    struct Chars {
-        ipc: f64,
-        branches: f64,
-        loads: f64,
-        stores: f64,
-        fp: f64,
-        squash_rate: f64,
-        working_set: u64,
-    }
-    let points = ctx.runner.run(benches.len(), |i| {
-        let b = benches[i];
-        let w = Workload::generate(b, scale.seed);
-        // Static instruction mix over the program text.
-        let insts = w.program.insts();
-        let total = insts.len() as f64;
-        let frac = |pred: &dyn Fn(&rmt_isa::Inst) -> bool| {
-            insts.iter().filter(|i| pred(i)).count() as f64 / total * 100.0
-        };
-        // Dynamic behaviour on the base machine: IPC from the warm
-        // measurement window (the same number every SMT-efficiency in this
-        // suite divides by); squash rate over the whole run.
-        let ipc = ctx.base_ipc(b, scale);
-        let mut dev =
-            Machine::independent(&ctx.spec(DeviceKind::Base), vec![LogicalThread::from(&w)]);
-        let target = scale.warmup + scale.measure;
-        assert!(
-            dev.run_until_committed(target, target * 120),
-            "{b} timed out"
-        );
-        let committed = dev.committed(0) as f64;
-        Chars {
-            ipc,
-            branches: frac(&|i| i.op.is_cond_branch()),
-            loads: frac(&|i| i.op.is_load()),
-            stores: frac(&|i| i.op.is_store()),
-            fp: frac(&|i| matches!(i.op.fu_class(), rmt_isa::FuClass::Fp)),
-            squash_rate: dev.substrate().core(0).thread_stats(0).squashes as f64 / committed
-                * 1_000.0,
-            working_set: b.profile().working_set,
-        }
-    });
-
+    // Dynamic behaviour from one Base-machine grid cell per benchmark —
+    // the very run every SMT-efficiency in this suite divides by: IPC
+    // over the warm measurement window, squash rate over the whole run.
+    let rows: Vec<Vec<Benchmark>> = benches.iter().map(|&b| vec![b]).collect();
+    let grid = eff_grid(ctx, scale, &rows, &[Variant::plain(DeviceKind::Base)]);
     let mut t = Table::with_columns(&[
         "benchmark",
         "IPC",
@@ -127,17 +91,32 @@ pub fn workload_chars(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -
         "working set",
     ]);
     let mut summary = BTreeMap::new();
-    for (b, c) in benches.iter().zip(&points) {
-        summary.insert(format!("{}_ipc", b.name()), c.ipc);
+    for &b in benches {
+        // Static instruction mix over the program text.
+        let w = Workload::generate(b, scale.seed);
+        let insts = w.program.insts();
+        let total = insts.len() as f64;
+        let frac = |pred: &dyn Fn(&rmt_isa::Inst) -> bool| {
+            insts.iter().filter(|i| pred(i)).count() as f64 / total * 100.0
+        };
+        let snap = &grid.metrics[&format!("{}/{}", b.name(), DeviceKind::Base.name())];
+        let thread0 = |name: &str| {
+            snap.counter(&format!("core0/thread0/{name}"))
+                .unwrap_or_else(|| panic!("{b}: the Base run exports no `{name}`"))
+                as f64
+        };
+        let squash_rate = thread0("squashes") / thread0("committed") * 1_000.0;
+        let ipc = grid.base_ipc[&b];
+        summary.insert(format!("{}_ipc", b.name()), ipc);
         t.row(vec![
             b.name().into(),
-            fmt3(c.ipc),
-            fmt_pct(c.branches),
-            fmt_pct(c.loads),
-            fmt_pct(c.stores),
-            fmt_pct(c.fp),
-            fmt3(c.squash_rate),
-            format!("{} KB", c.working_set / 1024),
+            fmt3(ipc),
+            fmt_pct(frac(&|i| i.op.is_cond_branch())),
+            fmt_pct(frac(&|i| i.op.is_load())),
+            fmt_pct(frac(&|i| i.op.is_store())),
+            fmt_pct(frac(&|i| matches!(i.op.fu_class(), rmt_isa::FuClass::Fp))),
+            fmt3(squash_rate),
+            format!("{} KB", b.profile().working_set / 1024),
         ]);
     }
     FigureResult {

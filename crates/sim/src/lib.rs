@@ -3,8 +3,6 @@
 //!
 //! * [`experiment`] — the [`Experiment`] builder: one device configuration
 //!   running one set of benchmarks for a measured interval.
-//! * [`baseline`] — cached single-thread base-processor IPCs, the
-//!   denominators of the paper's SMT-efficiency metric (§6.4).
 //! * [`figures`] — one function per reproduced table/figure; each returns a
 //!   [`rmt_stats::Table`] whose rows mirror the paper's artifact. The
 //!   `rmt-bench` binaries print these.
@@ -17,7 +15,11 @@
 //!   confidence intervals.
 //! * [`service`] — job-granular service entry points: a validated
 //!   run/sweep request with a canonical content digest and a synchronous
-//!   `execute`, the unit of work the `rmt-serve` daemon queues and caches.
+//!   `execute`, the unit of work the `rmt-serve` daemon queues and caches;
+//!   and the one grid path ([`service::plan`]): every efficiency grid, a
+//!   figure table or a sweep, is a `ClusterPlan` of content-addressed
+//!   cells, run by one executor and folded into the paper's
+//!   SMT-efficiency metric (§6.4) by one function.
 //!
 //! # Examples
 //!
@@ -38,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod experiment;
 pub mod figures;
 pub mod guard;
@@ -47,7 +48,6 @@ pub mod runner;
 pub mod sampled;
 pub mod service;
 
-pub use baseline::BaselineCache;
 pub use experiment::{DeviceKind, Experiment, RunResult, SimError, VerifiedRun, VerifyError};
 pub use figures::{FigureCtx, FigureResult, SimScale};
 pub use runner::{ProgressSink, Runner};

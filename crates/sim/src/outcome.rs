@@ -16,6 +16,8 @@ pub enum SimError {
     },
     /// No benchmarks were supplied.
     NoBenchmarks,
+    /// `(warmup + measure) * max_cycle_factor` does not fit in a `u64`.
+    BudgetOverflow,
 }
 
 impl fmt::Display for SimError {
@@ -25,6 +27,12 @@ impl fmt::Display for SimError {
                 write!(f, "simulation exceeded its cycle budget ({cycles})")
             }
             SimError::NoBenchmarks => write!(f, "experiment has no benchmarks"),
+            SimError::BudgetOverflow => {
+                write!(
+                    f,
+                    "(warmup + measure) * max_cycle_factor overflows the cycle budget"
+                )
+            }
         }
     }
 }

@@ -11,9 +11,9 @@
 //!   scheduling order;
 //! * results are gathered into a slot per job index, so the output vector
 //!   is ordered by submission, not completion;
-//! * shared state ([`crate::BaselineCache`]) memoizes through
-//!   [`std::sync::OnceLock`], so a value is computed once and every thread
-//!   observes the same bits.
+//! * shared state (the grid executor's Base-denominator memo in
+//!   [`crate::service::plan`]) memoizes through [`std::sync::OnceLock`],
+//!   so a value is computed once and every thread observes the same bits.
 //!
 //! Under those rules `Runner::new(1)` and `Runner::new(64)` produce equal
 //! results for any job set, which the test suite asserts on whole figures
@@ -75,8 +75,6 @@ pub struct Runner {
     executed: AtomicUsize,
     /// Simulated cycles reported by figure drivers (host throughput gauge).
     sim_cycles: AtomicU64,
-    /// Wall nanoseconds workers spent inside jobs, summed across workers.
-    busy_nanos: AtomicU64,
     /// Print jobs-completed/ETA lines to stderr (the `--progress` flag).
     /// Stderr only — the deterministic payload never sees it.
     progress: AtomicBool,
@@ -93,7 +91,6 @@ impl Runner {
             jobs: jobs.max(1),
             executed: AtomicUsize::new(0),
             sim_cycles: AtomicU64::new(0),
-            busy_nanos: AtomicU64::new(0),
             progress: AtomicBool::new(false),
             hook: None,
         }
@@ -140,8 +137,8 @@ impl Runner {
 
     /// Credits `n` simulated cycles to this runner's throughput gauge.
     ///
-    /// Figure drivers call this with each experiment's cycle count; the
-    /// total feeds the host `sim cycles/sec` gauge in JSON reports. The
+    /// The grid executor credits each grid cell's cycle count; the total
+    /// feeds the host `sim cycles/sec` gauge in JSON reports. The
     /// counter is deterministic (a pure sum over jobs); the wall-time side
     /// is not, so the two are reported in separate JSON sections.
     pub fn add_sim_cycles(&self, n: u64) {
@@ -151,23 +148,6 @@ impl Runner {
     /// Simulated cycles credited so far via [`Runner::add_sim_cycles`].
     pub fn sim_cycles(&self) -> u64 {
         self.sim_cycles.load(Ordering::Relaxed)
-    }
-
-    /// Wall seconds workers have spent inside jobs, summed across workers
-    /// (busy time, not elapsed time; non-deterministic).
-    pub fn busy_seconds(&self) -> f64 {
-        self.busy_nanos.load(Ordering::Relaxed) as f64 / 1e9
-    }
-
-    /// Simulated cycles per worker-busy-second — the host-throughput gauge
-    /// reported under `host/` in JSON results (0.0 before any timed job).
-    pub fn sim_rate(&self) -> f64 {
-        let busy = self.busy_seconds();
-        if busy > 0.0 {
-            self.sim_cycles() as f64 / busy
-        } else {
-            0.0
-        }
     }
 
     /// Runs `job(0..n)` and returns the results ordered by index.
@@ -191,10 +171,7 @@ impl Runner {
         let report = self.progress.load(Ordering::Relaxed) && n > 0;
         let notify = report || self.hook.is_some();
         let timed = |i: usize| {
-            let t0 = Instant::now();
             let out = job(i);
-            self.busy_nanos
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             if notify {
                 let c = done.fetch_add(1, Ordering::Relaxed) + 1;
                 if let Some(hook) = &self.hook {
@@ -360,15 +337,12 @@ mod tests {
     }
 
     #[test]
-    fn tracks_sim_cycles_and_busy_time() {
+    fn tracks_sim_cycles() {
         let r = Runner::new(2);
         assert_eq!(r.sim_cycles(), 0);
         r.add_sim_cycles(10);
         r.add_sim_cycles(5);
         assert_eq!(r.sim_cycles(), 15);
-        r.run(4, |i| (0..10_000u64).fold(i as u64, u64::wrapping_add));
-        assert!(r.busy_seconds() > 0.0, "jobs must accrue busy time");
-        assert!(r.sim_rate() > 0.0);
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! exactly one result document, bitwise, forever.
 //!
 //! [`ServiceRequest::execute`] runs the request synchronously and returns
-//! the result document. A sweep runs as its [`ClusterPlan`]: expand into
-//! content-addressed cells, run each distinct cell, merge — the same path
-//! a distributed fleet takes, so one process and a fleet differ only in
-//! who computes each cell. A [`ProgressSink`] can be attached for live
-//! job progress (instructions committed for runs, cells completed for
+//! the result document. A run is [`RunRequest::run`] (typed), encoded as
+//! a document only at this edge; a sweep runs as its [`ClusterPlan`]
+//! through [`run_grid`] — the executor and efficiency fold every figure
+//! table uses too — so one process, a fleet and a figure differ only in
+//! who computes each cell. A [`ProgressSink`] can be attached for live job
+//! progress (instructions committed for runs, grid cells completed for
 //! sweeps); observation only — the result is bit-for-bit identical with
 //! or without one.
 //!
@@ -38,17 +39,16 @@
 pub mod plan;
 pub mod sweep;
 
-pub use plan::{CellRole, ClusterCell, ClusterPlan};
-pub use sweep::{SweepAxis, SweepConfig, SweepRow};
+pub use plan::{run_grid, CellRole, ClusterCell, ClusterPlan, GridColumn, GridRun};
+pub use sweep::{SweepAxis, SweepConfig};
 
-use crate::experiment::Experiment;
+use crate::experiment::{cycle_budget, Experiment, RunResult, SimError};
 use crate::figures::SimScale;
 use crate::runner::{ProgressSink, Runner};
 use rmt_core::spec::{DeviceKind, MachineSpec};
 use rmt_stats::Json;
 use rmt_workloads::profile::ALL_BENCHMARKS;
 use rmt_workloads::Benchmark;
-use std::collections::HashMap;
 
 /// Default cycle-budget multiplier for service runs — the same default an
 /// [`Experiment`] carries, so a served run is bitwise identical to the
@@ -156,6 +156,22 @@ fn parse_u64_or(doc: &Json, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+/// `"scale"` and `"max_cycle_factor"` (default `default_factor`),
+/// rejecting a cycle budget that overflows a `u64` at that factor or at
+/// the run default (a sweep's denominators run at it).
+fn parse_budget(doc: &Json, default_factor: u64) -> Result<(SimScale, u64), String> {
+    let scale = parse_scale(doc)?;
+    let factor = parse_u64_or(doc, "max_cycle_factor", default_factor)?;
+    let worst = factor.max(RUN_MAX_CYCLE_FACTOR);
+    match cycle_budget(scale.warmup, scale.measure, worst) {
+        Some(_) => Ok((scale, factor)),
+        None => Err(format!(
+            "`scale.warmup` + `scale.measure` times `max_cycle_factor` ({worst}) \
+             overflows the cycle budget"
+        )),
+    }
+}
+
 /// The `key` (`"spec"` or `"base"`) machine field: a kind name or a full
 /// document.
 fn parse_spec(v: &Json, key: &str) -> Result<MachineSpec, String> {
@@ -205,7 +221,8 @@ impl ServiceRequest {
     /// ```
     ///
     /// Unknown keys are rejected (a typo must not silently drop a knob and
-    /// collide with a different request's digest).
+    /// collide with a different request's digest), and so is a scale whose
+    /// cycle budget overflows a `u64`.
     ///
     /// # Errors
     ///
@@ -226,12 +243,13 @@ impl ServiceRequest {
                 )?;
                 let spec =
                     parse_spec(doc.get("spec").ok_or("run request needs a `spec`")?, "spec")?;
+                let (scale, max_cycle_factor) = parse_budget(doc, RUN_MAX_CYCLE_FACTOR)?;
                 Ok(ServiceRequest::Run(RunRequest {
                     spec,
                     benches: parse_benches(doc)?,
-                    scale: parse_scale(doc)?,
+                    scale,
                     epoch: parse_u64_or(doc, "epoch", 0)?,
-                    max_cycle_factor: parse_u64_or(doc, "max_cycle_factor", RUN_MAX_CYCLE_FACTOR)?,
+                    max_cycle_factor,
                 }))
             }
             Some("sweep") => {
@@ -239,14 +257,11 @@ impl ServiceRequest {
                 let cfg = SweepConfig::from_json(
                     doc.get("sweep").ok_or("sweep request needs a `sweep`")?,
                 )?;
+                let (scale, max_cycle_factor) = parse_budget(doc, SWEEP_MAX_CYCLE_FACTOR)?;
                 Ok(ServiceRequest::Sweep(SweepRequest {
                     cfg,
-                    scale: parse_scale(doc)?,
-                    max_cycle_factor: parse_u64_or(
-                        doc,
-                        "max_cycle_factor",
-                        SWEEP_MAX_CYCLE_FACTOR,
-                    )?,
+                    scale,
+                    max_cycle_factor,
                 }))
             }
             Some(other) => Err(format!("unknown request `type` `{other}`")),
@@ -316,13 +331,12 @@ impl ServiceRequest {
     }
 
     /// Executes the request and returns its result document. `jobs` bounds
-    /// the worker threads a sweep fans its cells across (a single run is
-    /// one simulation regardless). A sweep expands into its
-    /// [`ClusterPlan`], runs each distinct cell as a single-run request,
-    /// and returns [`ClusterPlan::merge`] of the results. The optional
+    /// the worker threads a sweep fans its grid cells across (a single run
+    /// is one simulation regardless). A sweep expands into its
+    /// [`ClusterPlan`] and runs through [`run_grid`]. The optional
     /// [`ProgressSink`] receives `(instructions committed, warmup +
-    /// measure)` for runs and `(distinct cells done, distinct cells
-    /// total)` for sweeps.
+    /// measure)` for runs and `(grid cells done, distinct grid cells)` for
+    /// sweeps.
     ///
     /// Deterministic: the document is bitwise identical for any `jobs`
     /// value, with or without a sink — the property that makes the result
@@ -334,67 +348,67 @@ impl ServiceRequest {
     /// for a sweep, it names the digest of the failing cell.
     pub fn execute(&self, jobs: usize, progress: Option<ProgressSink>) -> Result<Json, String> {
         match self {
-            ServiceRequest::Run(r) => {
-                let mut e = Experiment::from_spec(r.spec.clone())
-                    .benchmarks(&r.benches)
-                    .seed(r.scale.seed)
-                    .warmup(r.scale.warmup)
-                    .measure(r.scale.measure)
-                    .max_cycle_factor(r.max_cycle_factor);
-                if r.epoch > 0 {
-                    e = e.epoch(r.epoch);
-                }
-                if let Some(sink) = progress {
-                    e = e.with_progress(sink);
-                }
-                let out = e.run().map_err(|e| e.to_string())?;
-                let per_thread = Json::Arr(
-                    out.per_thread
-                        .iter()
-                        .map(|t| {
-                            Json::obj()
-                                .with("benchmark", Json::Str(t.benchmark.name().to_string()))
-                                .with("committed", Json::U64(t.committed))
-                                .with("cycles", Json::U64(t.cycles))
-                                .with("ipc", Json::F64(t.ipc()))
-                        })
-                        .collect(),
-                );
-                Ok(Json::obj()
-                    .with("type", Json::Str("run".into()))
-                    .with("kind", Json::Str(out.kind.name().to_string()))
-                    .with("cycles", Json::U64(out.cycles))
-                    .with("per_thread", per_thread)
-                    .with("faults_detected", Json::U64(out.faults_detected as u64))
-                    .with("metrics", out.metrics.to_json())
-                    .with("timeseries", out.timeseries.to_json())
-                    .with("config", out.config))
-            }
-            ServiceRequest::Sweep(_) => {
+            ServiceRequest::Run(r) => r.run(progress).map(run_document).map_err(|e| e.to_string()),
+            ServiceRequest::Sweep(s) => {
                 let plan = ClusterPlan::expand(self);
-                let units: Vec<&ClusterCell> = plan
-                    .distinct_digests()
-                    .into_iter()
-                    .map(|d| {
-                        plan.cells
-                            .iter()
-                            .find(|c| c.digest == d)
-                            .expect("every unit digest names a plan cell")
-                    })
-                    .collect();
                 let mut runner = Runner::new(jobs);
                 runner.set_hook(progress);
-                let results = runner.run(units.len(), |i| {
-                    let cell = units[i];
-                    cell.request
-                        .execute(1, None)
-                        .map(|doc| (cell.digest.clone(), doc))
-                        .map_err(|e| format!("cell {}: {e}", cell.digest))
-                });
-                plan.merge(&results.into_iter().collect::<Result<HashMap<_, _>, _>>()?)
+                let effs: Vec<f64> = run_grid(&plan, &runner)?
+                    .cells
+                    .into_iter()
+                    .map(|(eff, ..)| eff)
+                    .collect();
+                Ok(plan.sweep_document(s, &effs))
             }
         }
     }
+}
+
+impl RunRequest {
+    /// Runs the simulation; the optional [`ProgressSink`] receives
+    /// `(instructions committed, warmup + measure)`.
+    ///
+    /// # Errors
+    ///
+    /// The [`SimError`] of the run (a cycle-budget timeout).
+    pub fn run(&self, progress: Option<ProgressSink>) -> Result<RunResult, SimError> {
+        let mut e = Experiment::from_spec(self.spec.clone())
+            .benchmarks(&self.benches)
+            .seed(self.scale.seed)
+            .warmup(self.scale.warmup)
+            .measure(self.scale.measure)
+            .max_cycle_factor(self.max_cycle_factor)
+            .epoch(self.epoch);
+        if let Some(sink) = progress {
+            e = e.with_progress(sink);
+        }
+        e.run()
+    }
+}
+
+/// A run's result document: what the daemon caches and a fleet merges.
+fn run_document(out: RunResult) -> Json {
+    let per_thread = Json::Arr(
+        out.per_thread
+            .iter()
+            .map(|t| {
+                Json::obj()
+                    .with("benchmark", Json::Str(t.benchmark.name().to_string()))
+                    .with("committed", Json::U64(t.committed))
+                    .with("cycles", Json::U64(t.cycles))
+                    .with("ipc", Json::F64(t.ipc()))
+            })
+            .collect(),
+    );
+    Json::obj()
+        .with("type", Json::Str("run".into()))
+        .with("kind", Json::Str(out.kind.name().to_string()))
+        .with("cycles", Json::U64(out.cycles))
+        .with("per_thread", per_thread)
+        .with("faults_detected", Json::U64(out.faults_detected as u64))
+        .with("metrics", out.metrics.to_json())
+        .with("timeseries", out.timeseries.to_json())
+        .with("config", out.config)
 }
 
 #[cfg(test)]
@@ -497,6 +511,20 @@ mod tests {
             "speed",
         );
         reject(r#"{"type": "sweep"}"#, "sweep");
+        // Cycle budgets that overflow a u64, including a sweep's
+        // denominators, which run at the run default factor.
+        reject(
+            r#"{"type": "run", "spec": "SRT", "benches": ["gcc"],
+                "scale": {"warmup": 18446744073709551615, "measure": 1}}"#,
+            "scale.warmup",
+        );
+        reject(
+            r#"{"type": "sweep", "max_cycle_factor": 1,
+                "sweep": {"name": "x", "base": "SRT", "benches": ["gcc"],
+                          "axes": [{"path": "core.sq_entries", "values": [16]}]},
+                "scale": {"warmup": 1000000000000000000, "measure": 1}}"#,
+            "max_cycle_factor",
+        );
     }
 
     #[test]
@@ -539,11 +567,12 @@ mod tests {
         let cells = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&cells);
         let sink = ProgressSink::new(move |done, total| {
-            assert!(done <= total);
-            c.store(done, Ordering::Relaxed);
+            // Two grid cells; the denominator rides inside one of them.
+            assert!(done <= total && total == 2);
+            c.fetch_max(done, Ordering::Relaxed);
         });
         let out = req.execute(2, Some(sink)).unwrap();
-        assert!(cells.load(Ordering::Relaxed) >= 1, "sweep progress");
+        assert_eq!(cells.load(Ordering::Relaxed), 2, "sweep progress");
         assert_eq!(out.get("sweep").unwrap().as_array().unwrap().len(), 2);
         assert!(out
             .get("summary")

@@ -1,36 +1,33 @@
-//! Cell expansion and deterministic merge: the one sweep path.
+//! The one grid path: plan, execute, fold.
 //!
-//! A [`ServiceRequest`] is either one simulation (a run) or a grid of
-//! independent simulations (a sweep: every `(axis value, benchmark)`
-//! cell plus one Base-machine denominator per benchmark). A
-//! [`ClusterPlan`] makes that grid explicit: [`ClusterPlan::expand`]
-//! turns a request into per-cell **run** requests — each a full
-//! [`ServiceRequest`] with its own canonical digest — and
-//! [`ClusterPlan::merge`] folds the per-cell result documents back into
-//! the request's result document.
+//! Every efficiency the paper reports is §6.4's SMT efficiency: a
+//! thread's IPC over its IPC alone on the Base machine. Every grid of
+//! them — a figure table or a declarative sweep — is a [`ClusterPlan`]:
+//! benchmark-mix rows × [`GridColumn`]s (a whole spec plus a cycle
+//! budget), one content-addressed run request per cell, after one Base
+//! denominator cell per distinct benchmark. The denominator is the Base
+//! machine with the grid's machine edits replayed (`scheme.kind`
+//! skipped): a figure's `--set`/`--config` overrides, or a sweep base's
+//! diff from its kind's default spec.
 //!
-//! Every sweep runs this way. [`ServiceRequest::execute`] computes the
-//! distinct cells on a local [`Runner`](crate::runner::Runner) (which is
-//! what the `rmt-serve` daemon and `rmt-cluster --local` call), and the
-//! `rmt-cluster` coordinator has a fleet of `rmt-serve` workers compute
-//! them; both hand the results to the same merge.
-//!
-//! The merge is *deterministic by construction*: cells are keyed by
-//! content digest and folded in declarative grid order, so the merged
-//! document is bitwise independent of which process produced each cell,
-//! in what order results arrived, how many duplicates were dispatched,
-//! or how many attempts failed along the way. This is enforced by unit
-//! tests here, a shuffling/duplicating property test in the cluster
-//! crate, and an independent reference built from direct
+//! [`run_grid`] runs a plan's distinct grid cells on a local [`Runner`]
+//! (figure tables and [`ServiceRequest::execute`]); the `rmt-cluster`
+//! coordinator has workers compute every cell and [`ClusterPlan::merge`]
+//! their documents. Both fold with one function, keyed by digest in grid
+//! order, so results are bitwise independent of who computed each cell
+//! and how — asserted here, in the cluster crate and against direct
 //! [`Experiment`](crate::Experiment) runs in the root `tests/`.
 
-use super::{RunRequest, ServiceRequest, SweepRequest, SweepRow, RUN_MAX_CYCLE_FACTOR};
+use super::{RunRequest, ServiceRequest, SweepRequest, RUN_MAX_CYCLE_FACTOR};
+use crate::figures::SimScale;
+use crate::outcome::RunResult;
+use crate::runner::Runner;
 use rmt_core::spec::{DeviceKind, MachineSpec};
-use rmt_stats::metrics::mean;
-use rmt_stats::Json;
+use rmt_stats::metrics::{mean, smt_efficiency};
+use rmt_stats::{Json, MetricsSnapshot, TimeSeries};
 use rmt_workloads::Benchmark;
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// What one expanded cell contributes to the merged document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,21 +36,28 @@ pub enum CellRole {
     /// merged document.
     Single,
     /// A single-thread Base-machine run — the SMT-efficiency denominator
-    /// for `bench` (shared by every sweep row of that benchmark).
+    /// for `bench` (shared by every grid row that runs it).
     Baseline {
         /// The benchmark whose denominator this cell computes.
         bench: Benchmark,
     },
-    /// One sweep grid cell: axis `axis`, value index `value`, benchmark
-    /// `bench` (indices into the sweep config's declarative grid).
+    /// Grid row `row` (a benchmark mix) on column `col`.
     Grid {
-        /// Axis index into `cfg.axes`.
-        axis: usize,
-        /// Value index into `cfg.axes[axis].values`.
-        value: usize,
-        /// The benchmark this cell ran.
-        bench: Benchmark,
+        /// Row index.
+        row: usize,
+        /// Column index.
+        col: usize,
     },
+}
+
+/// One grid column: the machine every row runs on, and its cycle-budget
+/// multiplier.
+#[derive(Debug, Clone)]
+pub struct GridColumn {
+    /// The fully resolved machine.
+    pub spec: MachineSpec,
+    /// Cycle-budget multiplier for this column's cells.
+    pub max_cycle_factor: u64,
 }
 
 /// One dispatchable unit of work: a fully resolved run request plus its
@@ -71,116 +75,192 @@ pub struct ClusterCell {
     pub digest: String,
 }
 
-/// An expanded request: the original plus its dispatchable cells.
+impl ClusterCell {
+    fn run_request(&self) -> &RunRequest {
+        match &self.request {
+            ServiceRequest::Run(r) => r,
+            ServiceRequest::Sweep(_) => unreachable!("plan cells are always runs"),
+        }
+    }
+
+    fn run(&self) -> Result<RunResult, String> {
+        self.run_request()
+            .run(None)
+            .map_err(|e| format!("cell {}: {e}", self.digest))
+    }
+}
+
+/// An expanded grid: its dispatchable cells, and the request (if any)
+/// they merge back into.
 ///
 /// Two cells may share a digest (e.g. an axis listing the same value
 /// twice); a coordinator should deduplicate *work* by digest while the
 /// merge looks results up by digest, so duplicates cost nothing.
 #[derive(Debug, Clone)]
 pub struct ClusterPlan {
-    request: ServiceRequest,
-    /// The cells, in declarative grid order (baselines first, then
-    /// axis-major, value, benchmark-innermost).
+    /// The expanded service request (`None` for a figure's grid, which
+    /// folds locally and has no merged document).
+    request: Option<ServiceRequest>,
+    /// The cells: the Base denominators, then the grid cells in the
+    /// plan's order.
     pub cells: Vec<ClusterCell>,
 }
 
-fn run_cell(spec: MachineSpec, bench: Benchmark, s: &SweepRequest, factor: u64) -> ServiceRequest {
-    ServiceRequest::Run(RunRequest {
-        spec,
-        benches: vec![bench],
-        scale: s.scale,
-        epoch: 0,
-        max_cycle_factor: factor,
-    })
+/// Replays key-path `edits` onto `spec` in order, skipping `scheme.kind`
+/// (the caller owns the device kind).
+///
+/// # Panics
+///
+/// On an unknown key path or ill-typed value (every caller validates its
+/// edits against a spec first).
+pub(crate) fn replay(spec: &mut MachineSpec, edits: &[(String, Json)]) {
+    for (path, v) in edits {
+        if path == "scheme.kind" {
+            continue;
+        }
+        if let Err(e) = spec.set(path, v.clone()) {
+            panic!("machine override failed: {e}");
+        }
+    }
 }
 
-/// Thread-0 IPC of a run result document, recomputed from the exact
+/// §6.4's SMT efficiency of one grid cell: each thread's IPC over its
+/// benchmark's Base IPC, averaged over the row ([`smt_efficiency`]). The
+/// one fold: [`run_grid`] applies it to local results and
+/// [`ClusterPlan::merge`] to fleet documents. For one thread it is
+/// exactly `ipc / base` (`0.0 + x == x` and `x / 1.0 == x`).
+fn fold(ipcs: &[f64], base: &[f64]) -> f64 {
+    let pairs: Vec<(f64, f64)> = ipcs.iter().copied().zip(base.iter().copied()).collect();
+    smt_efficiency(&pairs)
+}
+
+/// Per-thread IPCs of a run result document, recomputed from the exact
 /// integers the simulator reported — the same `committed / cycles`
 /// division [`ThreadOutcome::ipc`](crate::outcome::ThreadOutcome::ipc)
-/// performs, so the value is bitwise identical to an in-process run.
-fn ipc_of(result: &Json, digest: &str) -> Result<f64, String> {
-    let t = result
+/// performs, so the values are bitwise identical to an in-process run.
+fn ipcs_of(result: &Json, digest: &str) -> Result<Vec<f64>, String> {
+    let threads = result
         .get("per_thread")
         .and_then(Json::as_array)
-        .and_then(<[Json]>::first)
+        .filter(|t| !t.is_empty())
         .ok_or_else(|| format!("cell {digest}: result lacks `per_thread[0]`"))?;
-    let field = |k: &str| {
-        t.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("cell {digest}: `per_thread[0].{k}` is not a u64"))
+    let ipc = |(i, t): (usize, &Json)| {
+        let field = |k: &str| {
+            t.get(k)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("cell {digest}: `per_thread[{i}].{k}` is not a u64"))
+        };
+        let (committed, cycles) = (field("committed")?, field("cycles")?);
+        Ok(if cycles == 0 {
+            0.0
+        } else {
+            committed as f64 / cycles as f64
+        })
     };
-    let committed = field("committed")?;
-    let cycles = field("cycles")?;
-    Ok(if cycles == 0 {
-        0.0
-    } else {
-        committed as f64 / cycles as f64
-    })
+    threads.iter().enumerate().map(ipc).collect()
 }
 
 impl ClusterPlan {
     /// Expands a request into its dispatchable cells.
     ///
     /// A **run** request is one cell (a single simulation is already the
-    /// unit of work). A **sweep** request becomes one Base-machine
-    /// baseline cell per benchmark — the SMT-efficiency denominators, with
-    /// the default run cycle budget — followed by one cell per
-    /// `(axis, value, benchmark)` grid position carrying the sweep's own
-    /// cycle budget.
+    /// unit of work). A **sweep** request is a grid of one row per
+    /// benchmark and one column per `(axis, value)` — the base with that
+    /// one key edited, at the sweep's cycle budget — laid out after the
+    /// denominators axis-major, then value, benchmark innermost.
     pub fn expand(request: &ServiceRequest) -> ClusterPlan {
-        let mut cells = Vec::new();
-        match request {
-            ServiceRequest::Run(_) => {
-                cells.push((CellRole::Single, request.clone()));
-            }
-            ServiceRequest::Sweep(s) => {
-                for &bench in &s.cfg.benches {
-                    let spec = MachineSpec::for_kind(DeviceKind::Base);
-                    cells.push((
-                        CellRole::Baseline { bench },
-                        run_cell(spec, bench, s, RUN_MAX_CYCLE_FACTOR),
-                    ));
+        let ServiceRequest::Sweep(s) = request else {
+            let cell = ClusterCell {
+                index: 0,
+                role: CellRole::Single,
+                request: request.clone(),
+                digest: request.digest(),
+            };
+            return ClusterPlan {
+                request: Some(request.clone()),
+                cells: vec![cell],
+            };
+        };
+        let base = &s.cfg.base;
+        let columns = s.cfg.axes.iter().flat_map(|axis| {
+            axis.values.iter().map(|value| {
+                let mut spec = base.clone();
+                spec.set(&axis.path, value.clone())
+                    .expect("sweep axes are validated at parse time");
+                GridColumn {
+                    spec,
+                    max_cycle_factor: s.max_cycle_factor,
                 }
-                for (a, axis) in s.cfg.axes.iter().enumerate() {
-                    for (v, value) in axis.values.iter().enumerate() {
-                        for &bench in &s.cfg.benches {
-                            let mut spec = s.cfg.base.clone();
-                            spec.set(&axis.path, value.clone())
-                                .expect("sweep axes are validated at parse time");
-                            cells.push((
-                                CellRole::Grid {
-                                    axis: a,
-                                    value: v,
-                                    bench,
-                                },
-                                run_cell(spec, bench, s, s.max_cycle_factor),
-                            ));
-                        }
-                    }
-                }
-            }
+            })
+        });
+        let cols: Vec<GridColumn> = columns.collect();
+        let rows: Vec<Vec<Benchmark>> = s.cfg.benches.iter().map(|&b| vec![b]).collect();
+        let edits = base.diff(&MachineSpec::for_kind(base.kind()));
+        let mut plan = ClusterPlan::grid(&rows, &cols, &edits, s.scale, 0);
+        // Column-major: the (stable) sort keeps the denominators first.
+        plan.cells.sort_by_key(|c| match c.role {
+            CellRole::Grid { row, col } => (1, col, row),
+            _ => (0, 0, 0),
+        });
+        for (index, cell) in plan.cells.iter_mut().enumerate() {
+            cell.index = index;
         }
-        ClusterPlan {
-            request: request.clone(),
-            cells: cells
-                .into_iter()
-                .enumerate()
-                .map(|(index, (role, request))| {
-                    let digest = request.digest();
-                    ClusterCell {
-                        index,
-                        role,
-                        request,
-                        digest,
-                    }
-                })
-                .collect(),
-        }
+        plan.request = Some(request.clone());
+        plan
     }
 
-    /// The request this plan expands.
-    pub fn request(&self) -> &ServiceRequest {
-        &self.request
+    /// A figure table's grid: `rows` (benchmark mixes) × `cols`, row-major
+    /// with the column innermost, every grid cell at `scale` with epoch
+    /// sampling `epoch` (0 = off), dividing by the Base machine with the
+    /// figure's machine overrides `edits` replayed.
+    pub fn grid(
+        rows: &[Vec<Benchmark>],
+        cols: &[GridColumn],
+        edits: &[(String, Json)],
+        scale: SimScale,
+        epoch: u64,
+    ) -> ClusterPlan {
+        let mut benches: Vec<Benchmark> = Vec::new();
+        for &b in rows.iter().flatten() {
+            if !benches.contains(&b) {
+                benches.push(b);
+            }
+        }
+        let mut base = MachineSpec::for_kind(DeviceKind::Base);
+        replay(&mut base, edits);
+        let run = |spec: &MachineSpec, benches, epoch, max_cycle_factor| {
+            ServiceRequest::Run(RunRequest {
+                spec: spec.clone(),
+                benches,
+                scale,
+                epoch,
+                max_cycle_factor,
+            })
+        };
+        let baselines = benches.into_iter().map(|bench| {
+            let request = run(&base, vec![bench], 0, RUN_MAX_CYCLE_FACTOR);
+            (CellRole::Baseline { bench }, request)
+        });
+        let positions = (0..rows.len()).flat_map(|r| (0..cols.len()).map(move |c| (r, c)));
+        let grid = positions.map(|(row, col)| {
+            let c = &cols[col];
+            let request = run(&c.spec, rows[row].clone(), epoch, c.max_cycle_factor);
+            (CellRole::Grid { row, col }, request)
+        });
+        let cells = baselines
+            .chain(grid)
+            .enumerate()
+            .map(|(index, (role, request))| ClusterCell {
+                index,
+                role,
+                digest: request.digest(),
+                request,
+            })
+            .collect();
+        ClusterPlan {
+            request: None,
+            cells,
+        }
     }
 
     /// The distinct digests a coordinator must obtain results for
@@ -195,78 +275,211 @@ impl ClusterPlan {
         seen
     }
 
+    fn grid_cells(&self) -> Vec<&ClusterCell> {
+        let grid = |c: &&ClusterCell| matches!(c.role, CellRole::Grid { .. });
+        self.cells.iter().filter(grid).collect()
+    }
+
+    fn baselines(&self) -> HashMap<Benchmark, &ClusterCell> {
+        self.cells
+            .iter()
+            .filter_map(|c| match c.role {
+                CellRole::Baseline { bench } => Some((bench, c)),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Folds per-cell result documents (keyed by cell digest) into the
     /// original request's result document — bitwise, regardless of who
-    /// computed each cell or in what order the map was populated. A cell's
-    /// efficiency is its thread-0 IPC over its benchmark's Base IPC, both
-    /// recomputed from the integer `committed`/`cycles` pairs, and each
-    /// row's mean is [`mean`] over its benchmarks in declared order.
+    /// computed each cell or in what order the map was populated. Each
+    /// grid cell's efficiency is the same fold of IPCs recomputed from the
+    /// integer `committed`/`cycles` pairs.
     ///
     /// # Errors
     ///
-    /// A message naming the missing or malformed cell digest.
+    /// A message naming the missing or malformed cell digest, or saying
+    /// that a figure's grid has no merged document.
     pub fn merge(&self, results: &HashMap<String, Json>) -> Result<Json, String> {
         let lookup = |digest: &str| {
             results
                 .get(digest)
                 .ok_or_else(|| format!("merge is missing the result for cell {digest}"))
         };
+        let ipcs = |cell: &ClusterCell| ipcs_of(lookup(&cell.digest)?, &cell.digest);
         let s = match &self.request {
-            ServiceRequest::Run(_) => {
-                let cell = &self.cells[0];
-                return Ok(lookup(&cell.digest)?.clone());
-            }
-            ServiceRequest::Sweep(s) => s,
+            Some(ServiceRequest::Run(_)) => return lookup(&self.cells[0].digest).cloned(),
+            Some(ServiceRequest::Sweep(s)) => s,
+            None => return Err("a figure's grid folds locally; it has no merged document".into()),
         };
-        // Denominators first: one Base IPC per benchmark.
-        let mut base_ipc: HashMap<Benchmark, f64> = HashMap::new();
-        for cell in &self.cells {
-            if let CellRole::Baseline { bench } = cell.role {
-                base_ipc.insert(bench, ipc_of(lookup(&cell.digest)?, &cell.digest)?);
-            }
-        }
-        // Grid cells in declarative order -> one row per (axis, value).
+        let base_ipc = self
+            .baselines()
+            .into_iter()
+            .map(|(b, cell)| Ok((b, ipcs(cell)?[0])))
+            .collect::<Result<HashMap<_, _>, String>>()?;
+        let effs = self
+            .grid_cells()
+            .into_iter()
+            .map(|cell| {
+                let base: Vec<f64> = cell
+                    .run_request()
+                    .benches
+                    .iter()
+                    .map(|b| base_ipc[b])
+                    .collect();
+                Ok(fold(&ipcs(cell)?, &base))
+            })
+            .collect::<Result<Vec<f64>, String>>()?;
+        Ok(self.sweep_document(s, &effs))
+    }
+
+    /// A sweep's result document from its grid cells' efficiencies, in
+    /// plan order. Each `(axis, value)` column becomes one row of
+    /// `"sweep"` —
+    /// `{"path", "value", "effs": {bench: eff}, "mean_eff", "config"}`
+    /// with the resolved spec the column ran — and one
+    /// `"path=value": mean_eff` entry of `"summary"`.
+    pub(super) fn sweep_document(&self, s: &SweepRequest, effs: &[f64]) -> Json {
         let nb = s.cfg.benches.len();
-        let mut effs: Vec<f64> = Vec::with_capacity(nb);
-        let mut rows: Vec<SweepRow> = Vec::new();
+        let columns = s
+            .cfg
+            .axes
+            .iter()
+            .flat_map(|ax| ax.values.iter().map(move |v| (ax, v)));
         let mut summary = BTreeMap::new();
-        for cell in &self.cells {
-            let CellRole::Grid { axis, value, bench } = cell.role else {
-                continue;
-            };
-            let denom = base_ipc[&bench];
-            effs.push(ipc_of(lookup(&cell.digest)?, &cell.digest)? / denom);
-            if effs.len() == nb {
-                let ax = &s.cfg.axes[axis];
-                let val = &ax.values[value];
-                let m = mean(&effs);
-                summary.insert(format!("{}={}", ax.path, val.encode()), m);
-                let mut spec = s.cfg.base.clone();
-                spec.set(&ax.path, val.clone())
-                    .expect("sweep axes are validated at parse time");
-                rows.push(SweepRow {
-                    path: ax.path.clone(),
-                    value: val.clone(),
-                    effs: s.cfg.benches.iter().copied().zip(effs.drain(..)).collect(),
-                    mean_eff: m,
-                    spec,
-                });
+        let mut rows = Vec::new();
+        let chunks = self
+            .grid_cells()
+            .into_iter()
+            .step_by(nb)
+            .zip(effs.chunks(nb));
+        for ((ax, value), (cell, col)) in columns.zip(chunks) {
+            let m = mean(col);
+            summary.insert(format!("{}={}", ax.path, value.encode()), m);
+            let mut per_bench = Json::obj();
+            for (b, &e) in s.cfg.benches.iter().zip(col) {
+                per_bench.set(b.name(), Json::F64(e));
             }
+            rows.push(
+                Json::obj()
+                    .with("path", Json::Str(ax.path.clone()))
+                    .with("value", value.clone())
+                    .with("effs", per_bench)
+                    .with("mean_eff", Json::F64(m))
+                    .with("config", cell.run_request().spec.to_json()),
+            );
         }
         let mut summary_json = Json::obj();
-        for (k, v) in &summary {
-            summary_json.set(k, Json::F64(*v));
+        for (k, v) in summary {
+            summary_json.set(&k, Json::F64(v));
         }
-        Ok(Json::obj()
+        Json::obj()
             .with("type", Json::Str("sweep".into()))
             .with("name", Json::Str(s.cfg.name.clone()))
             .with("summary", summary_json)
-            .with(
-                "sweep",
-                Json::Arr(rows.iter().map(SweepRow::to_json).collect()),
-            )
-            .with("config", s.cfg.base.to_json()))
+            .with("sweep", Json::Arr(rows))
+            .with("config", s.cfg.base.to_json())
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Base denominators the memo has simulated on this thread.
+    pub(crate) static BASELINE_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Base IPCs by denominator digest. The first caller of a digest
+/// simulates it — or seeds it from a grid cell that ran the very same
+/// request — and later callers block on its cell rather than recompute,
+/// so every caller observes the same bits.
+#[derive(Default)]
+struct Memo(Mutex<HashMap<String, Arc<Slot>>>);
+
+type Slot = OnceLock<Result<f64, String>>;
+
+impl Memo {
+    fn ipc(&self, cell: &ClusterCell, seed: Option<f64>) -> Result<f64, String> {
+        // The map lock is released before simulating, so misses on
+        // distinct digests run in parallel.
+        let slot = {
+            let mut map = self.0.lock().expect("baseline memo poisoned");
+            Arc::clone(map.entry(cell.digest.clone()).or_default())
+        };
+        let compute = || match seed {
+            Some(ipc) => Ok(ipc),
+            None => {
+                #[cfg(test)]
+                BASELINE_RUNS.with(|n| n.set(n.get() + 1));
+                cell.run().map(|r| r.ipc(0))
+            }
+        };
+        slot.get_or_init(compute).clone()
+    }
+}
+
+/// A grid's local results.
+#[derive(Debug)]
+pub struct GridRun {
+    /// Per grid cell, in plan order: its SMT efficiency and its run's
+    /// metric snapshot and time series.
+    pub cells: Vec<(f64, MetricsSnapshot, TimeSeries)>,
+    /// The Base IPC each benchmark's cells were divided by.
+    pub base_ipc: HashMap<Benchmark, f64>,
+}
+
+/// Runs `plan`'s distinct grid cells on `runner`, one job per cell in
+/// plan order, crediting each cell's cycles to the runner and folding it
+/// into its SMT efficiency. Every Base denominator is simulated once,
+/// inside the first job that needs it — never as a job of its own.
+/// Bitwise identical at any worker count.
+///
+/// # Errors
+///
+/// A message naming the digest of the first failing cell in plan order.
+pub fn run_grid(plan: &ClusterPlan, runner: &Runner) -> Result<GridRun, String> {
+    let (baselines, grid) = (plan.baselines(), plan.grid_cells());
+    let mut units: Vec<&ClusterCell> = Vec::new();
+    for &cell in &grid {
+        if units.iter().all(|u| u.digest != cell.digest) {
+            units.push(cell);
+        }
+    }
+    let memo = Memo::default();
+    let outs = runner.run(units.len(), |i| {
+        let cell = units[i];
+        let r = cell.run()?;
+        runner.add_sim_cycles(r.cycles);
+        if let Some(b) = baselines.values().find(|b| b.digest == cell.digest) {
+            memo.ipc(b, Some(r.ipc(0)))?;
+        }
+        let benches = &cell.run_request().benches;
+        let base: Vec<f64> = benches
+            .iter()
+            .map(|b| memo.ipc(baselines[b], None))
+            .collect::<Result<_, _>>()?;
+        let ipcs: Vec<f64> = r.per_thread.iter().map(|t| t.ipc()).collect();
+        let eff = fold(&ipcs, &base);
+        Ok((cell.digest.as_str(), (eff, r.metrics, r.timeseries)))
+    });
+    let mut results = outs
+        .into_iter()
+        .collect::<Result<HashMap<_, _>, String>>()?;
+    // A duplicated cell gets a copy; its last occurrence takes the result.
+    let cells = grid
+        .iter()
+        .enumerate()
+        .map(
+            |(i, c)| match grid[i + 1..].iter().any(|g| g.digest == c.digest) {
+                true => results[c.digest.as_str()].clone(),
+                false => results.remove(c.digest.as_str()).expect("every unit ran"),
+            },
+        )
+        .collect();
+    let base_ipc = baselines
+        .into_iter()
+        .map(|(b, cell)| Ok((b, memo.ipc(cell, None)?)))
+        .collect::<Result<_, String>>()?;
+    Ok(GridRun { cells, base_ipc })
 }
 
 #[cfg(test)]
@@ -289,7 +502,7 @@ mod tests {
     #[test]
     fn expands_a_sweep_into_baselines_plus_grid_cells() {
         let plan = ClusterPlan::expand(&sweep_request());
-        // 2 baselines + 2 values x 2 benches.
+        // 2 baselines + 2 values x 2 benches, value-major.
         assert_eq!(plan.cells.len(), 6);
         assert_eq!(
             plan.cells
@@ -298,6 +511,7 @@ mod tests {
                 .count(),
             2
         );
+        assert_eq!(plan.cells[3].role, CellRole::Grid { row: 1, col: 0 });
         // Every cell re-digests from its own canonical request, and the
         // digests are pairwise distinct here (distinct machines/benches).
         for cell in &plan.cells {
@@ -308,14 +522,10 @@ mod tests {
         assert_eq!(plan.distinct_digests().len(), 6);
         // Baseline cells run the Base machine with the run-default cycle
         // budget; grid cells carry the sweep's own budget.
-        let ServiceRequest::Run(b) = &plan.cells[0].request else {
-            panic!("baseline cell must be a run");
-        };
+        let b = plan.cells[0].run_request();
         assert_eq!(b.spec.kind(), DeviceKind::Base);
         assert_eq!(b.max_cycle_factor, RUN_MAX_CYCLE_FACTOR);
-        let ServiceRequest::Run(g) = &plan.cells[2].request else {
-            panic!("grid cell must be a run");
-        };
+        let g = plan.cells[2].run_request();
         assert_eq!(g.spec.kind(), DeviceKind::Srt);
         assert_eq!(g.max_cycle_factor, super::super::SWEEP_MAX_CYCLE_FACTOR);
     }
@@ -345,5 +555,34 @@ mod tests {
         let err = plan.merge(&HashMap::new()).unwrap_err();
         assert!(err.contains("missing the result"), "{err}");
         assert!(err.contains(&plan.cells[0].digest), "{err}");
+    }
+
+    #[test]
+    fn the_memo_simulates_a_digest_once_and_never_a_seeded_one() {
+        let runs = || BASELINE_RUNS.with(|n| n.get());
+        let cell = ClusterPlan::expand(&sweep_request()).cells.swap_remove(0);
+        let (memo, before) = (Memo::default(), runs());
+        let a = memo.ipc(&cell, None).unwrap();
+        assert_eq!(memo.ipc(&cell, None).unwrap().to_bits(), a.to_bits());
+        assert_eq!(runs() - before, 1);
+        assert!(a > 0.0);
+        let seeded = Memo::default();
+        assert_eq!(seeded.ipc(&cell, Some(1.5)), Ok(1.5));
+        assert_eq!(seeded.ipc(&cell, None), Ok(1.5));
+        assert_eq!(runs() - before, 1);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_digest_simulate_it_once() {
+        let cell = ClusterPlan::expand(&sweep_request()).cells.swap_remove(0);
+        let memo = Memo::default();
+        // Each job reports the simulations its own thread performed.
+        let out = Runner::new(4).run(8, |_| {
+            let before = BASELINE_RUNS.with(|n| n.get());
+            let ipc = memo.ipc(&cell, None).unwrap();
+            (ipc.to_bits(), BASELINE_RUNS.with(|n| n.get()) - before)
+        });
+        assert_eq!(out.iter().map(|o| o.1).sum::<usize>(), 1);
+        assert!(out.windows(2).all(|w| w[0].0 == w[1].0));
     }
 }

@@ -7,7 +7,7 @@
 //! and store-queue curves behind §4.2/§4.4), and every result row records
 //! the fully resolved [`MachineSpec`] it ran, so a result document is
 //! self-describing. [`ClusterPlan`](super::ClusterPlan) expands a sweep
-//! into its cells and merges their results into [`SweepRow`]s.
+//! into its cells and folds their results into that document.
 
 use super::{parse_benches, parse_spec};
 use rmt_core::spec::MachineSpec;
@@ -104,44 +104,6 @@ impl SweepConfig {
             benches,
             axes,
         })
-    }
-}
-
-/// One sweep cell's outcome: which knob was set to what, the per-benchmark
-/// efficiencies, and the fully resolved spec the cell ran.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepRow {
-    /// The axis key path.
-    pub path: String,
-    /// The value this row assigned to it.
-    pub value: Json,
-    /// `(benchmark, SMT efficiency)` per benchmark.
-    pub effs: Vec<(Benchmark, f64)>,
-    /// Mean efficiency across the benchmarks.
-    pub mean_eff: f64,
-    /// The resolved machine spec of this row's runs.
-    pub spec: MachineSpec,
-}
-
-impl SweepRow {
-    /// The row's JSON form — the element schema of the `"sweep"` array in
-    /// sweep result documents:
-    ///
-    /// ```json
-    /// {"path": "core.sq_entries", "value": 16,
-    ///  "effs": {"gcc": 0.91}, "mean_eff": 0.91, "config": {...}}
-    /// ```
-    pub fn to_json(&self) -> Json {
-        let mut effs = Json::obj();
-        for (b, e) in &self.effs {
-            effs.set(b.name(), Json::F64(*e));
-        }
-        Json::obj()
-            .with("path", Json::Str(self.path.clone()))
-            .with("value", self.value.clone())
-            .with("effs", effs)
-            .with("mean_eff", Json::F64(self.mean_eff))
-            .with("config", self.spec.to_json())
     }
 }
 

@@ -16,7 +16,7 @@ use rmt_workloads::{Benchmark, Workload};
 fn fig6_is_identical_at_any_job_count() {
     let benches = [Benchmark::M88ksim, Benchmark::Ijpeg];
     let scale = SimScale::quick();
-    let seq = figures::fig6_srt_single(&FigureCtx::sequential(), scale, &benches);
+    let seq = figures::fig6_srt_single(&FigureCtx::new(1), scale, &benches);
     let par = figures::fig6_srt_single(&FigureCtx::new(8), scale, &benches);
     // Tables compare cell-by-cell (formatted strings), so even a
     // last-digit wobble in any efficiency fails here.
@@ -58,7 +58,7 @@ fn sampled_fig6_is_identical_at_any_job_count() {
         warm_window: 1_024,
         ..SamplePlan::default()
     };
-    let seq = figures::fig6_srt_single_sampled(&FigureCtx::sequential(), scale, &plan, &benches);
+    let seq = figures::fig6_srt_single_sampled(&FigureCtx::new(1), scale, &plan, &benches);
     let par = figures::fig6_srt_single_sampled(&FigureCtx::new(8), scale, &plan, &benches);
     assert_eq!(
         seq.table, par.table,
@@ -99,7 +99,7 @@ fn epoch_timeseries_is_identical_at_any_job_count() {
     // — every counter of every epoch of every cell.
     let benches = [Benchmark::M88ksim, Benchmark::Ijpeg];
     let scale = SimScale::quick();
-    let seq = figures::fig6_srt_single(&FigureCtx::sequential().with_epoch(1_024), scale, &benches);
+    let seq = figures::fig6_srt_single(&FigureCtx::new(1).with_epoch(1_024), scale, &benches);
     let par = figures::fig6_srt_single(&FigureCtx::new(8).with_epoch(1_024), scale, &benches);
     assert!(
         !seq.timeseries.is_empty(),

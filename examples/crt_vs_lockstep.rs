@@ -7,39 +7,36 @@
 //! cargo run --release --example crt_vs_lockstep
 //! ```
 
-use rmt::sim::{BaselineCache, DeviceKind, Experiment};
-use rmt::stats::metrics::smt_efficiency;
+use rmt::core::MachineSpec;
+use rmt::sim::service::{run_grid, ClusterPlan, GridColumn, RUN_MAX_CYCLE_FACTOR};
+use rmt::sim::{DeviceKind, Runner, SimScale};
 use rmt::workloads::Benchmark;
-
-fn efficiency(kind: DeviceKind, mix: &[Benchmark], baselines: &mut BaselineCache) -> f64 {
-    let r = Experiment::new(kind)
-        .benchmarks(mix)
-        .warmup(5_000)
-        .measure(25_000)
-        .run()
-        .expect("run");
-    let pairs: Vec<(f64, f64)> = mix
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| (r.ipc(i), baselines.ipc(b, 1, 5_000, 25_000)))
-        .collect();
-    smt_efficiency(&pairs)
-}
 
 fn main() {
     let mix = [Benchmark::Fpppp, Benchmark::Swim];
-    let mut baselines = BaselineCache::new();
+    // One grid row (the mix) on two machines; each program's Base
+    // denominator is simulated once and shared by both cells.
+    let cols = [DeviceKind::Lock8, DeviceKind::Crt].map(|kind| GridColumn {
+        spec: MachineSpec::for_kind(kind),
+        max_cycle_factor: RUN_MAX_CYCLE_FACTOR,
+    });
+    let scale = SimScale {
+        warmup: 5_000,
+        measure: 25_000,
+        seed: 1,
+    };
+    let plan = ClusterPlan::grid(&[mix.to_vec()], &cols, &[], scale, 0);
+    let run = run_grid(&plan, &Runner::new(2)).expect("grid runs");
+    let (lock8, crt) = (run.cells[0].0, run.cells[1].0);
     println!(
         "two programs ({} + {}), each run redundantly on a two-core chip:\n",
         mix[0], mix[1]
     );
 
-    let lock8 = efficiency(DeviceKind::Lock8, &mix, &mut baselines);
     println!("lockstepped cores (8-cycle checker): SMT-efficiency {lock8:.3}");
     println!("  both cores execute both programs in lockstep; every cache miss");
     println!("  crosses the checker; misspeculation is duplicated.\n");
 
-    let crt = efficiency(DeviceKind::Crt, &mix, &mut baselines);
     println!("CRT (cross-coupled redundant threads): SMT-efficiency {crt:.3}");
     println!(
         "  core 0 runs lead({}) + trail({}), core 1 the reverse;",

@@ -198,6 +198,21 @@ if ! diff -u results/fault_coverage.txt "$tmpdir/fault_coverage.txt"; then
     exit 1
 fi
 
+section "golden: grid tables must regenerate bitwise (sans timing)"
+# Four efficiency tables, one per shape the grid path takes: rows of two
+# threads (fig8_srt_multi), a two-variant grid (abl_slack), a swept axis
+# with its own cycle factor (abl_sq_size), and a Base cell read on its
+# own (workload_chars). Together about a minute on two workers.
+for b in fig8_srt_multi abl_slack abl_sq_size workload_chars; do
+    cargo run --release -p rmt-bench --bin "$b" -- --standard --jobs 2 \
+        | grep -v '^  \[' > "$tmpdir/$b.txt"
+    if ! diff -u "results/$b.txt" "$tmpdir/$b.txt"; then
+        echo "error: results/$b.txt is stale; regenerate with the EXPERIMENTS.md recipe:" >&2
+        echo "  ./target/release/$b --standard | grep -v '^  \[' > results/$b.txt" >&2
+        exit 1
+    fi
+done
+
 section "smoke: HTML report renders the committed artifacts"
 cargo run --release -p rmt-bench --bin report -- --out "$tmpdir/report.html" \
     results/fig6_srt_single.json results/fig6_epoch.json \

@@ -8,10 +8,15 @@
 //! budget, with row means taken by [`mean`]. The served document must
 //! match to the bit at any `jobs` level. The axis lists one value twice,
 //! so two plan cells share a digest and are computed once.
+//!
+//! A sweep whose base edits the machine divides by the Base machine with
+//! the same edits — the rule figure tables follow for `--set` overrides —
+//! so its cell equals the matching figure cell bit for bit.
 
 use rmt_core::{DeviceKind, MachineSpec};
+use rmt_sim::figures::{fig6_srt_single, FigureCtx};
 use rmt_sim::service::{ServiceRequest, SWEEP_MAX_CYCLE_FACTOR};
-use rmt_sim::Experiment;
+use rmt_sim::{Experiment, SimScale};
 use rmt_stats::json::parse;
 use rmt_stats::metrics::mean;
 use rmt_stats::Json;
@@ -102,4 +107,53 @@ fn sweep_efficiencies_match_direct_experiment_runs_bitwise() {
         let keys = summary.members().unwrap().len();
         assert_eq!(keys, 2, "the duplicated value shares one summary key");
     }
+}
+
+#[test]
+fn an_edited_sweep_base_divides_by_the_same_edited_base_machine() {
+    let sq16 = |kind| {
+        let mut spec = MachineSpec::for_kind(kind);
+        spec.set("core.sq_entries", Json::U64(16)).unwrap();
+        spec
+    };
+    let doc = parse(&format!(
+        r#"{{"type": "sweep", "scale": {{"warmup": 500, "measure": 2000, "seed": 1}},
+            "sweep": {{"name": "edited", "base": {}, "benches": ["m88ksim"],
+                      "axes": [{{"path": "env.lvq_entries", "values": [64]}}]}}}}"#,
+        sq16(DeviceKind::Srt).to_json().encode()
+    ))
+    .unwrap();
+    let req = ServiceRequest::from_json(&doc).unwrap();
+    let served = req.execute(1, None).unwrap();
+    let row = &served.get("sweep").and_then(Json::as_array).unwrap()[0];
+    let eff = f64_at(row.get("effs").unwrap(), "m88ksim");
+
+    // Direct runs: the swept machine over the Base machine with the same
+    // store-queue edit.
+    let run = |kind| {
+        let e = Experiment::from_spec(sq16(kind)).benchmark(Benchmark::M88ksim);
+        e.seed(1).warmup(500).measure(2_000).run().unwrap().ipc(0)
+    };
+    let direct = run(DeviceKind::Srt) / run(DeviceKind::Base);
+    assert_eq!(
+        eff.to_bits(),
+        direct.to_bits(),
+        "sweep {eff} vs direct {direct}"
+    );
+
+    // Figure 6's SRT cell under `--set core.sq_entries=16`.
+    let scale = SimScale {
+        warmup: 500,
+        measure: 2_000,
+        seed: 1,
+    };
+    let ctx = FigureCtx::new(1).with_overrides(vec![("core.sq_entries".into(), Json::U64(16))]);
+    let fig = fig6_srt_single(&ctx, scale, &[Benchmark::M88ksim]);
+    let cell = fig.value("SRT_mean_efficiency");
+    assert_eq!(
+        eff.to_bits(),
+        cell.to_bits(),
+        "sweep {eff} vs figure {cell}"
+    );
+    assert_eq!(format!("{eff:.4}"), "0.7750");
 }
