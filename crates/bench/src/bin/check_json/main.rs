@@ -44,6 +44,7 @@ mod cluster;
 mod service;
 
 use cluster::check_cluster_envelope;
+use rmt_stats::cli::{self, Args};
 use rmt_stats::json::parse;
 use rmt_stats::Json;
 use service::{check_envelope, check_service_result};
@@ -319,85 +320,139 @@ fn compare_serve_cell(
     Ok(drifts)
 }
 
+const USAGE: &str = "usage: check_json FILE [FILE...] | --compare GOLDEN CANDIDATE \
+                     | --serve-cell FIGURE CELL SERVED";
+
+#[derive(Debug, PartialEq)]
+enum Mode {
+    Check(Vec<String>),
+    Compare([String; 2]),
+    ServeCell([String; 3]),
+}
+
+fn parse_args(mut argv: Args) -> Result<Mode, String> {
+    let first = argv.next().ok_or("no FILE to check")?;
+    let mut value = || argv.value(&first);
+    let mode = match first.as_str() {
+        "--compare" => Mode::Compare([value()?, value()?]),
+        "--serve-cell" => Mode::ServeCell([value()?, value()?, value()?]),
+        _ => {
+            let mut files = vec![first];
+            files.extend(std::iter::from_fn(|| argv.next()));
+            match files.iter().find(|f| f.starts_with('-')) {
+                Some(flag) => return Err(cli::unexpected(flag)),
+                None => Mode::Check(files),
+            }
+        }
+    };
+    argv.end()?;
+    Ok(mode)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(rest) = args.strip_prefix(&["--compare".to_string()]) {
-        let [golden, candidate] = rest else {
-            eprintln!("usage: check_json --compare GOLDEN CANDIDATE");
-            std::process::exit(2);
-        };
-        for f in [golden, candidate] {
-            if let Err(e) = check_file(f) {
-                eprintln!("error: {f}: {e}");
-                std::process::exit(1);
-            }
-        }
-        match compare_files(golden, candidate) {
-            Ok(drifts) if drifts.is_empty() => println!("{candidate}: matches {golden}"),
-            Ok(drifts) => {
-                for d in &drifts {
-                    eprintln!("error: golden drift: {d}");
+    match cli::run(USAGE, parse_args) {
+        Mode::Compare([golden, candidate]) => {
+            for f in [&golden, &candidate] {
+                if let Err(e) = check_file(f) {
+                    eprintln!("error: {f}: {e}");
+                    std::process::exit(1);
                 }
-                eprintln!(
-                    "error: {} key(s) drifted from the committed golden {golden}",
-                    drifts.len()
-                );
-                std::process::exit(1);
             }
-            Err(e) => {
-                eprintln!("error: golden drift: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    if let Some(rest) = args.strip_prefix(&["--serve-cell".to_string()]) {
-        let [figure, cell, served] = rest else {
-            eprintln!("usage: check_json --serve-cell FIGURE CELL SERVED");
-            std::process::exit(2);
-        };
-        for f in [figure, served] {
-            if let Err(e) = check_file(f) {
-                eprintln!("error: {f}: {e}");
-                std::process::exit(1);
-            }
-        }
-        match compare_serve_cell(figure, cell, served) {
-            Ok(drifts) if drifts.is_empty() => {
-                println!("{served}: metrics match {figure} cell `{cell}`");
-            }
-            Ok(drifts) => {
-                for d in &drifts {
-                    eprintln!("error: serve drift: {d}");
+            match compare_files(&golden, &candidate) {
+                Ok(drifts) if drifts.is_empty() => println!("{candidate}: matches {golden}"),
+                Ok(drifts) => {
+                    for d in &drifts {
+                        eprintln!("error: golden drift: {d}");
+                    }
+                    eprintln!(
+                        "error: {} key(s) drifted from the committed golden {golden}",
+                        drifts.len()
+                    );
+                    std::process::exit(1);
                 }
-                eprintln!(
-                    "error: {} key(s) drifted between the served result and \
-                     {figure} cell `{cell}`",
-                    drifts.len()
-                );
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("error: serve drift: {e}");
-                std::process::exit(1);
+                Err(e) => {
+                    eprintln!("error: golden drift: {e}");
+                    std::process::exit(1);
+                }
             }
         }
-        return;
+        Mode::ServeCell([figure, cell, served]) => {
+            for f in [&figure, &served] {
+                if let Err(e) = check_file(f) {
+                    eprintln!("error: {f}: {e}");
+                    std::process::exit(1);
+                }
+            }
+            match compare_serve_cell(&figure, &cell, &served) {
+                Ok(drifts) if drifts.is_empty() => {
+                    println!("{served}: metrics match {figure} cell `{cell}`");
+                }
+                Ok(drifts) => {
+                    for d in &drifts {
+                        eprintln!("error: serve drift: {d}");
+                    }
+                    eprintln!(
+                        "error: {} key(s) drifted between the served result and \
+                         {figure} cell `{cell}`",
+                        drifts.len()
+                    );
+                    std::process::exit(1);
+                }
+                Err(e) => {
+                    eprintln!("error: serve drift: {e}");
+                    std::process::exit(1);
+                }
+            }
+        }
+        Mode::Check(files) => {
+            for f in &files {
+                match check_file(f) {
+                    Ok(()) => println!("{f}: ok"),
+                    Err(e) => {
+                        eprintln!("error: {f}: {e}");
+                        std::process::exit(1);
+                    }
+                }
+            }
+        }
     }
-    if args.is_empty() {
-        eprintln!(
-            "usage: check_json FILE [FILE...] | --compare GOLDEN CANDIDATE \
-             | --serve-cell FIGURE CELL SERVED"
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Mode, String> {
+        parse_args(Args::new(args.iter().copied()))
+    }
+
+    #[test]
+    fn parses_each_mode_and_refuses_bad_command_lines() {
+        assert_eq!(
+            parse(&["a", "b"]),
+            Ok(Mode::Check(vec!["a".into(), "b".into()]))
         );
-        std::process::exit(2);
-    }
-    for f in &args {
-        match check_file(f) {
-            Ok(()) => println!("{f}: ok"),
-            Err(e) => {
-                eprintln!("error: {f}: {e}");
-                std::process::exit(1);
-            }
-        }
+        assert_eq!(
+            parse(&["--compare", "g", "c"]),
+            Ok(Mode::Compare(["g".into(), "c".into()]))
+        );
+        assert!(matches!(
+            parse(&["--serve-cell", "f", "m/SRT", "s"]),
+            Ok(Mode::ServeCell(_))
+        ));
+        assert_eq!(
+            parse(&["--bogus"]),
+            Err("unexpected argument `--bogus`".into())
+        );
+        assert_eq!(
+            parse(&["--compare", "g"]),
+            Err("`--compare` needs a value".into())
+        );
+        assert_eq!(
+            parse(&["--compare", "g", "c", "x"]),
+            Err("unexpected argument `x`".into())
+        );
+        assert!(parse(&["a", "--compare", "g", "c"]).is_err());
+        assert!(parse(&[]).is_err());
     }
 }

@@ -1,5 +1,6 @@
 //! Per-injection fault forensics: one causal record per injection across
-//! SRT / CRT / lockstep / base, reconstructed from the flight recorder.
+//! SRT / CRT / lockstep / base, reconstructed from the flight recorder,
+//! on one benchmark (`--benches NAME`, default swim).
 //!
 //! Prints the forensic summary table; with `--json`, writes the standard
 //! figure document plus a `forensics` array of full
@@ -7,44 +8,22 @@
 //! committed `results/fault_forensics.json` golden, which
 //! `scripts/ci.sh` regenerates and compares bitwise (sans `host`).
 
-use rmt_bench::{figure_json, print_figure, write_json, FigureArgs, HostStats};
-use rmt_stats::Json;
-use std::time::Instant;
-
-const TITLE: &str = "Fault forensics: per-injection causal records";
-const PAPER: &str = "Sections 4.5 / 7.1.1 (extension: detection-latency timelines)";
+use rmt_bench::{run_and_print, BenchInput, FigureArgs, FIGURE_FLAGS};
+use rmt_stats::{cli, Json};
 
 fn main() {
-    let args = FigureArgs::parse();
-    let bench = args
-        .benches
-        .first()
-        .copied()
-        .unwrap_or(rmt_workloads::Benchmark::Swim);
-    let ctx = args.ctx();
-    let start = Instant::now();
-    let (r, records) = rmt_sim::figures::fault_forensics(&ctx, args.scale, bench);
-    let elapsed = start.elapsed();
-    print_figure(TITLE, PAPER, &r);
-    println!();
-    println!(
-        "  [{} simulation jobs on {} worker(s) in {:.2}s]",
-        ctx.runner.jobs_executed(),
-        ctx.runner.jobs(),
-        elapsed.as_secs_f64()
+    let usage = format!("usage: fault_forensics {FIGURE_FLAGS}");
+    let args = cli::run(&usage, |argv| {
+        FigureArgs::parse(argv, BenchInput::One, false)
+    });
+    run_and_print(
+        "Fault forensics: per-injection causal records",
+        "Sections 4.5 / 7.1.1 (extension: detection-latency timelines)",
+        &args,
+        |ctx| {
+            let (r, records) = rmt_sim::figures::fault_forensics(ctx, args.scale, args.benches[0]);
+            let records = records.iter().map(|f| f.to_json()).collect();
+            (r, vec![("forensics", Json::Arr(records))])
+        },
     );
-    if let Some(path) = &args.json {
-        let host = HostStats {
-            wall_seconds: elapsed.as_secs_f64(),
-            sim_cycles: ctx.runner.sim_cycles(),
-            jobs: ctx.runner.jobs(),
-            jobs_executed: ctx.runner.jobs_executed(),
-        };
-        let doc = figure_json(TITLE, PAPER, &args, &r, &host).with(
-            "forensics",
-            Json::Arr(records.iter().map(|f| f.to_json()).collect()),
-        );
-        write_json(path, &doc);
-        println!("  [json written to {path}]");
-    }
 }

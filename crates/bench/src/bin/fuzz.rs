@@ -18,6 +18,7 @@
 //! coverage resumes identically next run.
 
 use rmt_pipeline::CoreConfig;
+use rmt_stats::cli::{self, Args};
 use rmt_verify::{harness, shrink, Arrangement, FuzzConfig};
 use std::time::Instant;
 
@@ -26,37 +27,42 @@ fn parse_seed_range(text: &str) -> Option<(u64, u64)> {
     Some((lo.parse().ok()?, hi.parse().ok()?))
 }
 
-fn main() {
-    let mut seeds = (0u64, 32u64);
-    let mut arrangements: Vec<Arrangement> = vec![Arrangement::Srt];
-    let mut commits = 2_000u64;
-    let mut budget_secs: Option<u64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage(&a));
+/// `(--seeds, --arrangement, --commits, --budget-secs)`.
+type Opts = ((u64, u64), Vec<Arrangement>, u64, Option<u64>);
+
+fn parse_args(mut argv: Args) -> Result<Opts, String> {
+    let (mut seeds, mut arrangements, mut commits, mut budget_secs) =
+        ((0, 32), vec![Arrangement::Srt], 2_000, None);
+    while let Some(a) = argv.next() {
         match a.as_str() {
             "--seeds" => {
-                seeds = parse_seed_range(&value()).unwrap_or_else(|| usage("--seeds"));
+                let v = argv.value(&a)?;
+                seeds = parse_seed_range(&v).ok_or_else(|| format!("bad value `{v}` for `{a}`"))?;
             }
             "--arrangement" => {
-                let v = value();
+                let v = argv.value(&a)?;
                 arrangements = if v == "all" {
                     Arrangement::ALL.to_vec()
                 } else {
-                    vec![*Arrangement::ALL
-                        .iter()
-                        .find(|x| x.name() == v)
-                        .unwrap_or_else(|| usage("--arrangement"))]
+                    let x = Arrangement::ALL.iter().find(|x| x.name() == v);
+                    vec![*x.ok_or_else(|| format!("unknown arrangement `{v}`"))?]
                 };
             }
-            "--commits" => commits = value().parse().unwrap_or_else(|_| usage("--commits")),
-            "--budget-secs" => {
-                budget_secs = Some(value().parse().unwrap_or_else(|_| usage("--budget-secs")));
-            }
-            other => usage(other),
+            "--commits" => commits = argv.parse(&a)?,
+            "--budget-secs" => budget_secs = Some(argv.parse(&a)?),
+            _ => return Err(cli::unexpected(&a)),
         }
     }
+    Ok((seeds, arrangements, commits, budget_secs))
+}
 
+fn main() {
+    let usage = format!(
+        "usage: fuzz [--seeds LO..HI] [--arrangement NAME|all] [--commits N] [--budget-secs S]\n\
+         arrangements: all, {}",
+        Arrangement::ALL.map(|a| a.name()).join(", ")
+    );
+    let (seeds, arrangements, commits, budget_secs) = cli::run(&usage, parse_args);
     let cfg = FuzzConfig::default();
     let start = Instant::now();
     let mut ran = 0u64;
@@ -96,12 +102,34 @@ fn main() {
     }
 }
 
-fn usage(arg: &str) -> ! {
-    eprintln!(
-        "bad or incomplete argument `{arg}`\n\
-         usage: fuzz [--seeds LO..HI] [--arrangement NAME|all] [--commits N] [--budget-secs S]\n\
-         arrangements: all, {}",
-        Arrangement::ALL.map(|a| a.name()).join(", ")
-    );
-    std::process::exit(2)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Opts, String> {
+        parse_args(Args::new(args.iter().copied()))
+    }
+
+    #[test]
+    fn parses_flags_and_refuses_bad_values() {
+        let (seeds, arrangements, _, budget) = parse(&[
+            "--seeds",
+            "3..9",
+            "--arrangement",
+            "all",
+            "--budget-secs",
+            "5",
+        ])
+        .unwrap();
+        assert_eq!(seeds, (3, 9));
+        assert_eq!(arrangements, Arrangement::ALL.to_vec());
+        assert_eq!(budget, Some(5));
+        assert_eq!(
+            parse(&["--seeds", "3"]).err().unwrap(),
+            "bad value `3` for `--seeds`"
+        );
+        assert!(parse(&["--arrangement", "nope"]).is_err());
+        assert!(parse(&["--commits"]).is_err());
+        assert!(parse(&["--bogus"]).is_err());
+    }
 }

@@ -19,23 +19,23 @@ use rmt_sim::guard::{
     golden_to_json, golden_to_json_at, guard_points, run_point, run_standard_point,
     standard_points, STANDARD_MEASURE, STANDARD_WARMUP,
 };
+use rmt_stats::cli::{self, Args};
 
-fn main() {
-    let mut out: Option<String> = None;
-    let mut standard = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+/// `(--standard, --out PATH)`.
+fn parse_args(mut argv: Args) -> Result<(bool, Option<String>), String> {
+    let (mut standard, mut out) = (false, None);
+    while let Some(a) = argv.next() {
         match a.as_str() {
-            "--out" => out = Some(args.next().expect("--out needs a path")),
+            "--out" => out = Some(argv.value(&a)?),
             "--standard" => standard = true,
-            other => {
-                eprintln!(
-                    "unknown argument `{other}`; usage: guard_golden [--standard] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
+            _ => return Err(cli::unexpected(&a)),
         }
     }
+    Ok((standard, out))
+}
+
+fn main() {
+    let (standard, out) = cli::run("usage: guard_golden [--standard] [--out PATH]", parse_args);
     let (doc, out) = if standard {
         let records: Vec<_> = standard_points()
             .iter()
@@ -71,4 +71,21 @@ fn main() {
     };
     std::fs::write(&out, doc.encode_pretty()).expect("write golden");
     println!("wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parses_flags_and_refuses_a_missing_path() {
+        let parse = |args: &[&str]| parse_args(Args::new(args.iter().copied()));
+        assert_eq!(parse(&["--standard"]), Ok((true, None)));
+        assert_eq!(
+            parse(&["--out", "g.json"]),
+            Ok((false, Some("g.json".into())))
+        );
+        assert_eq!(parse(&["--out"]), Err("`--out` needs a value".into()));
+        assert!(parse(&["extra"]).is_err());
+    }
 }

@@ -22,6 +22,7 @@
 //! per-worker table (cells won, cache hits, retries, steals, evictions)
 //! plus duplicate/peak-inflight totals — followed by its merged result.
 
+use rmt_stats::cli::{self, Args};
 use rmt_stats::json::parse;
 use rmt_stats::Json;
 
@@ -527,25 +528,22 @@ fn default_inputs() -> Vec<String> {
     files
 }
 
-fn main() {
+/// `(--out PATH, FILE...)`.
+fn parse_args(mut argv: Args) -> Result<(String, Vec<String>), String> {
     let mut out = "results/report.html".to_string();
     let mut files = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
+    while let Some(a) = argv.next() {
         match a.as_str() {
-            "--out" => {
-                out = it.next().unwrap_or_else(|| {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                })
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: report [--out PATH] [FILE...]");
-                std::process::exit(0);
-            }
+            "--out" => out = argv.value(&a)?,
+            _ if a.starts_with('-') => return Err(cli::unexpected(&a)),
             _ => files.push(a),
         }
     }
+    Ok((out, files))
+}
+
+fn main() {
+    let (out, mut files) = cli::run("usage: report [--out PATH] [FILE...]", parse_args);
     if files.is_empty() {
         files = default_inputs();
     }
@@ -617,4 +615,24 @@ fn main() {
         "report: {rendered} document(s) rendered to {out} ({} bytes)",
         html.len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn takes_files_and_out_and_refuses_unknown_flags() {
+        let parse = |args: &[&str]| parse_args(Args::new(args.iter().copied()));
+        assert_eq!(
+            parse(&["--out", "r.html", "a.json"]),
+            Ok(("r.html".into(), vec!["a.json".into()]))
+        );
+        assert_eq!(parse(&[]).unwrap().0, "results/report.html");
+        assert_eq!(
+            parse(&["--bogus"]),
+            Err("unexpected argument `--bogus`".into())
+        );
+        assert!(parse(&["--out"]).is_err());
+    }
 }

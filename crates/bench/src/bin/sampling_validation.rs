@@ -10,17 +10,26 @@
 //! wall-clock split (and the speedup derived from it) lives under `host`
 //! alongside the other machine-varying timings.
 
-use rmt_bench::{figure_json, print_figure, write_json, FigureArgs, HostStats};
+use rmt_bench::{
+    figure_json, print_figure, write_json, BenchInput, FigureArgs, HostStats, FIGURE_FLAGS,
+};
 
 use rmt_sim::figures;
-use rmt_stats::Json;
+use rmt_stats::{cli, Json};
 use std::time::Instant;
 
 const TITLE: &str = "Sampling validation: sampled vs full Figure 6";
 const PAPER: &str = "SMARTS-style sampling (PAPERS.md); accuracy target: <2% mean error";
 
 fn main() {
-    let args = FigureArgs::parse();
+    let usage = format!("usage: sampling_validation {FIGURE_FLAGS}");
+    let args = cli::run(&usage, |argv| {
+        FigureArgs::parse(argv, BenchInput::List, false)
+    });
+    if args.print_config {
+        println!("{}", args.spec.to_json().encode_pretty());
+        return;
+    }
     let plan = &args.plan;
     let ctx = args.ctx();
 

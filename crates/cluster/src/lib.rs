@@ -37,7 +37,7 @@ pub mod pool;
 pub mod spawn;
 
 pub use coordinator::{run_cluster, CellReport, ClusterOptions, ClusterOutcome};
-pub use spawn::{spawn_fleet, LocalFleet, SpawnConfig};
+pub use spawn::{spawn_fleet, LocalFleet};
 
 /// The envelope schema tag `rmt-cluster --out` documents carry.
 pub const SCHEMA: &str = "rmt-cluster/v1";

@@ -40,17 +40,6 @@ pub struct LocalFleet {
     pub workers: Vec<LocalWorker>,
 }
 
-/// Knobs forwarded to each spawned worker's embedded server.
-#[derive(Debug, Clone)]
-pub struct SpawnConfig {
-    /// Directory for per-worker cache dirs, addr files, and logs.
-    pub dir: PathBuf,
-    /// Worker threads inside each spawned server.
-    pub server_workers: usize,
-    /// `--jobs` level each server worker hands the simulator.
-    pub inner_jobs: usize,
-}
-
 impl LocalFleet {
     /// The fleet's dispatch addresses, in spawn order.
     pub fn addrs(&self) -> Vec<String> {
@@ -102,23 +91,23 @@ impl Drop for LocalFleet {
     }
 }
 
-/// Spawns `n` workers of the current executable and waits until every
-/// one has advertised its address.
+/// Spawns `n` workers of the current executable (files under `dir`, each
+/// simulation on `jobs` threads) and waits until all advertise an address.
 ///
 /// # Errors
 ///
 /// Spawn failures, or a worker that never writes its addr file inside
 /// the wait budget (its log tail is included in the message).
-pub fn spawn_fleet(n: usize, cfg: &SpawnConfig) -> Result<LocalFleet, String> {
+pub fn spawn_fleet(n: usize, dir: &Path, jobs: usize) -> Result<LocalFleet, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot resolve own binary: {e}"))?;
-    std::fs::create_dir_all(&cfg.dir).map_err(|e| format!("{}: {e}", cfg.dir.display()))?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let mut fleet = LocalFleet {
         workers: Vec::new(),
     };
     for i in 0..n.max(1) {
-        let addr_file = cfg.dir.join(format!("w{i}.addr"));
-        let log = cfg.dir.join(format!("w{i}.log"));
-        let cache = cfg.dir.join(format!("cache{i}"));
+        let addr_file = dir.join(format!("w{i}.addr"));
+        let log = dir.join(format!("w{i}.log"));
+        let cache = dir.join(format!("cache{i}"));
         std::fs::remove_file(&addr_file).ok();
         let log_out = std::fs::File::create(&log).map_err(|e| format!("{}: {e}", log.display()))?;
         let log_err = log_out
@@ -127,16 +116,12 @@ pub fn spawn_fleet(n: usize, cfg: &SpawnConfig) -> Result<LocalFleet, String> {
         let child = Command::new(&exe)
             .args([
                 "--worker",
-                "--addr",
-                "127.0.0.1:0",
                 "--addr-file",
                 &addr_file.display().to_string(),
                 "--cache-dir",
                 &cache.display().to_string(),
-                "--server-workers",
-                &cfg.server_workers.to_string(),
                 "--jobs",
-                &cfg.inner_jobs.to_string(),
+                &jobs.to_string(),
             ])
             .stdin(Stdio::null())
             .stdout(log_out)
@@ -152,7 +137,7 @@ pub fn spawn_fleet(n: usize, cfg: &SpawnConfig) -> Result<LocalFleet, String> {
     }
     // Second pass: wait for every address to appear.
     for (i, worker) in fleet.workers.iter_mut().enumerate() {
-        let addr_file = cfg.dir.join(format!("w{i}.addr"));
+        let addr_file = dir.join(format!("w{i}.addr"));
         match wait_for_addr(&addr_file, &mut worker.child) {
             Ok(addr) => worker.addr = addr,
             Err(e) => {

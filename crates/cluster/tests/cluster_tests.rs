@@ -14,6 +14,8 @@
 //!    (`--chaos-kill 1`), and the merged result file must still come out
 //!    byte-identical to a `--local` single-process run of the same
 //!    request.
+//!
+//! Plus a check that `--local --progress` reports cells like a fleet run.
 
 use rmt_sim::service::{ClusterPlan, ServiceRequest};
 use rmt_stats::check::run_cases;
@@ -204,5 +206,32 @@ fn chaos_killed_worker_still_yields_bitwise_identical_results() {
     for cell in cells {
         assert!(cell.get("worker").and_then(Json::as_str).is_some());
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn local_progress_prints_cell_lines() {
+    let dir = std::env::temp_dir().join(format!("rmt-cluster-progress-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let sweep = dir.join("sweep.json");
+    std::fs::write(
+        &sweep,
+        r#"{"name": "progress", "base": "SRT", "benches": ["m88ksim"],
+            "axes": [{"path": "core.sq_entries", "values": [16, 64]}]}"#,
+    )
+    .expect("write sweep");
+    let out = Command::new(env!("CARGO_BIN_EXE_rmt-cluster"))
+        .arg(&sweep)
+        .args(["--local", "--quick", "--progress"])
+        .output()
+        .expect("rmt-cluster runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("[rmt-cluster] ") && l.contains("/2 cells")),
+        "no cells line on stderr:\n{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

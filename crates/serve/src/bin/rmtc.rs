@@ -21,6 +21,7 @@
 //! (`scripts/ci.sh` asserts the cache contract with these).
 
 use rmt_serve::client::{Client, Response};
+use rmt_stats::cli::{self, Args};
 use rmt_stats::json::parse;
 use rmt_stats::Json;
 use std::time::Duration;
@@ -54,6 +55,12 @@ fn write_out(path: &str, bytes: &[u8]) {
     std::fs::write(path, bytes).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
 }
 
+const USAGE: &str =
+    "usage: rmtc [--server HOST:PORT] submit FILE [--wait] [--poll-ms N] [--out PATH]
+    [--result-out PATH] [--expect-hit|--expect-miss] | status JOB-ID | result DIGEST [--out PATH]
+    | metrics | health | shutdown";
+
+#[derive(Debug, Default, PartialEq)]
 struct SubmitOpts {
     file: String,
     wait: bool,
@@ -63,53 +70,65 @@ struct SubmitOpts {
     expect: Option<bool>,
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut server = std::env::var("RMT_SERVE_ADDR").unwrap_or_default();
-    if args.first().map(String::as_str) == Some("--server") {
-        args.remove(0);
-        if args.is_empty() {
-            fail("--server needs a value");
-        }
-        server = args.remove(0);
+#[derive(Debug, PartialEq)]
+enum Command {
+    Submit(SubmitOpts),
+    /// GET a path; print the body, or write it to the path given.
+    Get(String, Option<String>),
+    Shutdown,
+}
+
+/// `(server address, command)`; `env_server` is `RMT_SERVE_ADDR`.
+fn parse_args(mut argv: Args, env_server: Option<String>) -> Result<(String, Command), String> {
+    let mut server = env_server.unwrap_or_default();
+    let mut cmd = argv.next().ok_or("missing command")?;
+    if cmd == "--server" {
+        server = argv.value(&cmd)?;
+        cmd = argv.next().ok_or("missing command")?;
     }
     if server.is_empty() {
-        fail("no server address: pass --server HOST:PORT or set RMT_SERVE_ADDR");
+        return Err("no server address: pass --server HOST:PORT or set RMT_SERVE_ADDR".into());
     }
-    if args.is_empty() {
-        fail("usage: rmtc [--server HOST:PORT] submit|status|result|metrics|health|shutdown ...");
-    }
-    let mut client = Client::new(&server);
-    let cmd = args.remove(0);
-    match cmd.as_str() {
-        "submit" => submit(&mut client, parse_submit(args)),
-        "status" => {
-            let id = args
-                .first()
-                .unwrap_or_else(|| fail("status needs a job id"));
-            let resp = get(&mut client, &format!("/v1/jobs/{id}"));
-            expect_2xx(&resp, "status");
-            print!("{}", resp.text());
-        }
+    let command = match cmd.as_str() {
+        "submit" => Command::Submit(parse_submit(&mut argv)?),
+        "status" => Command::Get(format!("/v1/jobs/{}", argv.value(&cmd)?), None),
         "result" => {
-            let digest = args
-                .first()
-                .unwrap_or_else(|| fail("result needs a digest"));
-            let resp = get(&mut client, &format!("/v1/results/{digest}"));
-            expect_2xx(&resp, "result");
-            match args.get(1).zip(args.get(2)) {
-                Some((flag, path)) if flag == "--out" => write_out(path, &resp.body),
-                _ => print!("{}", resp.text()),
+            let path = format!("/v1/results/{}", argv.value(&cmd)?);
+            match argv.next() {
+                None => Command::Get(path, None),
+                Some(a) if a == "--out" => Command::Get(path, Some(argv.value(&a)?)),
+                Some(a) => return Err(cli::unexpected(&a)),
             }
         }
-        "metrics" => print!("{}", get(&mut client, "/metrics").text()),
-        "health" => print!("{}", get(&mut client, "/healthz").text()),
-        "shutdown" => {
+        "metrics" => Command::Get("/metrics".into(), None),
+        "health" => Command::Get("/healthz".into(), None),
+        "shutdown" => Command::Shutdown,
+        _ => return Err(format!("unknown command `{cmd}`")),
+    };
+    argv.end()?;
+    Ok((server, command))
+}
+
+fn main() {
+    let (server, command) = cli::run(USAGE, |argv| {
+        parse_args(argv, std::env::var("RMT_SERVE_ADDR").ok())
+    });
+    let mut client = Client::new(&server);
+    match command {
+        Command::Submit(opts) => submit(&mut client, opts),
+        Command::Get(path, out) => {
+            let resp = get(&mut client, &path);
+            expect_2xx(&resp, &format!("GET {path}"));
+            match out {
+                Some(out) => write_out(&out, &resp.body),
+                None => print!("{}", resp.text()),
+            }
+        }
+        Command::Shutdown => {
             let resp = post(&mut client, "/v1/shutdown", b"");
             expect_2xx(&resp, "shutdown");
             print!("{}", resp.text());
         }
-        other => fail(&format!("unknown command `{other}`")),
     }
 }
 
@@ -125,42 +144,29 @@ fn post(client: &mut Client, path: &str, body: &[u8]) -> Response {
         .unwrap_or_else(|e| fail(&format!("POST {path}: {e}")))
 }
 
-fn parse_submit(mut args: Vec<String>) -> SubmitOpts {
-    if args.first().is_none_or(|a| a.starts_with("--")) {
-        fail("usage: rmtc submit FILE [--wait] [--poll-ms N] [--out PATH] [--result-out PATH] [--expect-hit|--expect-miss]");
+fn parse_submit(argv: &mut Args) -> Result<SubmitOpts, String> {
+    let file = argv.value("submit")?;
+    if file.starts_with('-') {
+        return Err(cli::unexpected(&file));
     }
     let mut opts = SubmitOpts {
-        file: args.remove(0),
-        wait: false,
+        file,
         poll_ms: 200,
-        out: None,
-        result_out: None,
-        expect: None,
+        ..SubmitOpts::default()
     };
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
-        match flag.as_str() {
+    while let Some(a) = argv.next() {
+        match a.as_str() {
             "--wait" => opts.wait = true,
-            "--poll-ms" => {
-                opts.poll_ms = value("--poll-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--poll-ms needs a number"))
-            }
-            "--out" => opts.out = Some(value("--out")),
-            "--result-out" => opts.result_out = Some(value("--result-out")),
+            "--poll-ms" => opts.poll_ms = argv.parse(&a)?,
+            "--out" => opts.out = Some(argv.value(&a)?),
+            "--result-out" => opts.result_out = Some(argv.value(&a)?),
             "--expect-hit" => opts.expect = Some(true),
             "--expect-miss" => opts.expect = Some(false),
-            other => fail(&format!("unknown submit flag `{other}`")),
+            _ => return Err(cli::unexpected(&a)),
         }
     }
-    if opts.result_out.is_some() {
-        opts.wait = true;
-    }
-    opts
+    opts.wait |= opts.result_out.is_some();
+    Ok(opts)
 }
 
 fn submit(client: &mut Client, opts: SubmitOpts) {
@@ -228,5 +234,49 @@ fn submit(client: &mut Client, opts: SubmitOpts) {
         expect_2xx(&resp, "result fetch");
         write_out(path, &resp.body);
         eprintln!("result {digest} -> {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(String, Command), String> {
+        parse_args(Args::new(args.iter().copied()), None)
+    }
+
+    #[test]
+    fn parses_commands_and_the_server_address() {
+        let (server, cmd) = parse(&["--server", "h:1", "result", "d", "--out", "p"]).unwrap();
+        let want = Command::Get("/v1/results/d".into(), Some("p".into()));
+        assert_eq!((server.as_str(), cmd), ("h:1", want));
+        let env = Some("e:2".to_string());
+        let (server, cmd) =
+            parse_args(Args::new(["submit", "f", "--result-out", "r"]), env).unwrap();
+        assert_eq!(server, "e:2");
+        let Command::Submit(opts) = cmd else {
+            panic!("submit parses to Submit")
+        };
+        assert!(opts.wait, "--result-out implies --wait");
+    }
+
+    #[test]
+    fn refuses_stray_and_incomplete_arguments() {
+        let refused = |args: &[&str]| parse(args).expect_err("a bad command line");
+        assert_eq!(
+            refused(&["--server", "h:1", "health", "extra"]),
+            "unexpected argument `extra`"
+        );
+        assert_eq!(
+            refused(&["--server", "h:1", "result", "d", "--bogus", "p"]),
+            "unexpected argument `--bogus`"
+        );
+        assert_eq!(
+            refused(&["--server", "h:1", "result", "d", "--out"]),
+            "`--out` needs a value"
+        );
+        assert!(refused(&["--server", "h:1", "submit", "--wait"]).contains("--wait"));
+        assert!(refused(&["--server", "h:1", "bogus"]).contains("bogus"));
+        assert!(refused(&["health"]).contains("no server address"));
     }
 }

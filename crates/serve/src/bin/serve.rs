@@ -2,75 +2,30 @@
 //!
 //! ```text
 //! rmt-serve [--addr HOST:PORT] [--cache-dir DIR] [--workers N]
-//!           [--queue-depth N] [--mem-cache N] [--inner-jobs N]
+//!           [--queue-depth N] [--mem-cache N] [--jobs N]
 //!           [--addr-file PATH]
 //! ```
 //!
 //! Binds (port `0` picks an ephemeral port; the resolved address is
 //! printed and, with `--addr-file`, written to a file for scripts),
 //! serves until a `POST /v1/shutdown` drains the job queue, then exits.
+//! `rmt-cluster --worker` takes the same command line
+//! ([`rmt_serve::daemon`]).
 //!
 //! Endpoints: `POST /v1/run`, `POST /v1/sweep`, `GET /v1/jobs/<id>`,
 //! `GET /v1/results/<digest>`, `GET /metrics`, `GET /healthz`,
 //! `POST /v1/shutdown`.
 
-use rmt_serve::{Server, ServerConfig};
-use std::path::PathBuf;
+use rmt_serve::daemon;
+use rmt_stats::cli;
 
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2)
-}
+const USAGE: &str = "usage: rmt-serve [--addr HOST:PORT] [--cache-dir DIR] [--workers N] \
+                     [--queue-depth N] [--mem-cache N] [--jobs N] [--addr-file PATH]";
 
 fn main() {
-    let mut cfg = ServerConfig::default();
-    let mut addr_file: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--addr" => cfg.addr = value("--addr"),
-            "--cache-dir" => cfg.cache_dir = PathBuf::from(value("--cache-dir")),
-            "--workers" => cfg.workers = parse_count("--workers", &value("--workers")),
-            "--queue-depth" => {
-                cfg.queue_cap = parse_count("--queue-depth", &value("--queue-depth"))
-            }
-            "--mem-cache" => {
-                cfg.mem_cache = value("--mem-cache")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--mem-cache needs a number"))
-            }
-            "--inner-jobs" => cfg.inner_jobs = parse_count("--inner-jobs", &value("--inner-jobs")),
-            "--addr-file" => addr_file = Some(PathBuf::from(value("--addr-file"))),
-            other => fail(&format!(
-                "unknown flag `{other}` (see `rmt-serve` docs for usage)"
-            )),
-        }
-    }
-
-    let handle = Server::start(cfg.clone())
-        .unwrap_or_else(|e| fail(&format!("cannot start on {}: {e}", cfg.addr)));
-    let addr = handle.addr();
-    println!(
-        "rmt-serve listening on {addr} (cache: {}, workers: {}, queue: {})",
-        cfg.cache_dir.display(),
-        cfg.workers.max(1),
-        cfg.queue_cap
-    );
-    if let Some(path) = addr_file {
-        std::fs::write(&path, format!("{addr}\n"))
-            .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
-    }
-    handle.wait();
-    println!("rmt-serve drained; exiting");
-}
-
-fn parse_count(name: &str, raw: &str) -> usize {
-    match raw.parse() {
-        Ok(n) if n >= 1 => n,
-        _ => fail(&format!("{name} needs a positive number")),
+    let (cfg, addr_file) = cli::run(USAGE, daemon::parse);
+    if let Err(e) = daemon::run(&cfg, addr_file.as_deref()) {
+        eprintln!("error: {e}");
+        std::process::exit(2)
     }
 }

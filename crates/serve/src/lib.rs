@@ -16,6 +16,8 @@
 //! * [`server`] — endpoints, worker pool, `/metrics` snapshot.
 //! * [`client`] — the minimal blocking client behind `rmtc` and the
 //!   `rmt-cluster` coordinator.
+//! * [`daemon`] — the daemon command line `rmt-serve` and
+//!   `rmt-cluster --worker` share.
 //!
 //! Binaries: `rmt-serve` (the daemon) and `rmtc` (submit/poll/fetch).
 //! The daemon's throughput and latency under load are measured by the
@@ -26,6 +28,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod daemon;
 pub mod http;
 pub mod jobs;
 pub mod server;

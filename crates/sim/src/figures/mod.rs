@@ -104,6 +104,16 @@ impl SimScale {
             seed: 1,
         }
     }
+
+    /// The scale `name` (`quick`, `standard` or `full`) denotes.
+    pub fn named(name: &str) -> Option<Self> {
+        match name {
+            "quick" => Some(Self::quick()),
+            "standard" => Some(Self::standard()),
+            "full" => Some(Self::full()),
+            _ => None,
+        }
+    }
 }
 
 /// Shared execution context for a figure suite: the parallel [`Runner`]

@@ -121,12 +121,9 @@ fn parse_benches(doc: &Json) -> Result<Vec<Benchmark>, String> {
 fn parse_scale(doc: &Json) -> Result<SimScale, String> {
     match doc.get("scale") {
         None => Ok(SimScale::quick()),
-        Some(Json::Str(name)) => match name.as_str() {
-            "quick" => Ok(SimScale::quick()),
-            "standard" => Ok(SimScale::standard()),
-            "full" => Ok(SimScale::full()),
-            other => Err(format!("unknown scale name `{other}`")),
-        },
+        Some(Json::Str(name)) => {
+            SimScale::named(name).ok_or_else(|| format!("unknown scale name `{name}`"))
+        }
         Some(obj) => {
             let members = obj.members().ok_or("`scale` must be a name or object")?;
             for (k, _) in members {

@@ -10,6 +10,8 @@
 //! * [`check`] — a minimal property-test harness driven by [`rng`], used
 //!   by the workspace's property tests (the build is offline, so no
 //!   external property-testing crate).
+//! * [`cli`] — the command-line reader every binary parses with, and the
+//!   one exit-status rule for a bad command line.
 //! * [`counter`] — named event counters and counter groups.
 //! * [`histogram`] — fixed-bucket histograms used for store-lifetime and
 //!   occupancy distributions.
@@ -50,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod check;
+pub mod cli;
 pub mod counter;
 pub mod digest;
 pub mod estimate;

@@ -1,8 +1,8 @@
 //! Plain-text table rendering for the figure/table regeneration binaries.
 //!
 //! Every experiment driver prints its results through [`Table`] so that the
-//! output of `cargo run -p rmt-bench --bin fig6_srt_single` looks like the
-//! rows of the paper's figure.
+//! output of `cargo run -p rmt-bench --bin figure -- fig6_srt_single` looks
+//! like the rows of the paper's figure.
 
 use std::fmt;
 

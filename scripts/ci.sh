@@ -48,15 +48,44 @@ cargo build --release
 section "tier-1: tests"
 cargo test -q
 
+section "usage: every binary refuses a bad command line and answers --help"
+# One command-line layer (rmt_stats::cli): an unknown flag exits 2 with
+# `error:` and the usage on stderr, and `--help` prints the usage and
+# exits 0, for all ten binaries.
+cargo build --release --workspace
+usage_check() { # usage_check BIN ARGS...: ARGS end in an unknown flag
+    local bin="$1" status=0
+    shift
+    "./target/release/$bin" "$@" > /dev/null 2> "$tmpdir/usage.err" || status=$?
+    if [ "$status" -ne 2 ] || ! grep -q '^error: ' "$tmpdir/usage.err" \
+        || ! grep -q 'usage:' "$tmpdir/usage.err"; then
+        echo "error: '$bin $*' exited $status; want 2 with error: and the usage" >&2
+        cat "$tmpdir/usage.err" >&2
+        exit 1
+    fi
+    "./target/release/$bin" --help > "$tmpdir/usage.out"
+    grep -q 'usage:' "$tmpdir/usage.out"
+}
+usage_check figure table1 --bogus
+usage_check sampling_validation --bogus
+usage_check fault_forensics --bogus
+usage_check check_json --bogus
+usage_check report --bogus
+usage_check fuzz --bogus
+usage_check guard_golden --bogus
+usage_check rmt-serve --bogus
+usage_check rmtc --server 127.0.0.1:1 health --bogus
+usage_check rmt-cluster sweeps/slack_sq.json --bogus
+
 section "smoke: parallel figure run (quick scale, 2 workers)"
-cargo run --release -p rmt-bench --bin fig6_srt_single -- --scale quick --jobs 2
+cargo run --release -p rmt-bench --bin figure -- fig6_srt_single --quick --jobs 2
 
 section "smoke: sampled figure run (quick scale, 2 workers)"
 # The sampled path exercises checkpointing, functional fast-forward and
 # warm replay end to end; a blow-up in any of them shows first as runtime.
 sample_start=$SECONDS
-cargo run --release -p rmt-bench --bin fig6_srt_single -- \
-    --scale quick --jobs 2 --sample
+cargo run --release -p rmt-bench --bin figure -- fig6_srt_single \
+    --quick --jobs 2 --sample
 sample_elapsed=$((SECONDS - sample_start))
 echo "  [sampled smoke took ${sample_elapsed}s; budget 120s]"
 if [ "$sample_elapsed" -gt 120 ]; then
@@ -65,8 +94,8 @@ if [ "$sample_elapsed" -gt 120 ]; then
 fi
 
 section "smoke: machine-readable results (--json round trip)"
-cargo run --release -p rmt-bench --bin fig6_srt_single -- \
-    --scale quick --jobs 2 --benches m88ksim,ijpeg --json "$tmpdir/fig6.json" > /dev/null
+cargo run --release -p rmt-bench --bin figure -- fig6_srt_single \
+    --quick --jobs 2 --benches m88ksim,ijpeg --json "$tmpdir/fig6.json" > /dev/null
 cargo run --release -p rmt-bench --bin check_json -- "$tmpdir/fig6.json"
 
 section "golden: declarative sensitivity sweep must regenerate bitwise"
@@ -103,7 +132,7 @@ serve_addr="$(cat "$tmpdir/serve-addr")"
 ./target/release/rmtc --server "$serve_addr" submit requests/fig6_cell.json \
     --out "$tmpdir/hit_env.json" --result-out "$tmpdir/served2.json" --expect-hit
 cmp "$tmpdir/served1.json" "$tmpdir/served2.json"
-cargo run --release -p rmt-bench --bin fig6_srt_single -- \
+cargo run --release -p rmt-bench --bin figure -- fig6_srt_single \
     --quick --benches m88ksim --json "$tmpdir/fig6_cell.json" > /dev/null
 cargo run --release -p rmt-bench --bin check_json -- \
     --serve-cell "$tmpdir/fig6_cell.json" m88ksim/SRT "$tmpdir/served1.json"
@@ -143,7 +172,7 @@ cargo run --release -p rmt-bench --bin check_json -- \
     --compare "$tmpdir/cluster_local.json" "$tmpdir/cluster2.json"
 
 section "smoke: chaos — 3-worker fleet loses one mid-sweep, still bitwise"
-# One worker is SIGKILLed (deterministic victim, default --chaos-seed)
+# One worker is SIGKILLed (a deterministic victim: the seed is fixed)
 # once a quarter of the cells are done; retry/steal must finish the grid
 # on the survivors and the merged bytes must not change.
 if ! ./target/release/rmt-cluster sweeps/slack_sq.json --spawn 3 \
@@ -165,19 +194,19 @@ cargo run --release -p rmt-bench --bin check_json -- \
     BENCH_PR2.json
 
 section "golden: committed results must regenerate bitwise (sans host)"
-cargo run --release -p rmt-bench --bin fig6_srt_single -- \
-    --scale standard --json "$tmpdir/fig6_golden.json" > /dev/null
+cargo run --release -p rmt-bench --bin figure -- fig6_srt_single \
+    --standard --json "$tmpdir/fig6_golden.json" > /dev/null
 cargo run --release -p rmt-bench --bin check_json -- \
     --compare results/fig6_srt_single.json "$tmpdir/fig6_golden.json"
-cargo run --release -p rmt-bench --bin aggregate -- \
-    --scale standard --json "$tmpdir/agg_golden.json" > /dev/null
+cargo run --release -p rmt-bench --bin figure -- aggregate \
+    --standard --json "$tmpdir/agg_golden.json" > /dev/null
 cargo run --release -p rmt-bench --bin check_json -- \
     --compare BENCH_PR2.json "$tmpdir/agg_golden.json"
 
 section "golden: epoch time-series telemetry must regenerate bitwise"
 # `--epoch` sampling is keyed to the simulated cycle, so the per-epoch
 # deltas are part of the determinism contract like everything else.
-cargo run --release -p rmt-bench --bin fig6_srt_single -- \
+cargo run --release -p rmt-bench --bin figure -- fig6_srt_single \
     --quick --benches m88ksim,ijpeg --epoch 4096 \
     --json "$tmpdir/fig6_epoch.json" > /dev/null
 cargo run --release -p rmt-bench --bin check_json -- \
@@ -190,11 +219,11 @@ cargo run --release -p rmt-bench --bin check_json -- \
     --compare results/fault_forensics.json "$tmpdir/forensics.json"
 
 section "golden: fault-coverage table must regenerate bitwise (sans timing)"
-cargo run --release -p rmt-bench --bin fault_coverage -- --standard \
+cargo run --release -p rmt-bench --bin figure -- fault_coverage --standard \
     | grep -v '^  \[' > "$tmpdir/fault_coverage.txt"
 if ! diff -u results/fault_coverage.txt "$tmpdir/fault_coverage.txt"; then
     echo "error: results/fault_coverage.txt is stale; regenerate with:" >&2
-    echo "  cargo run --release -p rmt-bench --bin fault_coverage -- --standard | grep -v '^  \[' > results/fault_coverage.txt" >&2
+    echo "  ./target/release/figure fault_coverage --standard | grep -v '^  \[' > results/fault_coverage.txt" >&2
     exit 1
 fi
 
@@ -204,11 +233,11 @@ section "golden: grid tables must regenerate bitwise (sans timing)"
 # with its own cycle factor (abl_sq_size), and a Base cell read on its
 # own (workload_chars). Together about a minute on two workers.
 for b in fig8_srt_multi abl_slack abl_sq_size workload_chars; do
-    cargo run --release -p rmt-bench --bin "$b" -- --standard --jobs 2 \
+    cargo run --release -p rmt-bench --bin figure -- "$b" --standard --jobs 2 \
         | grep -v '^  \[' > "$tmpdir/$b.txt"
     if ! diff -u "results/$b.txt" "$tmpdir/$b.txt"; then
         echo "error: results/$b.txt is stale; regenerate with the EXPERIMENTS.md recipe:" >&2
-        echo "  ./target/release/$b --standard | grep -v '^  \[' > results/$b.txt" >&2
+        echo "  ./target/release/figure $b --standard | grep -v '^  \[' > results/$b.txt" >&2
         exit 1
     fi
 done
