@@ -312,6 +312,10 @@ impl ClusterPlan {
             Some(ServiceRequest::Sweep(s)) => s,
             None => return Err("a figure's grid folds locally; it has no merged document".into()),
         };
+        // Name the first missing cell in plan order, not in map order.
+        for cell in &self.cells {
+            lookup(&cell.digest)?;
+        }
         let base_ipc = self
             .baselines()
             .into_iter()
