@@ -3,6 +3,11 @@
 //! and the end-to-end tests. One [`Client`] holds one keep-alive connection
 //! and reconnects transparently if the server closed it.
 //!
+//! A request goes out in one write on a socket with Nagle's algorithm
+//! off (`TCP_NODELAY`). Written as head then body, the body would wait
+//! for the server to acknowledge the head, and the server's kernel delays
+//! that acknowledgement by about 40 ms.
+//!
 //! Timeouts are explicit: [`Client::with_timeouts`] bounds both the TCP
 //! connect and each read, so a wedged worker surfaces as
 //! [`std::io::ErrorKind::TimedOut`] instead of hanging the caller. A
@@ -124,6 +129,7 @@ impl Client {
         };
         stream.set_read_timeout(Some(self.read_timeout))?;
         stream.set_write_timeout(Some(self.read_timeout))?;
+        stream.set_nodelay(true)?;
         Ok(stream)
     }
 
@@ -132,13 +138,14 @@ impl Client {
             self.conn = Some(self.connect()?);
         }
         let stream = self.conn.as_mut().expect("just connected");
-        let head = format!(
+        let mut message = format!(
             "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\n\r\n",
             self.addr,
             body.len()
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body)?;
+        )
+        .into_bytes();
+        message.extend_from_slice(body);
+        stream.write_all(&message)?;
         let response = read_response(stream);
         if response.is_err() {
             self.conn = None;

@@ -9,12 +9,19 @@
 //! job on a miss, so a repeated request is answered bitwise-identically
 //! without re-simulation.
 //!
+//! Every accepted socket has Nagle's algorithm off (`TCP_NODELAY`) and
+//! each response goes out in one write, so no part of an answer waits for
+//! the client's delayed acknowledgement.
+//!
 //! Shutdown is cooperative: `POST /v1/shutdown` (or
 //! [`ServerHandle::stop`]) drains the job queue — intake answers 503,
-//! queued work finishes, workers exit, then the accept loop stops. The
-//! build forbids `unsafe` and ships no signal-handling crate, so Ctrl-C
-//! is an abrupt exit; the disk cache's atomic writes keep it consistent
-//! anyway.
+//! queued work finishes, workers exit, then the accept loop stops. That
+//! loop blocks in `accept`; [`ServerHandle::wait`] sets the shutdown flag
+//! and wakes it with one connection to the server's own address
+//! (loopback when bound to an unspecified address such as `0.0.0.0`).
+//! The build forbids `unsafe` and ships no signal-handling crate, so
+//! Ctrl-C is an abrupt exit; the disk cache's atomic writes keep it
+//! consistent anyway.
 
 use crate::cache::ResultCache;
 use crate::http::{self, Request};
@@ -24,7 +31,7 @@ use rmt_sim::ProgressSink;
 use rmt_stats::json::parse;
 use rmt_stats::{Histogram, Json, MetricsRegistry};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -373,6 +380,7 @@ impl Shared {
 /// peer closes, errors, idles out, or sends something unsalvageable.
 fn handle_connection(shared: Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    let _ = stream.set_nodelay(true);
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 8192];
     loop {
@@ -497,7 +505,6 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let cache = ResultCache::new(&cfg.cache_dir, cfg.mem_cache)?;
         let jobs = JobTable::new(cfg.queue_cap);
         let endpoints = ENDPOINTS
@@ -535,17 +542,21 @@ impl Server {
     }
 }
 
+/// Blocks in `accept` until [`ServerHandle::wait`] sets the shutdown flag
+/// and connects to wake it.
 fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
                 let s = Arc::clone(&shared);
                 std::thread::spawn(move || handle_connection(s, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
+            // An error such as EMFILE can repeat at once; pause so a
+            // failing accept does not spin.
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
     }
@@ -558,12 +569,21 @@ impl ServerHandle {
     }
 
     /// Blocks until the server shuts down gracefully — i.e. until a
-    /// `POST /v1/shutdown` drains the queue and the workers exit.
+    /// `POST /v1/shutdown` drains the queue and the workers exit — then
+    /// wakes the blocked accept loop with a connection to itself.
     pub fn wait(self) {
         for w in self.workers {
             let _ = w.join();
         }
         self.shared.shutdown.store(true, Ordering::Relaxed);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
         let _ = self.accept.join();
     }
 

@@ -15,7 +15,7 @@ use rmt_stats::json::parse;
 use rmt_stats::Json;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -246,6 +246,53 @@ fn error_paths_answer_without_queuing_work() {
     assert_eq!(counter(&metrics, "serve/jobs/completed"), 0);
     assert_eq!(counter(&metrics, "serve/jobs/failed"), 0);
     handle.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A POST with a body must not wait for a delayed acknowledgement: sent
+/// as two writes with Nagle's algorithm on, each took about 40 ms.
+#[test]
+fn keep_alive_posts_do_not_wait_for_delayed_acks() {
+    let (handle, mut client, dir) = start("nagle");
+    let post = |client: &mut Client| {
+        let resp = client.post("/v1/run", b"not json").expect("post");
+        assert_eq!(resp.status, 400, "{}", resp.text());
+    };
+    post(&mut client);
+    let start = Instant::now();
+    for _ in 0..25 {
+        post(&mut client);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "25 keep-alive POSTs took {elapsed:?}"
+    );
+    handle.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `stop` wakes the blocking accept loop of a server bound to an
+/// unspecified address, by connecting to it over loopback.
+#[test]
+fn stop_returns_for_a_server_on_an_unspecified_address() {
+    let dir = temp_cache_dir("unspecified");
+    std::fs::remove_dir_all(&dir).ok();
+    let handle = Server::start(ServerConfig {
+        addr: "0.0.0.0:0".to_string(),
+        cache_dir: dir.clone(),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server starts on 0.0.0.0");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.stop();
+        done_tx.send(()).ok();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("stop returned within 10 s");
     std::fs::remove_dir_all(&dir).ok();
 }
 
