@@ -139,6 +139,13 @@ cargo run --release -p rmt-bench --bin check_json -- \
 cargo run --release -p rmt-bench --bin check_json -- \
     --compare results/serve_roundtrip.json "$tmpdir/hit_env.json"
 ./target/release/rmtc --server "$serve_addr" shutdown > /dev/null
+# The daemon blocks in `accept` and must wake itself to exit; a plain
+# `wait` would hang if it never did, so give it 30 s and then fail.
+for _ in $(seq 1 300); do kill -0 "$serve_pid" 2>/dev/null || break; sleep 0.1; done
+if kill -0 "$serve_pid" 2>/dev/null; then
+    echo "error: rmt-serve (pid $serve_pid) still running 30 s after shutdown" >&2
+    exit 1
+fi
 wait "$serve_pid"
 serve_pid=""
 
