@@ -38,7 +38,7 @@
 use rmt_core::MachineSpec;
 use rmt_sample::SamplePlan;
 use rmt_sim::figures::FigureResult;
-use rmt_sim::{FigureCtx, Runner, SimScale};
+use rmt_sim::{FigureCtx, ProgressSink, Runner, SimScale};
 use rmt_stats::cli::{self, Args};
 use rmt_stats::Json;
 use rmt_workloads::profile::ALL_BENCHMARKS;
@@ -129,10 +129,7 @@ impl FigureArgs {
                         .value(&a)?
                         .split(',')
                         .map(|name| {
-                            ALL_BENCHMARKS
-                                .iter()
-                                .copied()
-                                .find(|b| b.name() == name.trim())
+                            Benchmark::from_name(name.trim())
                                 .ok_or_else(|| format!("unknown benchmark `{name}`"))
                         })
                         .collect::<Result<_, _>>()?;
@@ -183,13 +180,17 @@ impl FigureArgs {
     }
 
     /// A figure context sized to the parsed `--jobs`, with `--epoch`
-    /// sampling and `--progress` reporting applied.
+    /// sampling applied and, for `--progress`, a stderr printer of
+    /// `[runner] k/n jobs` lines installed as the runner's hook.
     pub fn ctx(&self) -> FigureCtx {
         let mut ctx = FigureCtx::new(self.jobs).with_overrides(self.overrides.clone());
         if let Some(every) = self.epoch {
             ctx = ctx.with_epoch(every);
         }
-        ctx.runner.set_progress(self.progress);
+        if self.progress {
+            ctx.runner
+                .set_hook(Some(ProgressSink::stderr("runner", "jobs")));
+        }
         ctx
     }
 }
@@ -479,10 +480,11 @@ mod tests {
         assert!(a.progress);
         let ctx = a.ctx();
         assert_eq!(ctx.epoch, Some(4096));
-        assert!(ctx.runner.progress());
+        assert!(ctx.runner.hook().is_some());
         let d = parse(&[]);
         assert_eq!(d.epoch, None);
         assert!(!d.progress);
+        assert!(d.ctx().runner.hook().is_none());
     }
 
     #[test]

@@ -189,10 +189,9 @@ fn envelope(request: &ServiceRequest, outcome: &ClusterOutcome, wall: f64) -> Js
 /// (no cells, no cluster section — nothing was dispatched).
 fn local_main(a: &Opts, request: &ServiceRequest) {
     let start = Instant::now();
-    let progress = a.progress.then(|| {
-        let print = progress_printer();
-        ProgressSink::new(move |done, total| print(done as usize, total as usize))
-    });
+    let progress = a
+        .progress
+        .then(|| ProgressSink::stderr("rmt-cluster", "cells"));
     let result = request
         .execute(a.jobs, progress)
         .unwrap_or_else(|e| fail(&format!("execute failed: {e}")));
@@ -214,26 +213,6 @@ fn local_main(a: &Opts, request: &ServiceRequest) {
     }
 }
 
-/// Prints `[rmt-cluster] k/n cells` lines on stderr: at most one every
-/// 500 ms, plus the last.
-fn progress_printer() -> impl Fn(usize, usize) + Send + Sync {
-    let started = Instant::now();
-    let last_print = Mutex::new(Instant::now() - Duration::from_secs(1));
-    move |done: usize, total: usize| {
-        let mut last = last_print.lock().expect("progress mutex");
-        if last.elapsed() >= Duration::from_millis(500) || done == total {
-            *last = Instant::now();
-            let elapsed = started.elapsed().as_secs_f64();
-            let eta = if done > 0 {
-                elapsed / done as f64 * (total - done) as f64
-            } else {
-                f64::NAN
-            };
-            eprintln!("[rmt-cluster] {done}/{total} cells, {elapsed:.1}s elapsed, ETA {eta:.1}s");
-        }
-    }
-}
-
 /// Builds the progress/chaos callback shared by both display and kills.
 fn progress_hook(
     a: &Opts,
@@ -242,12 +221,14 @@ fn progress_hook(
     if !a.progress && a.chaos_kill == 0 {
         return None;
     }
-    let print = a.progress.then(progress_printer);
+    let print = a
+        .progress
+        .then(|| ProgressSink::stderr("rmt-cluster", "cells"));
     let chaos_fired = Mutex::new(false);
     let (chaos_kill, spawn_count) = (a.chaos_kill, a.spawn);
     Some(Arc::new(move |done: usize, total: usize| {
         if let Some(print) = &print {
-            print(done, total);
+            print.report(done as u64, total as u64);
         }
         if chaos_kill > 0 && done >= total.div_ceil(4) {
             if let Some(fleet) = &fleet {

@@ -1,20 +1,26 @@
-//! Injection functions for every arrangement: redundant pairs (SRT and
+//! One injection routine for every arrangement: redundant pairs (SRT and
 //! CRT), the base processor and lockstepped cores.
 //!
 //! [`injection_forensic`] is a pure function of `(spec, workload, kind,
 //! config, index)` producing the injection's full [`FaultForensics`]
-//! record; it dispatches on `spec.scheme.kind` to the arrangement's
-//! injection site and observation policy. [`run_campaign`] is the
-//! sequential aggregator. The seeding contract (one RNG stream per index)
-//! makes every campaign order-independent and parallelizable.
+//! record. Every arrangement runs the same steps in one generic routine,
+//! [`inject`]: seed the fault-site stream and the flight recorder, warm
+//! up, strike, then observe the window and classify it. The arrangements
+//! differ only in the parameters they pass: the machine, the struck
+//! thread (the leading thread of pair 0, the base machine's only thread,
+//! or core 1 of a lockstepped pair), the [`ObservePolicy`], the base
+//! machine's co-simulation oracle and SRT/CRT's LVQ strike.
+//! [`run_campaign`] is the sequential aggregator. The seeding contract
+//! (one RNG stream per index) makes every campaign order-independent and
+//! parallelizable.
 
 use crate::campaign::{CampaignConfig, CampaignReport};
-use crate::forensics::FaultForensics;
+use crate::forensics::{FaultForensics, FaultSite};
 use crate::model::{FaultKind, FaultOutcome};
-use crate::observe::{
-    inject_into_core, inject_with_retry, observe_window, thread, ObservePolicy, Probe,
+use crate::observe::{inject_into_core, inject_with_retry, observe_window, ObservePolicy, Probe};
+use rmt_core::{
+    Device, DeviceKind, LogicalThread, Machine, MachineSpec, RedundancyScheme, RmtScheme,
 };
-use rmt_core::{Device, DeviceKind, Machine, MachineSpec};
 use rmt_stats::{FlightRecorder, Xoshiro256};
 use rmt_verify::Oracle;
 use rmt_workloads::Workload;
@@ -24,36 +30,17 @@ use rmt_workloads::Workload;
 /// practice while still bounding a pathological run.
 const FLIGHT_CAPACITY: usize = 64;
 
-/// Assembles a [`FaultForensics`] record from one finished injection.
-#[allow(clippy::too_many_arguments)]
-fn forensics(
-    arrangement: &'static str,
+/// What names one injection: its campaign and its index in it.
+#[derive(Clone, Copy)]
+struct Job<'w> {
+    workload: &'w Workload,
     kind: FaultKind,
+    cfg: CampaignConfig,
     index: usize,
-    site: Option<crate::forensics::FaultSite>,
-    inject_cycle: u64,
-    outcome: FaultOutcome,
-    mechanism: Option<&'static str>,
-    rec: FlightRecorder,
-    chain: u32,
-) -> FaultForensics {
-    let events: Vec<_> = rec.chain_events(chain).copied().collect();
-    // Propagation hops: chain events strictly between the injection stamp
-    // and the terminal classification stamp.
-    let hops = events.len().saturating_sub(2) as u64;
-    FaultForensics {
-        arrangement,
-        kind,
-        index,
-        site,
-        inject_cycle,
-        outcome,
-        mechanism,
-        hops,
-        events,
-        dropped_events: rec.dropped(),
-    }
 }
+
+/// A strike on a structure outside the cores (SRT/CRT's LVQ).
+type Strike<S> = fn(&mut Machine<S>, &mut Xoshiro256) -> Option<FaultSite>;
 
 /// Runs a fault-injection campaign on the machine `spec` describes,
 /// running `workload`.
@@ -106,269 +93,157 @@ pub fn injection_forensic(
     cfg: CampaignConfig,
     index: usize,
 ) -> FaultForensics {
+    let job = Job {
+        workload,
+        kind,
+        cfg,
+        index,
+    };
+    let threads = vec![LogicalThread::from(workload)];
     match spec.scheme.kind {
-        DeviceKind::Base | DeviceKind::Base2 => base_injection(spec, workload, kind, cfg, index),
+        DeviceKind::Base | DeviceKind::Base2 => {
+            // The base machine's commit stream is its architectural
+            // output, so the co-simulation oracle is SDC ground truth:
+            // attached before warmup it validates the fault-free prefix,
+            // and any divergence in the observation window is the
+            // injected fault escaping.
+            let oracle = Oracle::for_threads(&threads);
+            let policy = ObservePolicy {
+                poll_detection: false,
+                hang_is_detection: false,
+                golden_compare: true,
+            };
+            let dev = Machine::independent(spec, threads);
+            inject(dev, "base", (0, 0), policy, Some(oracle), job, None)
+        }
         DeviceKind::Lock0 | DeviceKind::Lock8 => {
-            lockstep_injection(spec, workload, kind, cfg, index)
+            // The checker compares every released store, so no golden
+            // model runs and the released count only feeds the forensic
+            // sphere-crossing stamp (from the struck core).
+            let policy = ObservePolicy {
+                poll_detection: true,
+                hang_is_detection: true,
+                golden_compare: false,
+            };
+            let dev = Machine::lockstep(spec, threads);
+            inject(dev, "lockstep", (1, 0), policy, None, job, None)
         }
         DeviceKind::Srt
         | DeviceKind::SrtPtsq
         | DeviceKind::SrtNosc
         | DeviceKind::SrtNoPsr
         | DeviceKind::Crt
-        | DeviceKind::CrtRing4 => rmt_injection(spec, workload, kind, cfg, index),
+        | DeviceKind::CrtRing4 => {
+            let arrangement = match spec.scheme.kind {
+                DeviceKind::Crt | DeviceKind::CrtRing4 => "crt",
+                _ => "srt",
+            };
+            let policy = ObservePolicy {
+                poll_detection: true,
+                hang_is_detection: true,
+                golden_compare: true,
+            };
+            let dev = Machine::redundant(spec, threads);
+            let p = dev.scheme().placement(0);
+            let lead = (p.lead_core, p.lead_tid);
+            inject(dev, arrangement, lead, policy, None, job, Some(lvq_strike))
+        }
     }
 }
 
-/// A redundant-pair injection: SRT and CRT both build a
-/// `Machine<RmtScheme>` and differ only in where the pair is placed.
-fn rmt_injection(
-    spec: &MachineSpec,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-    index: usize,
+/// Flips one bit of a random occupied LVQ entry of pair 0 (`None` while
+/// the queue is empty).
+fn lvq_strike(dev: &mut Machine<RmtScheme>, rng: &mut Xoshiro256) -> Option<FaultSite> {
+    let lvq = &mut dev.scheme_mut().env_mut().pair_mut(0).lvq;
+    let occ = lvq.len();
+    if occ == 0 {
+        return None;
+    }
+    let idx = rng.below(occ as u64) as usize;
+    let bit = rng.below(64);
+    lvq.corrupt_nth(idx, 1 << bit).map(|_| FaultSite {
+        structure: "lvq",
+        index: idx as u64,
+        bit: bit as u8,
+    })
+}
+
+/// One injection on `dev`, the same steps on every arrangement: warm up,
+/// drain the warmup's detections, strike thread `struck` (`(core, tid)`;
+/// an LVQ fault goes through `lvq` instead), then observe the window
+/// under `policy` with the optional commit-stream `oracle` (attached
+/// before warmup) and assemble the forensic record.
+fn inject<S: RedundancyScheme>(
+    mut dev: Machine<S>,
+    arrangement: &'static str,
+    (core, tid): (usize, usize),
+    policy: ObservePolicy,
+    mut oracle: Option<Oracle>,
+    job: Job,
+    lvq: Option<Strike<S>>,
 ) -> FaultForensics {
-    let arrangement = match spec.scheme.kind {
-        DeviceKind::Crt | DeviceKind::CrtRing4 => "crt",
-        _ => "srt",
-    };
+    let Job {
+        workload,
+        kind,
+        cfg,
+        index,
+    } = job;
+    let lvq = (kind == FaultKind::TransientLvq)
+        .then(|| lvq.unwrap_or_else(|| panic!("the {arrangement} machine has no LVQ")));
     let mut rng = Xoshiro256::for_job(cfg.seed, index as u64);
     let mut rec = FlightRecorder::new(FLIGHT_CAPACITY);
     let chain = rec.begin_chain();
-    let mut dev = Machine::redundant(spec, vec![thread(workload)]);
+    if let Some(o) = &oracle {
+        o.attach(&mut dev);
+    }
     if !dev.run_until_committed(cfg.warmup_commits, 50_000_000) {
         panic!("warmup did not complete");
     }
     dev.drain_detected_faults();
-    let p = dev.scheme().placement(0);
-    let site = inject_with_retry(&mut dev, &mut rng, |dev, rng| match kind {
-        FaultKind::TransientLvq => {
-            let lvq = &mut dev.scheme_mut().env_mut().pair_mut(0).lvq;
-            let occ = lvq.len();
-            if occ == 0 {
-                None
-            } else {
-                let idx = rng.below(occ.max(1) as u64) as usize;
-                let bit = rng.below(64);
-                lvq.corrupt_nth(idx, 1 << bit)
-                    .map(|_| crate::forensics::FaultSite {
-                        structure: "lvq",
-                        index: idx as u64,
-                        bit: bit as u8,
-                    })
-            }
-        }
-        _ => inject_into_core(
-            dev.substrate_mut().core_mut(p.lead_core),
-            p.lead_tid,
-            kind,
-            rng,
-        ),
+    let site = inject_with_retry(&mut dev, &mut rng, |dev, rng| match lvq {
+        Some(strike) => strike(dev, rng),
+        None => inject_into_core(dev.substrate_mut().core_mut(core), tid, kind, rng),
     });
     let inject_cycle = dev.cycle();
-    let Some(site) = site else {
-        return forensics(
-            arrangement,
-            kind,
-            index,
-            None,
-            inject_cycle,
-            FaultOutcome::Masked,
-            None,
-            rec,
-            chain,
-        );
+    let (outcome, mechanism) = match site {
+        None => (FaultOutcome::Masked, None),
+        Some(site) => {
+            rec.record(inject_cycle, chain, "inject", site.bit as u64);
+            let probe = |dev: &Machine<S>| {
+                let c = dev.substrate().core(core);
+                Probe {
+                    released: c.stats().get("stores_released"),
+                    squashes: c.thread_stats(tid).squashes,
+                    strikes: c.stats().get("sq_strikes_landed"),
+                }
+            };
+            observe_window(
+                &mut dev,
+                workload,
+                cfg,
+                inject_cycle,
+                probe,
+                policy,
+                oracle.as_mut(),
+                &mut rec,
+                chain,
+            )
+        }
     };
-    rec.record(inject_cycle, chain, "inject", site.bit as u64);
-    let (outcome, mechanism) = observe_window(
-        &mut dev,
-        workload,
-        cfg,
-        inject_cycle,
-        |dev| {
-            let core = dev.substrate().core(p.lead_core);
-            Probe {
-                released: core.stats().get("stores_released"),
-                squashes: core.thread_stats(p.lead_tid).squashes,
-                strikes: core.stats().get("sq_strikes_landed"),
-            }
-        },
-        ObservePolicy {
-            poll_detection: true,
-            hang_is_detection: true,
-            golden_compare: true,
-        },
-        None,
-        &mut rec,
-        chain,
-    );
-    forensics(
+    let events: Vec<_> = rec.chain_events(chain).copied().collect();
+    // Propagation hops: chain events strictly between the injection stamp
+    // and the terminal classification stamp.
+    let hops = events.len().saturating_sub(2) as u64;
+    FaultForensics {
         arrangement,
         kind,
         index,
-        Some(site),
+        site,
         inject_cycle,
         outcome,
         mechanism,
-        rec,
-        chain,
-    )
-}
-
-/// A base-processor injection.
-fn base_injection(
-    spec: &MachineSpec,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-    index: usize,
-) -> FaultForensics {
-    assert!(
-        !matches!(kind, FaultKind::TransientLvq),
-        "the base processor has no LVQ"
-    );
-    let mut rng = Xoshiro256::for_job(cfg.seed, index as u64);
-    let mut rec = FlightRecorder::new(FLIGHT_CAPACITY);
-    let chain = rec.begin_chain();
-    let mut dev = Machine::independent(spec, vec![thread(workload)]);
-    // The base machine's commit stream is its architectural output, so
-    // the co-simulation oracle is SDC ground truth: attach it before
-    // warmup and validate the fault-free prefix, then any divergence in
-    // the observation window is the injected fault escaping.
-    let mut oracle = Oracle::new(vec![(
-        workload.program.clone().into(),
-        workload.memory.clone(),
-    )]);
-    oracle.attach(&mut dev);
-    if !dev.run_until_committed(cfg.warmup_commits, 50_000_000) {
-        panic!("warmup did not complete");
+        hops,
+        events,
+        dropped_events: rec.dropped(),
     }
-    let site = inject_with_retry(&mut dev, &mut rng, |dev, rng| {
-        inject_into_core(dev.substrate_mut().core_mut(0), 0, kind, rng)
-    });
-    let inject_cycle = dev.cycle();
-    let Some(site) = site else {
-        return forensics(
-            "base",
-            kind,
-            index,
-            None,
-            inject_cycle,
-            FaultOutcome::Masked,
-            None,
-            rec,
-            chain,
-        );
-    };
-    rec.record(inject_cycle, chain, "inject", site.bit as u64);
-    let (outcome, mechanism) = observe_window(
-        &mut dev,
-        workload,
-        cfg,
-        inject_cycle,
-        |dev| {
-            let core = dev.substrate().core(0);
-            Probe {
-                released: core.stats().get("stores_released"),
-                squashes: core.thread_stats(0).squashes,
-                strikes: core.stats().get("sq_strikes_landed"),
-            }
-        },
-        ObservePolicy {
-            poll_detection: false,
-            hang_is_detection: false,
-            golden_compare: true,
-        },
-        Some(&mut oracle),
-        &mut rec,
-        chain,
-    );
-    forensics(
-        "base",
-        kind,
-        index,
-        Some(site),
-        inject_cycle,
-        outcome,
-        mechanism,
-        rec,
-        chain,
-    )
-}
-
-/// A lockstep injection, into core 1 only.
-fn lockstep_injection(
-    spec: &MachineSpec,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-    index: usize,
-) -> FaultForensics {
-    assert!(
-        !matches!(kind, FaultKind::TransientLvq),
-        "lockstepped machines have no LVQ"
-    );
-    let mut rng = Xoshiro256::for_job(cfg.seed, index as u64);
-    let mut rec = FlightRecorder::new(FLIGHT_CAPACITY);
-    let chain = rec.begin_chain();
-    let mut dev = Machine::lockstep(spec, vec![thread(workload)]);
-    if !dev.run_until_committed(cfg.warmup_commits, 50_000_000) {
-        panic!("warmup did not complete");
-    }
-    dev.drain_detected_faults();
-    let site = inject_with_retry(&mut dev, &mut rng, |dev, rng| {
-        inject_into_core(dev.substrate_mut().core_mut(1), 0, kind, rng)
-    });
-    let inject_cycle = dev.cycle();
-    let Some(site) = site else {
-        return forensics(
-            "lockstep",
-            kind,
-            index,
-            None,
-            inject_cycle,
-            FaultOutcome::Masked,
-            None,
-            rec,
-            chain,
-        );
-    };
-    rec.record(inject_cycle, chain, "inject", site.bit as u64);
-    let (outcome, mechanism) = observe_window(
-        &mut dev,
-        workload,
-        cfg,
-        inject_cycle,
-        // The checker compares every released store, so no golden model
-        // runs and the released count only feeds the forensic
-        // sphere-crossing stamp (from the struck core).
-        |dev| {
-            let core = dev.substrate().core(1);
-            Probe {
-                released: core.stats().get("stores_released"),
-                squashes: core.thread_stats(0).squashes,
-                strikes: core.stats().get("sq_strikes_landed"),
-            }
-        },
-        ObservePolicy {
-            poll_detection: true,
-            hang_is_detection: true,
-            golden_compare: false,
-        },
-        None,
-        &mut rec,
-        chain,
-    );
-    forensics(
-        "lockstep",
-        kind,
-        index,
-        Some(site),
-        inject_cycle,
-        outcome,
-        mechanism,
-        rec,
-        chain,
-    )
 }

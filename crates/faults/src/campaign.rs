@@ -2,7 +2,7 @@
 //! outcomes against the golden model.
 //!
 //! The per-cycle observation engine lives in [`crate::observe`] and the
-//! injection functions in [`crate::arrangements`] (re-exported here);
+//! one injection routine in [`crate::arrangements`] (re-exported here);
 //! this module owns the campaign-level API — configuration and the
 //! aggregate [`CampaignReport`]. Every injection produces a full
 //! [`crate::FaultForensics`] record whose `outcome` is the classified

@@ -11,7 +11,7 @@
 use crate::campaign::CampaignConfig;
 use crate::forensics::FaultSite;
 use crate::model::{FaultKind, FaultOutcome};
-use rmt_core::device::{Device, LogicalThread};
+use rmt_core::device::Device;
 use rmt_isa::interp::Interpreter;
 use rmt_pipeline::core::FaultDetector;
 use rmt_stats::{FlightRecorder, Xoshiro256};
@@ -82,8 +82,7 @@ pub(crate) struct ObservePolicy {
 }
 
 /// Per-cycle counter readings the engine watches for forensic
-/// transitions. Each arrangement supplies a closure producing these from
-/// the structures the fault can propagate through.
+/// transitions, read from the struck thread's core.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Probe {
     /// Stores released past the sphere of replication (also drives the
@@ -94,11 +93,6 @@ pub(crate) struct Probe {
     /// Armed store-queue strikes that have landed (the cycle the
     /// corrupted value was actually written).
     pub strikes: u64,
-}
-
-/// A logical thread running `workload`'s program on its memory image.
-pub(crate) fn thread(workload: &Workload) -> LogicalThread {
-    LogicalThread::new(workload.program.clone().into(), workload.memory.clone())
 }
 
 /// Stable mechanism label of a hardware detector.

@@ -2,14 +2,14 @@
 //! trailing-fetch policy and priority, CRT cross-core delay, and the
 //! next-line prefetch extension.
 
-use super::grid::{eff_grid, eff_row, sweep_figure, Variant};
+use super::grid::{eff_grid, eff_row, run_cells, sweep_figure, Variant};
 use super::{FigureCtx, FigureResult, SimScale};
-use crate::experiment::{DeviceKind, Experiment};
-use rmt_core::{Device, LogicalThread, Machine, MachineSpec};
+use crate::experiment::DeviceKind;
+use rmt_core::MachineSpec;
 use rmt_stats::metrics::mean;
 use rmt_stats::table::fmt3;
 use rmt_stats::Table;
-use rmt_workloads::{Benchmark, Workload};
+use rmt_workloads::Benchmark;
 use std::collections::BTreeMap;
 
 /// Store-queue size sweep (the motivation for per-thread store queues,
@@ -31,54 +31,52 @@ pub fn abl_sq_size(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> F
 /// Trailing-fetch policy ablation (§4.4): the line prediction queue vs
 /// fetching the trailing thread through the shared line predictor.
 pub fn abl_fetch_policy(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> FigureResult {
+    // Shared-line-predictor trailing fetch: trailing threads misspeculate,
+    // so comparison must move to retirement.
+    let mut shared = MachineSpec::for_kind(DeviceKind::Srt);
+    shared.core.trailing_uses_lpq = false;
+    shared.env.compare_at_retire = true;
+    shared.env.lpq_enabled = false;
+    // The Base column is every row's denominator run itself, so it costs
+    // no extra simulation.
+    let variants = [
+        Variant::plain(DeviceKind::Base),
+        Variant::plain(DeviceKind::Srt),
+        Variant {
+            spec: shared,
+            label: "shared".into(),
+            max_cycle_factor: 200,
+        },
+    ];
     let rows: Vec<Vec<Benchmark>> = benches.iter().map(|&b| vec![b]).collect();
-    let lpq = eff_grid(ctx, scale, &rows, &[Variant::plain(DeviceKind::Srt)]);
-    let shared = ctx.runner.run(benches.len(), |i| {
-        let b = benches[i];
-        // Shared-line-predictor trailing fetch: trailing threads
-        // misspeculate, so comparison must move to retirement.
-        let w = Workload::generate(b, scale.seed);
-        let mut spec = MachineSpec::for_kind(DeviceKind::Srt);
-        spec.core.trailing_uses_lpq = false;
-        spec.env.compare_at_retire = true;
-        spec.env.lpq_enabled = false;
-        ctx.apply(&mut spec);
-        let mut dev = Machine::redundant(&spec, vec![LogicalThread::from(&w)]);
-        let target = scale.warmup + scale.measure;
-        assert!(
-            dev.run_until_committed(target, target * 200),
-            "{b} shared-fetch run timed out"
-        );
-        let p = dev.scheme().placement(0);
-        let core = dev.substrate().core(0);
-        let eff = {
-            let ipc = core.thread_stats(p.lead_tid).committed as f64 / dev.cycle() as f64;
-            // Compare whole-run IPC against a whole-run base IPC for the
-            // same instruction count (no warmup split needed for a ratio of
-            // identically-measured runs).
-            let mut base =
-                Machine::independent(&ctx.spec(DeviceKind::Base), vec![LogicalThread::from(&w)]);
-            assert!(base.run_until_committed(target, target * 100));
-            let base_ipc = base.committed(0) as f64 / base.cycle() as f64;
-            ipc / base_ipc
-        };
-        (eff, core.thread_stats(p.trail_tid).squashes)
-    });
-
+    let grid = eff_grid(ctx, scale, &rows, &variants);
     let mut t = Table::with_columns(&[
         "benchmark",
         "SRT (LPQ)",
         "SRT (shared line pred)",
         "trailing squashes (shared)",
     ]);
-    for ((b, row), &(eff, trail_squashes)) in benches.iter().zip(&lpq.effs).zip(&shared) {
-        let mut cells = eff_row(b.name().into(), &[row[0], eff]);
-        cells.push(trail_squashes.to_string());
+    let mut shared_effs = Vec::new();
+    for (b, row) in benches.iter().zip(&grid.effs) {
+        let counter = |label: &str, name: &str| {
+            grid.metrics[&format!("{}/{label}", b.name())]
+                .counter(name)
+                .unwrap_or_else(|| panic!("{b}: the {label} run exports no `{name}`"))
+        };
+        // Whole-run IPCs of two identically measured runs: the leading
+        // thread's commits over the device's cycles.
+        let ipc = |label: &str| {
+            counter(label, "core0/thread0/committed") as f64
+                / counter(label, "device/cycles") as f64
+        };
+        let eff = ipc("shared") / ipc("Base");
+        shared_effs.push(eff);
+        let mut cells = eff_row(b.name().into(), &[row[1], eff]);
+        cells.push(counter("shared", "core0/thread1/squashes").to_string());
         t.row(cells);
     }
-    let shared_effs: Vec<f64> = shared.iter().map(|p| p.0).collect();
     let mut summary = BTreeMap::new();
-    summary.insert("lpq_mean".into(), lpq.means()[0]);
+    summary.insert("lpq_mean".into(), grid.means()[1]);
     summary.insert("shared_mean".into(), mean(&shared_effs));
     FigureResult {
         table: t,
@@ -155,27 +153,23 @@ pub fn abl_crt_delay(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) ->
 /// Next-line L1D prefetch ablation (extension; the paper's machine has no
 /// prefetcher): base-machine IPC with and without it, per benchmark.
 pub fn abl_prefetch(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> FigureResult {
-    // Two jobs per benchmark: prefetch off (even) and on (odd).
-    let ipcs = ctx.runner.run(benches.len() * 2, |i| {
-        let mut spec = MachineSpec::for_kind(DeviceKind::Base);
-        spec.hierarchy.l1d_next_line_prefetch = i % 2 == 1;
-        ctx.apply(&mut spec);
-        let r = Experiment::from_spec(spec)
-            .benchmark(benches[i / 2])
-            .seed(scale.seed)
-            .warmup(scale.warmup)
-            .measure(scale.measure)
-            .max_cycle_factor(150)
-            .run()
-            .expect("prefetch run");
-        ctx.runner.add_sim_cycles(r.cycles);
-        r.ipc(0)
-    });
+    // Two cells per benchmark: prefetch off (even) and on (odd).
+    let cells: Vec<(MachineSpec, Benchmark)> = benches
+        .iter()
+        .flat_map(|&b| {
+            [false, true].map(|on| {
+                let mut spec = MachineSpec::for_kind(DeviceKind::Base);
+                spec.hierarchy.l1d_next_line_prefetch = on;
+                (spec, b)
+            })
+        })
+        .collect();
+    let runs = run_cells(ctx, scale, &cells, 150);
     let mut t = Table::with_columns(&["benchmark", "no prefetch", "next-line prefetch", "speedup"]);
     let mut speedups = Vec::new();
     let mut summary = BTreeMap::new();
-    for (b, pair) in benches.iter().zip(ipcs.chunks(2)) {
-        let (off, on) = (pair[0], pair[1]);
+    for (b, pair) in benches.iter().zip(runs.chunks(2)) {
+        let (off, on) = (pair[0].ipc(0), pair[1].ipc(0));
         let speedup = on / off;
         speedups.push(speedup);
         t.row(vec![b.name().into(), fmt3(off), fmt3(on), fmt3(speedup)]);
@@ -186,5 +180,26 @@ pub fn abl_prefetch(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> 
         summary,
         metrics: BTreeMap::new(),
         timeseries: BTreeMap::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::plan::BASELINE_RUNS;
+
+    #[test]
+    fn fetch_policy_reads_its_denominators_from_the_base_column() {
+        let benches = [Benchmark::M88ksim, Benchmark::Ijpeg];
+        let ctx = FigureCtx::new(1);
+        let runs = || BASELINE_RUNS.with(|n| n.get());
+        let before = runs();
+        let r = abl_fetch_policy(&ctx, SimScale::quick(), &benches);
+        // Base, SRT and shared-fetch SRT per benchmark, and no Base run
+        // simulated twice: the Base cell is the denominator.
+        assert_eq!(ctx.runner.jobs_executed(), 3 * benches.len());
+        assert_eq!(runs(), before);
+        assert_eq!(r.table.num_rows(), benches.len());
+        assert!(r.value("shared_mean") > 0.0);
     }
 }

@@ -4,9 +4,8 @@
 
 use super::{FigureCtx, FigureResult, SimScale};
 use crate::experiment::DeviceKind;
-use crate::runner::par_campaign;
 use rmt_core::MachineSpec;
-use rmt_faults::{injection_forensic, CampaignConfig, FaultForensics, FaultKind};
+use rmt_faults::{injection_forensic, CampaignConfig, CampaignReport, FaultForensics, FaultKind};
 use rmt_stats::table::fmt3;
 use rmt_stats::Table;
 use rmt_workloads::{Benchmark, Workload};
@@ -22,6 +21,24 @@ fn crt_spec(ctx: &FigureCtx) -> MachineSpec {
     spec
 }
 
+/// Runs every injection of every `(spec, kind)` campaign on `workload` as
+/// one runner job, campaign-major: campaign `c`'s records are
+/// `cfg.injections` long, starting at `c * cfg.injections`. Each injection
+/// is a pure function of its index, so the records are bitwise identical
+/// at any `--jobs` level.
+fn injections(
+    ctx: &FigureCtx,
+    workload: &Workload,
+    campaigns: &[(&MachineSpec, FaultKind)],
+    cfg: CampaignConfig,
+) -> Vec<FaultForensics> {
+    let n = cfg.injections;
+    ctx.runner.run(campaigns.len() * n, |i| {
+        let (spec, kind) = campaigns[i / n];
+        injection_forensic(spec, workload, kind, cfg, i % n)
+    })
+}
+
 /// Renders a bucket-granular latency percentile, `"-"` when nothing was
 /// detected.
 fn fmt_latency(p: Option<u64>) -> String {
@@ -30,8 +47,9 @@ fn fmt_latency(p: Option<u64>) -> String {
 
 /// Fault-detection coverage across architectures and fault models,
 /// including PSR's effect on permanent-fault coverage (§4.5) and the
-/// detection-latency tail (p50/p95 of the campaign histogram). Each
-/// campaign's injections are fanned across the runner.
+/// detection-latency tail (p50/p95 of the campaign histogram). The
+/// injections of all twelve campaigns are fanned across the runner at
+/// once, and each campaign's chunk folds into its report.
 pub fn fault_coverage(ctx: &FigureCtx, scale: SimScale, bench: Benchmark) -> FigureResult {
     let w = Workload::generate(bench, scale.seed);
     let cfg = CampaignConfig {
@@ -51,8 +69,42 @@ pub fn fault_coverage(ctx: &FigureCtx, scale: SimScale, bench: Benchmark) -> Fig
         "p50",
         "p95",
     ]);
+    let (base, srt, nopsr) = (
+        ctx.spec(DeviceKind::Base),
+        ctx.spec(DeviceKind::Srt),
+        ctx.spec(DeviceKind::SrtNoPsr),
+    );
+    // SRT with the ECC the paper mandates for the LVQ (§2.1): strikes on
+    // LVQ entries are corrected before they can diverge the threads.
+    let mut ecc = MachineSpec::for_kind(DeviceKind::Srt);
+    ecc.env.lvq_ecc = true;
+    ctx.apply(&mut ecc);
+    let (crt, lockstep) = (crt_spec(ctx), ctx.spec(DeviceKind::Lock8));
+    let campaigns = [
+        // Base machine: no detection at all.
+        ("base", &base, FaultKind::TransientReg),
+        ("base", &base, FaultKind::TransientSq),
+        // SRT with PSR: all models.
+        ("srt", &srt, FaultKind::TransientReg),
+        ("srt", &srt, FaultKind::TransientSq),
+        ("srt", &srt, FaultKind::TransientLvq),
+        ("srt", &srt, FaultKind::PermanentFu),
+        // SRT without PSR: permanent faults (the coverage PSR exists to
+        // fix).
+        ("srt-nopsr", &nopsr, FaultKind::PermanentFu),
+        ("srt-ecc", &ecc, FaultKind::TransientLvq),
+        // CRT: the same strikes detected across the inter-core datapath —
+        // latency includes the cross-core forwarding delay.
+        ("crt", &crt, FaultKind::TransientReg),
+        ("crt", &crt, FaultKind::TransientSq),
+        // Lockstep: permanent + register faults.
+        ("lockstep", &lockstep, FaultKind::TransientReg),
+        ("lockstep", &lockstep, FaultKind::PermanentFu),
+    ];
+    let records = injections(ctx, &w, &campaigns.map(|(_, spec, kind)| (spec, kind)), cfg);
     let mut summary = BTreeMap::new();
-    let mut add = |t: &mut Table, machine: &str, r: rmt_faults::CampaignReport| {
+    for (&(machine, _, kind), chunk) in campaigns.iter().zip(records.chunks(cfg.injections)) {
+        let r = CampaignReport::from_outcomes(kind, chunk.iter().map(|f| f.outcome));
         t.row(vec![
             machine.into(),
             r.kind.name().into(),
@@ -64,54 +116,14 @@ pub fn fault_coverage(ctx: &FigureCtx, scale: SimScale, bench: Benchmark) -> Fig
             fmt_latency(r.p50_latency()),
             fmt_latency(r.p95_latency()),
         ]);
-        summary.insert(
-            format!("{machine}_{}_coverage", r.kind.name()),
-            r.coverage(),
-        );
-        summary.insert(
-            format!("{machine}_{}_silent", r.kind.name()),
-            r.silent as f64,
-        );
+        let key = format!("{machine}_{}", r.kind.name());
+        summary.insert(format!("{key}_coverage"), r.coverage());
+        summary.insert(format!("{key}_silent"), r.silent as f64);
         if let (Some(p50), Some(p95)) = (r.p50_latency(), r.p95_latency()) {
-            summary.insert(format!("{machine}_{}_p50", r.kind.name()), p50 as f64);
-            summary.insert(format!("{machine}_{}_p95", r.kind.name()), p95 as f64);
+            summary.insert(format!("{key}_p50"), p50 as f64);
+            summary.insert(format!("{key}_p95"), p95 as f64);
         }
-    };
-    let mut campaign = |machine: &str, spec: &MachineSpec, kinds: &[FaultKind]| {
-        for &kind in kinds {
-            add(
-                &mut t,
-                machine,
-                par_campaign(&ctx.runner, spec, &w, kind, cfg),
-            );
-        }
-    };
-    // Base machine: no detection at all.
-    let transients = [FaultKind::TransientReg, FaultKind::TransientSq];
-    campaign("base", &ctx.spec(DeviceKind::Base), &transients);
-    // SRT with PSR: all models.
-    campaign("srt", &ctx.spec(DeviceKind::Srt), &FaultKind::ALL);
-    // SRT without PSR: permanent faults (the coverage PSR exists to fix).
-    campaign(
-        "srt-nopsr",
-        &ctx.spec(DeviceKind::SrtNoPsr),
-        &[FaultKind::PermanentFu],
-    );
-    // SRT with the ECC the paper mandates for the LVQ (§2.1): strikes on
-    // LVQ entries are corrected before they can diverge the threads.
-    let mut ecc = MachineSpec::for_kind(DeviceKind::Srt);
-    ecc.env.lvq_ecc = true;
-    ctx.apply(&mut ecc);
-    campaign("srt-ecc", &ecc, &[FaultKind::TransientLvq]);
-    // CRT: the same strikes detected across the inter-core datapath —
-    // latency includes the cross-core forwarding delay.
-    campaign("crt", &crt_spec(ctx), &transients);
-    // Lockstep: permanent + register faults.
-    campaign(
-        "lockstep",
-        &ctx.spec(DeviceKind::Lock8),
-        &[FaultKind::TransientReg, FaultKind::PermanentFu],
-    );
+    }
     FigureResult {
         table: t,
         summary,
@@ -141,16 +153,12 @@ pub fn fault_forensics(
     // sphere-of-replication story is about, so SRT/CRT/base all take it;
     // lockstep takes the permanent FU fault its checker exists to catch.
     let arrangements = [
-        (ctx.spec(DeviceKind::Srt), FaultKind::TransientSq),
-        (crt_spec(ctx), FaultKind::TransientSq),
-        (ctx.spec(DeviceKind::Lock8), FaultKind::PermanentFu),
-        (ctx.spec(DeviceKind::Base), FaultKind::TransientSq),
+        (&ctx.spec(DeviceKind::Srt), FaultKind::TransientSq),
+        (&crt_spec(ctx), FaultKind::TransientSq),
+        (&ctx.spec(DeviceKind::Lock8), FaultKind::PermanentFu),
+        (&ctx.spec(DeviceKind::Base), FaultKind::TransientSq),
     ];
-    let n = cfg.injections;
-    let records = ctx.runner.run(arrangements.len() * n, |i| {
-        let (spec, kind) = &arrangements[i / n];
-        injection_forensic(spec, &w, *kind, cfg, i % n)
-    });
+    let records = injections(ctx, &w, &arrangements, cfg);
 
     let mut t = Table::with_columns(&[
         "arrangement",
@@ -178,7 +186,7 @@ pub fn fault_forensics(
             .entry(format!("{}_{}", f.arrangement, f.outcome_name()))
             .or_default() += 1.0;
     }
-    summary.insert("injections_per_arrangement".into(), n as f64);
+    summary.insert("injections_per_arrangement".into(), cfg.injections as f64);
     (
         FigureResult {
             table: t,

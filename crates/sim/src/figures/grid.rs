@@ -3,10 +3,13 @@
 //! as a [`ClusterPlan::grid`] — row-major with the variant innermost, the
 //! job order every `--jobs` golden was recorded under — through
 //! [`run_grid`], the executor and efficiency fold the sweeps use.
+//! Figures that read other metrics than an efficiency run a list of
+//! single-benchmark cells through [`run_cells`] and fold their
+//! [`RunResult`]s.
 
 use super::{FigureCtx, FigureResult, SimScale};
-use crate::experiment::DeviceKind;
-use crate::service::{run_grid, ClusterPlan, GridColumn, RUN_MAX_CYCLE_FACTOR};
+use crate::experiment::{DeviceKind, RunResult};
+use crate::service::{run_grid, ClusterPlan, GridColumn, RunRequest, RUN_MAX_CYCLE_FACTOR};
 use rmt_core::MachineSpec;
 use rmt_stats::metrics::mean;
 use rmt_stats::table::fmt3;
@@ -97,6 +100,38 @@ pub(crate) fn eff_grid(
         metrics,
         timeseries,
     }
+}
+
+/// Runs one [`RunRequest`] per `(spec, benchmark)` cell at `scale` and
+/// `max_cycle_factor` on the context's runner, one job per cell, the
+/// context's overrides replayed onto every spec and epoch sampling off.
+/// Each cell's cycles are credited to the runner, as [`run_grid`] does.
+/// Results come back in cell order.
+///
+/// # Panics
+///
+/// If a cell's simulation fails (it exceeds its cycle budget).
+pub(crate) fn run_cells(
+    ctx: &FigureCtx,
+    scale: SimScale,
+    cells: &[(MachineSpec, Benchmark)],
+    max_cycle_factor: u64,
+) -> Vec<RunResult> {
+    ctx.runner.run(cells.len(), |i| {
+        let (spec, bench) = &cells[i];
+        let mut spec = spec.clone();
+        ctx.apply(&mut spec);
+        let request = RunRequest {
+            spec,
+            benches: vec![*bench],
+            scale,
+            epoch: 0,
+            max_cycle_factor,
+        };
+        let r = request.run(None).unwrap_or_else(|e| panic!("{bench}: {e}"));
+        ctx.runner.add_sim_cycles(r.cycles);
+        r
+    })
 }
 
 /// A one-axis sweep figure: single-benchmark rows × one variant per

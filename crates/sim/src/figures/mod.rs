@@ -9,15 +9,18 @@
 //! points to the context's [`Runner`]: efficiency tables as
 //! [`ClusterPlan`](crate::service::ClusterPlan) grids through the
 //! executor the sweeps use (each Base denominator simulated once per
-//! plan), other drivers as hand-built runs or fault-campaign jobs.
-//! Results are gathered by job index, so a figure is **bitwise
-//! identical** at any `--jobs` level (the determinism tests assert this).
+//! plan), other tables as lists of run cells whose
+//! [`RunResult`](crate::RunResult)s they fold, and fault figures as one
+//! job per injection. No driver builds a machine itself. Results are
+//! gathered by job index, so a figure is **bitwise identical** at any
+//! `--jobs` level (the determinism tests assert this).
 //!
 //! The module is organised by topic, with every driver re-exported flat
 //! so callers keep writing `figures::fig6_srt_single`:
 //!
 //! * `grid` — efficiency tables as plans: benchmark-mix rows × device
-//!   `Variant` columns (a labelled `MachineSpec`), one job per cell.
+//!   `Variant` columns (a labelled `MachineSpec`), one job per cell; and
+//!   `run_cells`, the run requests of the tables that read other metrics.
 //! * `machine` — Table 1 and Figure 2, read back from the live config.
 //! * `sampling` — the sampled Figure 6 grid (SMARTS-style windows with
 //!   paired Base denominators) and the sampled-vs-full error validation.
@@ -25,7 +28,7 @@
 //! * `crt` — Figures 10–12 (lockstep vs CRT) and the four-core CRT ring.
 //! * `ablations` — sizing and policy sweeps.
 //! * `workloads` — slack profiles and workload characterization.
-//! * `faults` — fault-injection coverage.
+//! * `faults` — fault-injection coverage and forensics.
 //! * `suite` — the aggregate JSON artifact.
 //!
 //! The paper's runs are 15M instructions per program on a hardware-grade
@@ -128,10 +131,10 @@ pub struct FigureCtx {
     pub epoch: Option<u64>,
     /// Machine-spec key-path overrides (the `--set`/`--config` flags),
     /// replayed onto **every** machine a figure driver builds — grid
-    /// experiments, hand-built devices, fault campaigns and the Base
-    /// denominators — after the driver's own spec edits, so the CLI
-    /// always has the last word. The `scheme.kind` path is skipped: the
-    /// figure's columns own the device kind.
+    /// cells, run cells, fault injections and the Base denominators —
+    /// after the driver's own spec edits, so the CLI always has the last
+    /// word. The `scheme.kind` path is skipped: the figure's columns own
+    /// the device kind.
     pub overrides: Vec<(String, Json)>,
 }
 

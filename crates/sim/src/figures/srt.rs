@@ -2,15 +2,15 @@
 //! efficiency, preferential space redundancy, two-logical-thread runs and
 //! the store-lifetime analysis.
 
-use super::grid::{eff_grid, eff_row, Variant};
+use super::grid::{eff_grid, eff_row, run_cells, Variant};
 use super::{FigureCtx, FigureResult, SimScale};
-use crate::experiment::DeviceKind;
-use rmt_core::{Device, LogicalThread, Machine, MachineSpec};
+use crate::experiment::{DeviceKind, RunResult};
+use rmt_core::MachineSpec;
 use rmt_stats::metrics::{degradation_pct, mean};
 use rmt_stats::table::{fmt3, fmt_pct};
 use rmt_stats::Table;
 use rmt_workloads::mix::{mix_name, two_program_mixes};
-use rmt_workloads::{Benchmark, Workload};
+use rmt_workloads::Benchmark;
 use std::collections::BTreeMap;
 
 /// Figure 6: SMT-efficiency for one logical thread under Base2, SRT+nosc,
@@ -47,33 +47,26 @@ pub fn fig6_srt_single(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) 
     }
 }
 
-fn same_fu_fraction(
-    ctx: &FigureCtx,
-    psr_enabled: bool,
-    bench: Benchmark,
-    scale: SimScale,
-) -> (f64, f64) {
-    let mut spec = MachineSpec::for_kind(DeviceKind::SrtNoPsr);
-    spec.core.preferential_space_redundancy = psr_enabled;
-    ctx.apply(&mut spec);
-    let w = Workload::generate(bench, scale.seed);
-    let mut dev = Machine::redundant(&spec, vec![LogicalThread::from(&w)]);
-    let ok = dev.run_until_committed(
-        scale.warmup + scale.measure,
-        (scale.warmup + scale.measure) * 100,
-    );
-    assert!(ok, "{bench}: PSR run timed out");
-    let psr = &dev.scheme().env().pair(0).psr;
-    (psr.same_fu_fraction(), psr.same_half_fraction())
-}
-
 /// Figure 7: fraction of corresponding instructions executing on the same
 /// functional unit, without and with preferential space redundancy.
 pub fn fig7_psr(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> FigureResult {
-    // Two jobs per benchmark: PSR off (even indices) and on (odd).
-    let points = ctx.runner.run(benches.len() * 2, |i| {
-        same_fu_fraction(ctx, i % 2 == 1, benches[i / 2], scale)
-    });
+    // Two cells per benchmark: PSR off (even indices) and on (odd).
+    let cells: Vec<(MachineSpec, Benchmark)> = benches
+        .iter()
+        .flat_map(|&b| {
+            [false, true].map(|psr| {
+                let mut spec = MachineSpec::for_kind(DeviceKind::SrtNoPsr);
+                spec.core.preferential_space_redundancy = psr;
+                (spec, b)
+            })
+        })
+        .collect();
+    let runs = run_cells(ctx, scale, &cells, 100);
+    let gauge = |r: &RunResult, name: &str| {
+        r.metrics
+            .gauge(&format!("rmt/pair0/psr/{name}"))
+            .unwrap_or_else(|| panic!("the SRT run exports no `{name}`"))
+    };
     let mut t = Table::with_columns(&[
         "benchmark",
         "same-FU (no PSR)",
@@ -83,9 +76,9 @@ pub fn fig7_psr(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> Figu
     ]);
     let mut no_psr = Vec::new();
     let mut with_psr = Vec::new();
-    for (b, pair) in benches.iter().zip(points.chunks(2)) {
-        let (fu0, half0) = pair[0];
-        let (fu1, half1) = pair[1];
+    for (b, pair) in benches.iter().zip(runs.chunks(2)) {
+        let [fu0, fu1] = [0, 1].map(|i| gauge(&pair[i], "same_fu_fraction"));
+        let [half0, half1] = [0, 1].map(|i| gauge(&pair[i], "same_half_fraction"));
         no_psr.push(fu0);
         with_psr.push(fu1);
         t.row(vec![
@@ -142,31 +135,21 @@ pub fn fig8_srt_multi(ctx: &FigureCtx, scale: SimScale) -> FigureResult {
 /// §7.1's store-queue analysis: average lifetime of a store-queue entry on
 /// the base processor vs the SRT leading thread.
 pub fn fig9_storeq(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> FigureResult {
-    let lifetimes = ctx.runner.run(benches.len(), |i| {
-        let b = benches[i];
-        let w = Workload::generate(b, scale.seed);
-        let target = scale.warmup + scale.measure;
-
-        let mut base =
-            Machine::independent(&ctx.spec(DeviceKind::Base), vec![LogicalThread::from(&w)]);
-        assert!(base.run_until_committed(target, target * 100));
-        let base_life = base.substrate().core(0).store_lifetime(0).mean();
-
-        let mut srt = Machine::redundant(
-            &ctx.spec(DeviceKind::SrtNoPsr),
-            vec![LogicalThread::from(&w)],
-        );
-        assert!(srt.run_until_committed(target, target * 100));
-        let lead = srt.scheme().placement(0).lead_tid;
-        let life = srt.substrate().core(0).store_lifetime(lead);
-        (
-            base_life,
-            life.mean(),
-            life.percentile(50.0).unwrap_or(0),
-            life.percentile(95.0).unwrap_or(0),
-        )
-    });
-
+    // Two cells per benchmark: Base (even indices) and SRT (odd). On the
+    // SMT placement the leading thread is core 0, thread 0 — the same
+    // histogram as the base machine's only thread.
+    let cells: Vec<(MachineSpec, Benchmark)> = benches
+        .iter()
+        .flat_map(|&b| {
+            [DeviceKind::Base, DeviceKind::SrtNoPsr].map(|k| (MachineSpec::for_kind(k), b))
+        })
+        .collect();
+    let runs = run_cells(ctx, scale, &cells, 100);
+    let life = |r: &RunResult| {
+        *r.metrics
+            .histogram("core0/thread0/sq_lifetime")
+            .expect("every run exports the store lifetimes of core 0, thread 0")
+    };
     let mut t = Table::with_columns(&[
         "benchmark",
         "base lifetime",
@@ -177,17 +160,18 @@ pub fn fig9_storeq(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> F
     ]);
     let mut deltas = Vec::new();
     let mut p95s = Vec::new();
-    for (b, &(base_life, srt_life, p50, p95)) in benches.iter().zip(&lifetimes) {
-        let delta = srt_life - base_life;
+    for (b, pair) in benches.iter().zip(runs.chunks(2)) {
+        let (base, srt) = (life(&pair[0]), life(&pair[1]));
+        let delta = srt.mean - base.mean;
         deltas.push(delta);
-        p95s.push(p95 as f64);
+        p95s.push(srt.p95 as f64);
         t.row(vec![
             b.name().into(),
-            fmt3(base_life),
-            fmt3(srt_life),
+            fmt3(base.mean),
+            fmt3(srt.mean),
             fmt3(delta),
-            p50.to_string(),
-            p95.to_string(),
+            srt.p50.to_string(),
+            srt.p95.to_string(),
         ]);
     }
     t.row(vec![
@@ -258,8 +242,8 @@ mod tests {
 
     #[test]
     fn fig9_replays_cli_overrides_onto_its_machines() {
-        // `--set core.sq_entries=16` must reach the hand-built base and
-        // SRT machines, not just the embedded config.
+        // `--set core.sq_entries=16` must reach the base and SRT run
+        // cells, not just the embedded config.
         let benches = &[Benchmark::M88ksim];
         let plain = fig9_storeq(&FigureCtx::new(1), SimScale::quick(), benches);
         let ctx = FigureCtx::new(1)

@@ -1,10 +1,10 @@
 //! Workload-facing figures: the redundant-thread slack profile and the
 //! workload characterization table.
 
-use super::grid::{eff_grid, Variant};
+use super::grid::{eff_grid, run_cells, Variant};
 use super::{FigureCtx, FigureResult, SimScale};
 use crate::experiment::DeviceKind;
-use rmt_core::{Device, LogicalThread, Machine};
+use rmt_core::MachineSpec;
 use rmt_stats::metrics::mean;
 use rmt_stats::table::{fmt3, fmt_pct};
 use rmt_stats::Table;
@@ -16,27 +16,11 @@ use std::collections::BTreeMap;
 /// controlled explicitly in the original SRT design and that the LVQ/LPQ
 /// capacity bounds implicitly here (§4.4).
 pub fn slack_profile(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> FigureResult {
-    let points = ctx.runner.run(benches.len(), |i| {
-        let b = benches[i];
-        let w = Workload::generate(b, scale.seed);
-        let mut dev = Machine::redundant(
-            &ctx.spec(DeviceKind::SrtNoPsr),
-            vec![LogicalThread::from(&w)],
-        );
-        let target = scale.warmup + scale.measure;
-        assert!(
-            dev.run_until_committed(target, target * 120),
-            "{b} timed out"
-        );
-        let pair = dev.scheme().env().pair(0);
-        (
-            pair.slack.mean(),
-            pair.slack.percentile(95.0).unwrap_or(0),
-            pair.slack.max().unwrap_or(0),
-            pair.lvq.peak(),
-            pair.lpq.peak(),
-        )
-    });
+    let cells: Vec<(MachineSpec, Benchmark)> = benches
+        .iter()
+        .map(|&b| (MachineSpec::for_kind(DeviceKind::SrtNoPsr), b))
+        .collect();
+    let runs = run_cells(ctx, scale, &cells, 120);
     let mut t = Table::with_columns(&[
         "benchmark",
         "mean slack",
@@ -47,17 +31,25 @@ pub fn slack_profile(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) ->
     ]);
     let mut means = Vec::new();
     let mut p95s = Vec::new();
-    for (b, &(slack_mean, slack_p95, slack_max, lvq_peak, lpq_peak)) in benches.iter().zip(&points)
-    {
-        means.push(slack_mean);
-        p95s.push(slack_p95 as f64);
+    for (b, r) in benches.iter().zip(&runs) {
+        let slack = r
+            .metrics
+            .histogram("rmt/pair0/slack")
+            .unwrap_or_else(|| panic!("{b}: the SRT run exports no slack histogram"));
+        let peak = |queue: &str| {
+            r.metrics
+                .counter(&format!("rmt/pair0/{queue}/peak"))
+                .unwrap_or_else(|| panic!("{b}: the SRT run exports no {queue} peak"))
+        };
+        means.push(slack.mean);
+        p95s.push(slack.p95 as f64);
         t.row(vec![
             b.name().into(),
-            fmt3(slack_mean),
-            slack_p95.to_string(),
-            slack_max.to_string(),
-            lvq_peak.to_string(),
-            lpq_peak.to_string(),
+            fmt3(slack.mean),
+            slack.p95.to_string(),
+            slack.max.to_string(),
+            peak("lvq").to_string(),
+            peak("lpq").to_string(),
         ]);
     }
     let mut summary = BTreeMap::new();

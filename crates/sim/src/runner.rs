@@ -28,14 +28,11 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
-use rmt_core::MachineSpec;
-use rmt_faults::{injection_forensic, CampaignConfig, CampaignReport, FaultForensics, FaultKind};
-use rmt_workloads::Workload;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A progress observer: a shareable `(done, total)` callback.
 ///
@@ -51,6 +48,26 @@ impl ProgressSink {
     /// callers may be invoked from any worker thread, concurrently.
     pub fn new(f: impl Fn(u64, u64) + Send + Sync + 'static) -> Self {
         ProgressSink(Arc::new(f))
+    }
+
+    /// A sink that prints `[tag] done/total unit, …s elapsed, ETA …s`
+    /// lines on stderr: at most one every 500 ms, plus the last.
+    pub fn stderr(tag: &'static str, unit: &'static str) -> Self {
+        let started = Instant::now();
+        let last_print = Mutex::new(started - Duration::from_secs(1));
+        ProgressSink::new(move |done, total| {
+            let mut last = last_print.lock().expect("progress mutex");
+            if last.elapsed() >= Duration::from_millis(500) || done == total {
+                *last = Instant::now();
+                let elapsed = started.elapsed().as_secs_f64();
+                let eta = if done > 0 {
+                    elapsed / done as f64 * (total - done) as f64
+                } else {
+                    f64::NAN
+                };
+                eprintln!("[{tag}] {done}/{total} {unit}, {elapsed:.1}s elapsed, ETA {eta:.1}s");
+            }
+        })
     }
 
     /// Reports `done` completed units out of `total`.
@@ -75,12 +92,9 @@ pub struct Runner {
     executed: AtomicUsize,
     /// Simulated cycles reported by figure drivers (host throughput gauge).
     sim_cycles: AtomicU64,
-    /// Print jobs-completed/ETA lines to stderr (the `--progress` flag).
-    /// Stderr only — the deterministic payload never sees it.
-    progress: AtomicBool,
-    /// Machine-consumable twin of `progress`: called with
-    /// `(jobs done, jobs total)` after every job of a `run` call (the
-    /// serving layer's live job-progress gauge).
+    /// Called with `(jobs done, jobs total)` after every job of a `run`
+    /// call: the `--progress` lines, or the serving layer's live
+    /// job-progress gauge.
     hook: Option<ProgressSink>,
 }
 
@@ -91,29 +105,21 @@ impl Runner {
             jobs: jobs.max(1),
             executed: AtomicUsize::new(0),
             sim_cycles: AtomicU64::new(0),
-            progress: AtomicBool::new(false),
             hook: None,
         }
     }
 
     /// Installs (or clears) a [`ProgressSink`] to call with
-    /// `(jobs done, jobs total)` after every completed job. Like the
-    /// stderr `--progress` lines, the sink is pure observation: job
-    /// results are bit-for-bit the same with or without one.
+    /// `(jobs done, jobs total)` after every completed job. The sink is
+    /// pure observation: job results are bit-for-bit the same with or
+    /// without one.
     pub fn set_hook(&mut self, hook: Option<ProgressSink>) {
         self.hook = hook;
     }
 
-    /// Enables (or disables) periodic progress lines on stderr. Progress
-    /// reporting is pure observation: job results are bit-for-bit the same
-    /// with it on or off.
-    pub fn set_progress(&mut self, enabled: bool) {
-        *self.progress.get_mut() = enabled;
-    }
-
-    /// Whether progress reporting is on.
-    pub fn progress(&self) -> bool {
-        self.progress.load(Ordering::Relaxed)
+    /// The installed [`ProgressSink`], if any.
+    pub fn hook(&self) -> Option<&ProgressSink> {
+        self.hook.as_ref()
     }
 
     /// A runner sized to the host's available parallelism.
@@ -166,31 +172,18 @@ impl Runner {
         F: Fn(usize) -> T + Sync,
     {
         self.executed.fetch_add(n, Ordering::Relaxed);
-        let started = Instant::now();
         let done = AtomicUsize::new(0);
-        let report = self.progress.load(Ordering::Relaxed) && n > 0;
-        let notify = report || self.hook.is_some();
-        let timed = |i: usize| {
+        let observed = |i: usize| {
             let out = job(i);
-            if notify {
+            if let Some(hook) = &self.hook {
                 let c = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(hook) = &self.hook {
-                    hook.report(c as u64, n as u64);
-                }
-                // Roughly ten lines per run (always the final one), on
-                // stderr only: the deterministic payload is untouched.
-                let step = (n / 10).max(1);
-                if report && (c.is_multiple_of(step) || c == n) {
-                    let elapsed = started.elapsed().as_secs_f64();
-                    let eta = elapsed / c as f64 * (n - c) as f64;
-                    eprintln!("[runner] {c}/{n} jobs done, {elapsed:.1}s elapsed, ~{eta:.1}s left");
-                }
+                hook.report(c as u64, n as u64);
             }
             out
         };
         let workers = self.jobs.min(n);
         if workers <= 1 {
-            return (0..n).map(timed).collect();
+            return (0..n).map(observed).collect();
         }
 
         // One deque per worker, seeded with a contiguous block of indices
@@ -214,7 +207,7 @@ impl Runner {
             for w in 0..workers {
                 let queues = &queues;
                 let slots = &slots;
-                let job = &timed;
+                let job = &observed;
                 scope.spawn(move || loop {
                     let idx = {
                         let mut own = queues[w].lock().expect("queue poisoned");
@@ -260,44 +253,6 @@ impl Default for Runner {
     fn default() -> Self {
         Self::available()
     }
-}
-
-// ====================================================================
-// Parallel fault campaigns
-// ====================================================================
-
-/// [`rmt_faults::run_campaign`] with injections fanned across the
-/// runner. Identical report to the sequential form for any worker count
-/// (each injection draws from its own [`split_seed`]-derived stream, and
-/// outcomes are aggregated in index order).
-///
-/// [`split_seed`]: rmt_stats::rng::split_seed
-pub fn par_campaign(
-    runner: &Runner,
-    spec: &MachineSpec,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-) -> CampaignReport {
-    let outcomes = runner.run(cfg.injections, |i| {
-        injection_forensic(spec, workload, kind, cfg, i).outcome
-    });
-    CampaignReport::from_outcomes(kind, outcomes)
-}
-
-/// A full forensic campaign fanned across the runner: one
-/// [`FaultForensics`] record per injection, ordered by injection index —
-/// bitwise identical at any worker count, like the aggregate campaigns.
-pub fn par_forensics(
-    runner: &Runner,
-    spec: &MachineSpec,
-    workload: &Workload,
-    kind: FaultKind,
-    cfg: CampaignConfig,
-) -> Vec<FaultForensics> {
-    runner.run(cfg.injections, |i| {
-        injection_forensic(spec, workload, kind, cfg, i)
-    })
 }
 
 #[cfg(test)]

@@ -47,7 +47,6 @@ use crate::figures::SimScale;
 use crate::runner::{ProgressSink, Runner};
 use rmt_core::spec::{DeviceKind, MachineSpec};
 use rmt_stats::Json;
-use rmt_workloads::profile::ALL_BENCHMARKS;
 use rmt_workloads::Benchmark;
 
 /// Default cycle-budget multiplier for service runs — the same default an
@@ -105,11 +104,7 @@ fn parse_benches(doc: &Json) -> Result<Vec<Benchmark>, String> {
     list.iter()
         .map(|v| {
             let n = v.as_str().ok_or("`benches` entries must be strings")?;
-            ALL_BENCHMARKS
-                .iter()
-                .copied()
-                .find(|b| b.name() == n)
-                .ok_or_else(|| format!("unknown benchmark `{n}` in `benches`"))
+            Benchmark::from_name(n).ok_or_else(|| format!("unknown benchmark `{n}` in `benches`"))
         })
         .collect()
 }

@@ -5,10 +5,9 @@
 //! happens).
 
 use rmt_core::{DeviceKind, MachineSpec};
-use rmt_faults::{run_campaign, CampaignConfig, FaultKind};
+use rmt_faults::{injection_forensic, run_campaign, CampaignConfig, CampaignReport, FaultKind};
 use rmt_sample::SamplePlan;
 use rmt_sim::figures::{self, FigureCtx};
-use rmt_sim::runner::{par_campaign, par_forensics};
 use rmt_sim::{Runner, SimScale};
 use rmt_workloads::{Benchmark, Workload};
 
@@ -86,7 +85,10 @@ fn srt_campaign_is_identical_sequential_and_parallel() {
     let kind = FaultKind::TransientReg;
     let spec = MachineSpec::for_kind(DeviceKind::SrtNoPsr);
     let seq = run_campaign(&spec, &w, kind, cfg);
-    let par = par_campaign(&Runner::new(8), &spec, &w, kind, cfg);
+    let outcomes = Runner::new(8).run(cfg.injections, |i| {
+        injection_forensic(&spec, &w, kind, cfg, i).outcome
+    });
+    let par = CampaignReport::from_outcomes(kind, outcomes);
     // `CampaignReport` equality covers the outcome counts *and* the
     // detection-latency histogram bin-by-bin.
     assert_eq!(seq, par, "campaign report differs across worker counts");
@@ -134,8 +136,12 @@ fn forensic_campaign_is_identical_sequential_and_parallel() {
     };
     let kind = FaultKind::TransientSq;
     let spec = MachineSpec::for_kind(DeviceKind::SrtNoPsr);
-    let seq = par_forensics(&Runner::new(1), &spec, &w, kind, cfg);
-    let par = par_forensics(&Runner::new(8), &spec, &w, kind, cfg);
+    let forensics = |runner: Runner| {
+        runner.run(cfg.injections, |i| {
+            injection_forensic(&spec, &w, kind, cfg, i)
+        })
+    };
+    let (seq, par) = (forensics(Runner::new(1)), forensics(Runner::new(8)));
     assert_eq!(seq.len(), par.len());
     for (a, b) in seq.iter().zip(&par) {
         // Structural equality plus the serialized record — the bytes that

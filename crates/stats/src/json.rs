@@ -413,14 +413,20 @@ impl<'a> Parser<'a> {
                             let hi = self.hex4()?;
                             let code = if (0xd800..0xdc00).contains(&hi) {
                                 // Surrogate pair: a following \uXXXX low half.
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
-                                } else {
+                                if self.peek() != Some(b'\\') {
                                     return Err(self.err("lone high surrogate"));
                                 }
+                                let at = self.pos;
+                                self.pos += 1;
+                                self.expect(b'u')?;
+                                let lo = self.hex4()?;
+                                if !(0xdc00..0xe000).contains(&lo) {
+                                    return Err(ParseError {
+                                        message: "invalid low surrogate".into(),
+                                        offset: at,
+                                    });
+                                }
+                                0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
                             } else {
                                 hi
                             };
@@ -586,6 +592,19 @@ mod tests {
     fn parse_surrogate_pair() {
         let v = parse(r#""😀""#).unwrap();
         assert_eq!(v.as_str(), Some("\u{1f600}"));
+        let v = parse(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{1f600}"));
+        // A high surrogate must be followed by a low one (DC00–DFFF).
+        for bad in [r#""\ud83d\u0041""#, r#""\ud800\ue000""#] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.message, "invalid low surrogate", "{bad}");
+            assert_eq!(
+                err.offset, 7,
+                "{bad}: the error points at the second escape"
+            );
+        }
+        let err = parse(r#""\ud83d""#).unwrap_err();
+        assert!(err.to_string().contains("lone high surrogate"), "{err}");
     }
 
     #[test]

@@ -77,6 +77,12 @@ impl Benchmark {
         }
     }
 
+    /// The inverse of [`Benchmark::name`] (`--benches` lists and service
+    /// requests).
+    pub fn from_name(name: &str) -> Option<Benchmark> {
+        ALL_BENCHMARKS.iter().copied().find(|b| b.name() == name)
+    }
+
     /// Whether this is a SPECfp95 benchmark.
     pub fn is_fp(self) -> bool {
         matches!(
@@ -307,6 +313,11 @@ mod tests {
                 .chars()
                 .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()));
         }
+        for &b in ALL_BENCHMARKS {
+            assert_eq!(Benchmark::from_name(b.name()), Some(b));
+        }
+        assert_eq!(Benchmark::from_name("Gcc"), None);
+        assert_eq!(Benchmark::from_name(""), None);
     }
 
     #[test]

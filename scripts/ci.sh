@@ -238,8 +238,12 @@ section "golden: grid tables must regenerate bitwise (sans timing)"
 # Four efficiency tables, one per shape the grid path takes: rows of two
 # threads (fig8_srt_multi), a two-variant grid (abl_slack), a swept axis
 # with its own cycle factor (abl_sq_size), and a Base cell read on its
-# own (workload_chars). Together about a minute on two workers.
-for b in fig8_srt_multi abl_slack abl_sq_size workload_chars; do
+# own (workload_chars). Together about a minute on two workers. Then the
+# five tables that run as cells and fold their runs' metric snapshots
+# (fig7_psr, fig9_storeq, slack_profile, abl_prefetch, and
+# abl_fetch_policy's three-column grid), about 45 s more.
+for b in fig8_srt_multi abl_slack abl_sq_size workload_chars \
+         fig7_psr fig9_storeq slack_profile abl_prefetch abl_fetch_policy; do
     cargo run --release -p rmt-bench --bin figure -- "$b" --standard --jobs 2 \
         | grep -v '^  \[' > "$tmpdir/$b.txt"
     if ! diff -u "results/$b.txt" "$tmpdir/$b.txt"; then
