@@ -14,7 +14,7 @@ use rmt_stats::{cli, Json};
 fn main() {
     let usage = format!("usage: fault_forensics {FIGURE_FLAGS}");
     let args = cli::run(&usage, |argv| {
-        FigureArgs::parse(argv, BenchInput::One, false)
+        FigureArgs::parse(argv, BenchInput::One, false).and_then(FigureArgs::refuse_epoch)
     });
     run_and_print(
         "Fault forensics: per-injection causal records",

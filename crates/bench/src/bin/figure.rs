@@ -5,7 +5,7 @@
 use rmt_bench::{run_and_print, BenchInput, FigureArgs, FIGURE_FLAGS};
 use rmt_sim::figures::{self as f, FigureResult};
 use rmt_sim::FigureCtx;
-use rmt_stats::cli;
+use rmt_stats::cli::{self, Args};
 use rmt_workloads::mix::four_program_mixes;
 use BenchInput::{Fixed, List, One};
 
@@ -19,6 +19,9 @@ struct Figure {
     run: Driver,
     /// The title and driver of the sampled form `--sample` selects.
     sampled: Option<(&'static str, Driver)>,
+    /// Whether `--epoch` applies: the figure runs an efficiency grid and
+    /// returns its time series (its sampled form never does).
+    epochs: bool,
 }
 
 const fn fig(
@@ -35,18 +38,34 @@ const fn fig(
         input,
         run,
         sampled: None,
+        epochs: true,
+    }
+}
+
+/// A figure that runs no efficiency grid, so `--epoch` has no time
+/// series to fill and is refused.
+const fn fig_no_series(
+    id: &'static str,
+    title: &'static str,
+    paper: &'static str,
+    input: BenchInput,
+    run: Driver,
+) -> Figure {
+    Figure {
+        epochs: false,
+        ..fig(id, title, paper, input, run)
     }
 }
 
 const FIGURES: [Figure; 20] = [
-    fig(
+    fig_no_series(
         "table1",
         "Table 1: base processor parameters",
         "Table 1",
         Fixed,
         |_, _| f::table1(),
     ),
-    fig(
+    fig_no_series(
         "fig2_pipeline",
         "Figure 2: pipeline segments",
         "Figure 2",
@@ -66,7 +85,7 @@ const FIGURES: [Figure; 20] = [
             |c, a| f::fig6_srt_single(c, a.scale, &a.benches),
         )
     },
-    fig(
+    fig_no_series(
         "fig7_psr",
         "Figure 7: same-functional-unit fraction, PSR off/on",
         "Figure 7 (paper: ~65% -> ~0.06%)",
@@ -80,7 +99,7 @@ const FIGURES: [Figure; 20] = [
         Fixed,
         |c, a| f::fig8_srt_multi(c, a.scale),
     ),
-    fig(
+    fig_no_series(
         "fig9_storeq",
         "Store-queue entry lifetimes: base vs SRT leading thread",
         "Section 7.1 prose (paper: ~+39 cycles)",
@@ -143,14 +162,14 @@ const FIGURES: [Figure; 20] = [
         List,
         |c, a| f::abl_slack(c, a.scale, &a.benches),
     ),
-    fig(
+    fig_no_series(
         "abl_prefetch",
         "Ablation: next-line L1D prefetch",
         "Extension (the paper's base machine has no prefetcher)",
         List,
         |c, a| f::abl_prefetch(c, a.scale, &a.benches),
     ),
-    fig(
+    fig_no_series(
         "slack_profile",
         "Redundant-thread slack profile under SRT",
         "Section 4.4 (LPQ-driven fetch subsumes explicit slack fetch)",
@@ -164,7 +183,7 @@ const FIGURES: [Figure; 20] = [
         List,
         |c, a| f::workload_chars(c, a.scale, &a.benches),
     ),
-    fig(
+    fig_no_series(
         "fault_coverage",
         "Fault-injection coverage",
         "Sections 4.5 / 7.1.1 (paper: PSR makes permanent faults detectable)",
@@ -190,21 +209,88 @@ const FIGURES: [Figure; 20] = [
     ),
 ];
 
+/// Parses `ID [flags]` against the figure's entry in [`FIGURES`].
+fn parse(mut argv: Args) -> Result<(&'static Figure, FigureArgs), String> {
+    let id = argv.next().ok_or("missing figure ID")?;
+    let fig = FIGURES
+        .iter()
+        .find(|f| f.id == id)
+        .ok_or_else(|| format!("unknown figure `{id}`"))?;
+    let args = FigureArgs::parse(argv, fig.input, fig.sampled.is_some())?;
+    if fig.epochs && !args.sample {
+        Ok((fig, args))
+    } else {
+        Ok((fig, args.refuse_epoch()?))
+    }
+}
+
 fn main() {
     let ids = FIGURES.map(|f| f.id).join(", ");
     let usage = format!("usage: figure ID [--sample] {FIGURE_FLAGS}\nids: {ids}");
-    let (fig, args) = cli::run(&usage, |mut argv| {
-        let id = argv.next().ok_or("missing figure ID")?;
-        let fig = FIGURES
-            .iter()
-            .find(|f| f.id == id)
-            .ok_or_else(|| format!("unknown figure `{id}`"))?;
-        let args = FigureArgs::parse(argv, fig.input, fig.sampled.is_some())?;
-        Ok((fig, args))
-    });
+    let (fig, args) = cli::run(&usage, parse);
     let (title, run) = match fig.sampled {
         Some(sampled) if args.sample => sampled,
         _ => (fig.title, fig.run),
     };
     run_and_print(title, fig.paper, &args, |ctx| (run(ctx, &args), Vec::new()));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rmt_bench::{figure_json, HostStats};
+    use rmt_stats::Json;
+
+    fn parse_line(line: &[&str]) -> Result<(&'static Figure, FigureArgs), String> {
+        parse(Args::new(line.iter().copied()))
+    }
+
+    #[test]
+    fn epoch_is_refused_where_there_is_no_time_series() {
+        for line in [
+            &["table1", "--epoch", "4096"][..],
+            &["fig2_pipeline", "--epoch", "4096"],
+            &["fig7_psr", "--epoch", "4096"],
+            &["fig9_storeq", "--epoch", "4096"],
+            &["slack_profile", "--epoch", "4096"],
+            &["abl_prefetch", "--epoch", "4096"],
+            &["fault_coverage", "--epoch", "4096"],
+            &["fig6_srt_single", "--epoch", "4096", "--sample"],
+        ] {
+            let err = parse_line(line)
+                .err()
+                .unwrap_or_else(|| panic!("{line:?} accepted"));
+            assert!(err.contains("`--epoch`"), "{line:?}: {err}");
+        }
+        for fig in FIGURES.iter().filter(|f| f.epochs) {
+            let (_, args) = parse_line(&[fig.id, "--epoch", "4096"]).unwrap();
+            assert_eq!(args.epoch, Some(4096), "{}", fig.id);
+        }
+    }
+
+    #[test]
+    fn abl_slack_returns_its_time_series() {
+        let line = [
+            "abl_slack",
+            "--quick",
+            "--benches",
+            "m88ksim",
+            "--epoch",
+            "4096",
+        ];
+        let (fig, args) = parse_line(&line).unwrap();
+        let r = (fig.run)(&args.ctx(), &args);
+        let host = HostStats {
+            wall_seconds: 0.0,
+            sim_cycles: 0,
+            jobs: 1,
+            jobs_executed: 0,
+        };
+        let doc = figure_json(fig.title, fig.paper, &args, &r, &host);
+        let series = doc.get("timeseries").and_then(Json::members).unwrap();
+        assert!(!series.is_empty());
+        assert!(series
+            .iter()
+            .all(|(_, s)| s.get("every").and_then(Json::as_u64) == Some(4096)));
+    }
 }

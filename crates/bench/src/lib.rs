@@ -18,8 +18,9 @@
 //!                                   JSON and exit
 //! --sample                          sampled run (fig6 only)
 //! --epoch N                         sample metrics every N cycles into
-//!                                   per-epoch deltas (figure binaries
-//!                                   that run full experiments)
+//!                                   per-epoch deltas (figures that run
+//!                                   an efficiency grid; refused by the
+//!                                   rest and by sampled runs)
 //! --progress                        periodic jobs-done/ETA lines on
 //!                                   stderr (payload stays deterministic)
 //! ```
@@ -177,6 +178,15 @@ impl FigureArgs {
             overrides,
             print_config,
         })
+    }
+
+    /// Refuses `--epoch` for a run that fills no time series: a figure
+    /// that runs no efficiency grid, or a sampled run.
+    pub fn refuse_epoch(self) -> Result<Self, String> {
+        match self.epoch {
+            Some(_) => Err("`--epoch`: this run has no time series to sample".into()),
+            None => Ok(self),
+        }
     }
 
     /// A figure context sized to the parsed `--jobs`, with `--epoch`

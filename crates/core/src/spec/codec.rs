@@ -202,7 +202,53 @@ fn core_from_json(v: &Json, path: &str) -> Result<CoreConfig, SpecError> {
     c.uncached_below = f.u64("uncached_below")?;
     c.trailing_uses_lpq = f.bool("trailing_uses_lpq")?;
     f.finish()?;
+    check_core_shape(&c, path)?;
     Ok(c)
+}
+
+/// Rejects core shapes the pipeline cannot run, naming the key: an empty
+/// structure or port deadlocks the machine or fails a constructor, and
+/// the queue, the issue width and every functional-unit pool are split
+/// evenly between the two queue halves, so each half needs a share.
+fn check_core_shape(c: &CoreConfig, path: &str) -> Result<(), SpecError> {
+    let reject = |key: &str, rule: &str| Err(SpecError::new(format!("`{path}.{key}` must {rule}")));
+    for (key, n) in [
+        ("max_threads", c.max_threads),
+        ("fetch_chunks", c.fetch_chunks),
+        ("retire_width", c.retire_width),
+        ("rob_per_thread", c.rob_per_thread),
+        ("rmb_chunks", c.rmb_chunks),
+        ("lq_entries", c.lq_entries),
+        ("sq_entries", c.sq_entries),
+        ("max_loads_per_cycle", c.max_loads_per_cycle),
+        ("max_stores_per_cycle", c.max_stores_per_cycle),
+    ] {
+        if n == 0 {
+            return reject(key, "be at least 1");
+        }
+    }
+    for (key, n) in [("iq_size", c.iq_size), ("issue_width", c.issue_width)] {
+        if n < 2 {
+            return reject(key, "be at least 2, one per queue half");
+        }
+    }
+    if !(1..=8).contains(&c.chunk_size) {
+        return reject("chunk_size", "be in 1..=8");
+    }
+    if !(2..=65_535).contains(&c.phys_regs) {
+        return reject("phys_regs", "be in 2..=65535");
+    }
+    for (key, n) in [
+        ("fu_int", c.fu_int),
+        ("fu_logic", c.fu_logic),
+        ("fu_mem", c.fu_mem),
+        ("fu_fp", c.fu_fp),
+    ] {
+        if n < 2 || n % 2 != 0 {
+            return reject(key, "be even and at least 2, one unit per queue half");
+        }
+    }
+    Ok(())
 }
 
 // ====================================================================
@@ -510,6 +556,45 @@ mod tests {
             .set("assoc", Json::Str("two".into()));
         let e = MachineSpec::from_json(&doc).unwrap_err();
         assert!(e.message.contains("hierarchy.l1d.assoc"), "{e}");
+    }
+
+    #[test]
+    fn core_shapes_the_pipeline_cannot_run_are_rejected() {
+        // The default machine still round-trips.
+        let s = MachineSpec::default();
+        assert_eq!(MachineSpec::from_json(&s.to_json()).unwrap(), s);
+        for (key, bad) in [
+            ("max_threads", 0),
+            ("fetch_chunks", 0),
+            ("retire_width", 0),
+            ("rob_per_thread", 0),
+            ("rmb_chunks", 0),
+            ("lq_entries", 0),
+            ("sq_entries", 0),
+            ("max_loads_per_cycle", 0),
+            ("max_stores_per_cycle", 0),
+            ("iq_size", 0),
+            ("iq_size", 1),
+            ("issue_width", 0),
+            ("issue_width", 1),
+            ("chunk_size", 0),
+            ("chunk_size", 9),
+            ("phys_regs", 1),
+            ("phys_regs", 65_536),
+            ("fu_int", 0),
+            ("fu_int", 3),
+            ("fu_logic", 1),
+            ("fu_mem", 0),
+            ("fu_fp", 5),
+        ] {
+            let mut doc = s.to_json();
+            doc.get_mut("core").unwrap().set(key, Json::U64(bad));
+            let e = MachineSpec::from_json(&doc).unwrap_err();
+            assert!(
+                e.message.contains(&format!("`core.{key}` must")),
+                "{key} = {bad}: {e}"
+            );
+        }
     }
 
     #[test]

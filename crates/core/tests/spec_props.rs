@@ -31,7 +31,7 @@ fn mutate(spec: &mut MachineSpec, rng: &mut Xoshiro256) {
         let (path, value) = match rng.below(12) {
             0 => ("core.sq_entries", Json::U64(rng.range(1, 512))),
             1 => ("core.iq_size", Json::U64(rng.range(8, 256))),
-            2 => ("core.chunk_size", Json::U64(rng.range(1, 16))),
+            2 => ("core.chunk_size", Json::U64(rng.range(1, 8))),
             3 => (
                 "core.preferential_space_redundancy",
                 Json::Bool(rng.chance(0.5)),

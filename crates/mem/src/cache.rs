@@ -93,7 +93,9 @@ pub struct Cache {
     sets: Vec<Vec<Line>>,
     way_pred: Vec<usize>,
     use_clock: u64,
-    stats: CounterSet,
+    hits: u64,
+    misses: u64,
+    way_mispredicts: u64,
 }
 
 impl Cache {
@@ -127,7 +129,9 @@ impl Cache {
             ],
             way_pred: vec![0; sets],
             use_clock: 0,
-            stats: CounterSet::new(),
+            hits: 0,
+            misses: 0,
+            way_mispredicts: 0,
         }
     }
 
@@ -160,13 +164,13 @@ impl Cache {
         if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
             set[way].lru = self.use_clock;
             let way_penalty = if self.cfg.way_prediction && way != predicted_way {
-                self.stats.inc("way_mispredicts");
+                self.way_mispredicts += 1;
                 1
             } else {
                 0
             };
             self.way_pred[set_idx] = way;
-            self.stats.inc("hits");
+            self.hits += 1;
             return ProbeResult {
                 hit: true,
                 way_penalty,
@@ -182,7 +186,7 @@ impl Cache {
             lru: self.use_clock,
         };
         self.way_pred[set_idx] = victim;
-        self.stats.inc("misses");
+        self.misses += 1;
         ProbeResult {
             hit: false,
             way_penalty: 0,
@@ -232,15 +236,20 @@ impl Cache {
         }
     }
 
-    /// Event counters: `hits`, `misses`, `way_mispredicts`.
-    pub fn stats(&self) -> &CounterSet {
-        &self.stats
+    /// Event counters: `hits`, `misses`, `way_mispredicts` (those that
+    /// happened at least once).
+    pub fn stats(&self) -> CounterSet {
+        CounterSet::nonzero([
+            ("hits", self.hits),
+            ("misses", self.misses),
+            ("way_mispredicts", self.way_mispredicts),
+        ])
     }
 
     /// Miss ratio over all accesses so far (0.0 if never accessed).
     pub fn miss_ratio(&self) -> f64 {
-        let h = self.stats.get("hits") as f64;
-        let m = self.stats.get("misses") as f64;
+        let h = self.hits as f64;
+        let m = self.misses as f64;
         if h + m == 0.0 {
             0.0
         } else {

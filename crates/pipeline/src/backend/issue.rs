@@ -2,8 +2,7 @@
 //! sphere-crossing load path (LVQ lookups, uncached loads, store-queue
 //! forwarding) and the per-cycle issue-slot attribution.
 
-use crate::config::ThreadId;
-use crate::core::{Core, DetectedFault, FaultDetector, InstState, SquashEvent};
+use crate::core::{Core, DetectedFault, Event, FaultDetector, InstState, IqEntry, SquashEvent};
 use crate::env::{CoreEnv, LvqResult};
 use crate::lsq::ForwardResult;
 use crate::trace::TraceKind;
@@ -63,8 +62,8 @@ impl Core {
             if total >= self.cfg.issue_width {
                 break;
             }
-            let entry = self.iq[i];
-            if entry.dead || entry.min_issue > now {
+            let entry = self.iq.entries()[i];
+            if entry.min_issue > now {
                 continue;
             }
             let h = entry.half as usize;
@@ -72,19 +71,9 @@ impl Core {
                 blocked_half += 1;
                 continue;
             }
-            // Validate the instruction is still live.
-            let Some(d) = self.threads[entry.tid].rob_get(entry.seq) else {
-                self.iq[i].dead = true;
-                continue;
-            };
-            if d.uid != entry.uid || d.state != InstState::InQ {
-                self.iq[i].dead = true;
-                continue;
-            }
-            let (pc, inst, prs1, prs2, seq, uid, tag) =
-                (d.pc, d.inst, d.prs1, d.prs2, d.seq, d.uid, d.tag);
+            let inst = entry.inst;
             let ci = class_idx(inst.op.fu_class());
-            if used[h][ci] >= per_half_limit[ci].max(1) {
+            if used[h][ci] >= per_half_limit[ci] {
                 blocked_fu += 1;
                 continue;
             }
@@ -97,7 +86,7 @@ impl Core {
                 continue;
             }
             let bypass = self.cfg.rbox_latency;
-            if !self.regfile.ready(prs1, now, bypass) {
+            if !self.regfile.ready(entry.prs1, now, bypass) {
                 blocked_data += 1;
                 continue;
             }
@@ -106,11 +95,11 @@ impl Core {
                 // the store queue once its producer has executed (§3.4:
                 // "store data arrives at the store queue two cycles after
                 // the store address").
-                if !self.regfile.written(prs2) {
+                if !self.regfile.written(entry.prs2) {
                     blocked_data += 1;
                     continue;
                 }
-            } else if !self.regfile.ready(prs2, now, bypass) {
+            } else if !self.regfile.ready(entry.prs2, now, bypass) {
                 blocked_data += 1;
                 continue;
             }
@@ -124,10 +113,7 @@ impl Core {
             let class_base: usize = class_total[..ci].iter().sum();
             let fu_id = (class_base + h * (class_total[ci] / 2) + used[h][ci]) as u8;
 
-            let outcome = self.try_issue_one(
-                now, entry.tid, seq, uid, pc, inst, prs1, prs2, tag, h as u8, fu_id, hier, env,
-            );
-            match outcome {
+            match self.try_issue_one(now, &entry, fu_id, hier, env) {
                 IssueOutcome::Issued => {
                     used[h][ci] += 1;
                     half_issued[h] += 1;
@@ -138,15 +124,16 @@ impl Core {
                     if inst.op.is_store() {
                         stores_issued += 1;
                     }
-                    self.iq[i].dead = true;
+                    self.iq.mark_issued(i);
                     self.issued_total += 1;
                 }
                 IssueOutcome::DataWait => blocked_data += 1,
                 IssueOutcome::SphereWait => blocked_sphere += 1,
             }
         }
-        // Compact the queue.
-        self.iq.retain(|e| !e.dead);
+        if total > 0 {
+            self.iq.remove_issued();
+        }
 
         // ---- issue-slot attribution ----
         // Every slot of every cycle lands in exactly one category, so the
@@ -175,25 +162,32 @@ impl Core {
         }
     }
 
-    /// Attempts to issue one instruction; reports whether it issued or why
-    /// it could not.
-    #[allow(clippy::too_many_arguments)]
+    /// Attempts to issue the instruction of `entry`; reports whether it
+    /// issued or why it could not.
     fn try_issue_one(
         &mut self,
         now: u64,
-        tid: ThreadId,
-        seq: u64,
-        uid: u64,
-        pc: u64,
-        inst: rmt_isa::Inst,
-        prs1: crate::regs::PhysReg,
-        prs2: crate::regs::PhysReg,
-        tag: u64,
-        _half: u8,
+        entry: &IqEntry,
         fu_id: u8,
         hier: &mut MemoryHierarchy,
         env: &mut dyn CoreEnv,
     ) -> IssueOutcome {
+        let IqEntry {
+            tid,
+            seq,
+            uid,
+            pc,
+            inst,
+            prs1,
+            prs2,
+            tag,
+            ..
+        } = *entry;
+        // Squash removes what it kills and issue what it issues, so every
+        // queue entry's instruction still waits in its ROB.
+        debug_assert!(self.threads[tid]
+            .rob_get_ref(seq)
+            .is_some_and(|d| d.uid == uid && d.state == InstState::InQ));
         let role = self.threads[tid].role;
         let trailing = role.is_trailing();
         let a = self.regfile.value(prs1);
@@ -216,7 +210,7 @@ impl Core {
                 if trailing {
                     match env.lvq_lookup(self.core_id, tid, now, role.pair().unwrap(), tag) {
                         LvqResult::NotReady => {
-                            self.stats.inc("lvq_not_ready");
+                            self.stats.inc(Event::LvqNotReady);
                             return IssueOutcome::SphereWait;
                         }
                         LvqResult::Entry {
@@ -251,7 +245,7 @@ impl Core {
                     // hierarchy entirely.
                     if self.threads[tid].rob_base != seq || self.threads[tid].sq.has_older_than(seq)
                     {
-                        self.stats.inc("uncached_load_waits");
+                        self.stats.inc(Event::UncachedLoadWaits);
                         // The §4.4.2 deadlock shape again: a leading
                         // store that cannot drain before verification
                         // blocks the uncached load forever unless the
@@ -275,7 +269,7 @@ impl Core {
                     }
                     let v = env.read_mem(self.core_id, tid, addr, bytes);
                     self.threads[tid].lq.fill(seq, addr, bytes);
-                    self.stats.inc("uncached_loads");
+                    self.stats.inc(Event::UncachedLoads);
                     let lat = hier.config().mem_latency;
                     (
                         now + rbox + mbox + lat,
@@ -286,7 +280,7 @@ impl Core {
                 } else {
                     match self.threads[tid].sq.forward(addr, bytes, seq) {
                         ForwardResult::Partial { store_seq } => {
-                            self.stats.inc("partial_forward_stalls");
+                            self.stats.inc(Event::PartialForwardStalls);
                             // §4.4.2: if the blocking store already
                             // retired but cannot drain before its
                             // trailing copy is fetched, force the open
@@ -310,7 +304,7 @@ impl Core {
                             return IssueOutcome::DataWait;
                         }
                         ForwardResult::Full(v) => {
-                            self.stats.inc("store_forwards");
+                            self.stats.inc(Event::StoreForwards);
                             self.threads[tid].lq.fill(seq, addr, bytes);
                             (now + rbox + mbox, Some(v), pc + 4, Some((addr, bytes, v)))
                         }
@@ -320,7 +314,7 @@ impl Core {
                                 .unknown_addr_older(seq)
                                 .any(|e| self.store_sets.must_wait(pc, e.pc));
                             if predicted_dependent {
-                                self.stats.inc("store_set_waits");
+                                self.stats.inc(Event::StoreSetWaits);
                                 return IssueOutcome::DataWait;
                             }
                             let v = env.read_mem(
@@ -332,7 +326,7 @@ impl Core {
                             let timing = hier.dload(self.core_id, addr, now);
                             let extra = timing.ready_at.saturating_sub(now);
                             if !timing.l1_hit {
-                                self.stats.inc("dcache_misses");
+                                self.stats.inc(Event::DcacheMisses);
                             }
                             self.threads[tid].lq.fill(seq, addr, bytes);
                             (
@@ -366,7 +360,7 @@ impl Core {
                     let (lseq, lpc) = (v.seq, v.pc);
                     let load_uid = self.threads[tid].rob_get_ref(lseq).map(|l| l.uid);
                     self.store_sets.record_violation(lpc, pc);
-                    self.stats.inc("order_violations");
+                    self.stats.inc(Event::OrderViolations);
                     if let Some(load_uid) = load_uid {
                         // The *load* is the cause: if an older squash
                         // removes it before this event fires, the replay
@@ -404,7 +398,7 @@ impl Core {
                 let taken = actual_next != pc + 4;
                 self.branch_pred.train_direction(pc, pred_taken, taken);
                 if pred_taken != taken {
-                    self.stats.inc("branch_mispredicts");
+                    self.stats.inc(Event::BranchMispredicts);
                 }
             }
             if inst.op == Op::Jalr {
@@ -439,7 +433,7 @@ impl Core {
                 self.regfile.write(prd, v, done_at);
             }
         }
-        self.stats.inc("issued");
+        self.stats.inc(Event::Issued);
         self.trace(now, tid, pc, TraceKind::Issue { fu: fu_id });
         IssueOutcome::Issued
     }

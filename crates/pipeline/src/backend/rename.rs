@@ -3,7 +3,7 @@
 //! the preferential-space-redundancy half choice.
 
 use crate::config::ThreadId;
-use crate::core::{Core, DynInst, InstState, IqEntry};
+use crate::core::{Core, DynInst, Event, InstState, IqEntry};
 use crate::regs::RegFile;
 use crate::trace::TraceKind;
 
@@ -29,23 +29,23 @@ impl Core {
     /// (§4.3): a thread may not squeeze other threads below their reserved
     /// slots.
     fn iq_admission(&self, tid: ThreadId) -> bool {
-        let total_live = self.iq.iter().filter(|e| !e.dead).count();
+        let total_live = self.iq.len();
         if total_live >= self.cfg.iq_size {
             return false;
-        }
-        let mut counts = vec![0usize; self.threads.len()];
-        for e in self.iq.iter().filter(|e| !e.dead) {
-            counts[e.tid] += 1;
         }
         let reserved_for_others: usize = self
             .threads
             .iter()
             .enumerate()
             .filter(|(i, t)| *i != tid && t.active && !t.halted)
-            .map(|(i, _)| self.cfg.iq_reserve_per_thread.saturating_sub(counts[i]))
+            .map(|(i, _)| {
+                self.cfg
+                    .iq_reserve_per_thread
+                    .saturating_sub(self.iq.thread_live(i))
+            })
             .sum();
         total_live < self.cfg.iq_size - reserved_for_others.min(self.cfg.iq_size - 1)
-            || counts[tid] < self.cfg.iq_reserve_per_thread
+            || self.iq.thread_live(tid) < self.cfg.iq_reserve_per_thread
     }
 
     fn rename_thread(&mut self, now: u64, tid: ThreadId) {
@@ -73,23 +73,23 @@ impl Core {
             };
             // ---- resource checks ----
             if self.threads[tid].rob.len() >= self.cfg.rob_per_thread {
-                self.stats.inc("stall_rob_full");
+                self.stats.inc(Event::StallRobFull);
                 break;
             }
             if !self.iq_admission(tid) {
-                self.stats.inc("stall_iq_full");
+                self.stats.inc(Event::StallIqFull);
                 break;
             }
             if inst.writes_reg() && self.regfile.free_count() == 0 {
-                self.stats.inc("stall_no_phys_regs");
+                self.stats.inc(Event::StallNoPhysRegs);
                 break;
             }
             if inst.op.is_load() && !trailing && !self.threads[tid].lq.has_space() {
-                self.stats.inc("stall_lq_full");
+                self.stats.inc(Event::StallLqFull);
                 break;
             }
             if inst.op.is_store() && !self.threads[tid].sq.has_space() {
-                self.stats.inc("stall_sq_full");
+                self.stats.inc(Event::StallSqFull);
                 break;
             }
             // ---- queue-half selection ----
@@ -105,16 +105,14 @@ impl Core {
                 pos_half
             };
             let half_cap = self.cfg.iq_size / 2;
-            let half_live =
-                |c: &Core, h: u8| c.iq.iter().filter(|e| !e.dead && e.half == h).count();
-            if half_live(self, half) >= half_cap {
+            if self.iq.half_live(half) >= half_cap {
                 let other = 1 - half;
-                if half_live(self, other) >= half_cap {
-                    self.stats.inc("stall_iq_half_full");
+                if self.iq.half_live(other) >= half_cap {
+                    self.stats.inc(Event::StallIqHalfFull);
                     break;
                 }
                 if trailing && self.cfg.preferential_space_redundancy {
-                    self.stats.inc("psr_fallback_same_half");
+                    self.stats.inc(Event::PsrFallbackSameHalf);
                 }
                 half = other;
             }
@@ -163,8 +161,6 @@ impl Core {
                 actual_next: pc + 4,
                 prd,
                 old_prd,
-                prs1,
-                prs2,
                 half,
                 fu_id: 0,
                 state: InstState::InQ,
@@ -180,7 +176,12 @@ impl Core {
                 uid,
                 half,
                 min_issue: now + self.cfg.pbox_latency + self.cfg.qbox_latency,
-                dead: false,
+                pc,
+                inst,
+                prs1,
+                prs2,
+                tag,
+                issued: false,
             });
             // consume from the chunk
             if let Some((c, k)) = self.threads[tid].rmb.front_mut() {
@@ -190,7 +191,7 @@ impl Core {
                 }
             }
             mapped += 1;
-            self.stats.inc("renamed");
+            self.stats.inc(Event::Renamed);
             self.trace(now, tid, pc, TraceKind::Rename);
         }
     }

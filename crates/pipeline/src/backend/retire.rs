@@ -4,7 +4,7 @@
 //! to memory outside the sphere of replication.
 
 use crate::config::{ThreadId, ThreadRole};
-use crate::core::{Core, DetectedFault, FaultDetector, InstState};
+use crate::core::{Core, DetectedFault, Event, FaultDetector, InstState};
 use crate::env::{CoreEnv, RetireInfo, RetireKind, StoreRelease};
 use crate::regs::RegFile;
 use crate::trace::TraceKind;
@@ -51,7 +51,7 @@ impl Core {
             if let ThreadRole::Leading(pair) = role {
                 env.lead_retire_blocked(self.core_id, tid, now, pair);
             }
-            self.stats.inc("membar_waits");
+            self.stats.inc(Event::MembarWaits);
             return false;
         }
         // Build the retirement record.
@@ -91,7 +91,7 @@ impl Core {
             ThreadRole::Leading(_) => {
                 if !env.lead_retired(self.core_id, tid, now, &info) {
                     self.threads[tid].lead_retire_nacks += 1;
-                    self.stats.inc("lead_retire_nacks");
+                    self.stats.inc(Event::LeadRetireNacks);
                     return false;
                 }
                 if matches!(info.kind, RetireKind::Load { .. }) {
@@ -125,7 +125,7 @@ impl Core {
                         tid,
                         kind: FaultDetector::ControlDivergence,
                     });
-                    self.stats.inc("control_divergences");
+                    self.stats.inc(Event::ControlDivergences);
                     self.trace(now, tid, info.pc, TraceKind::FaultDetect);
                 }
                 env.trailing_retired(self.core_id, tid, now, &info);
@@ -191,7 +191,7 @@ impl Core {
                     // An armed store-queue strike lands the instant the
                     // store passes the commit point (fault injection).
                     self.threads[tid].sq.corrupt(d.seq, mask);
-                    self.stats.inc("sq_strikes_landed");
+                    self.stats.inc(Event::SqStrikesLanded);
                 }
                 if role == ThreadRole::Independent {
                     self.threads[tid].sq.mark_verified(d.seq);
@@ -219,7 +219,7 @@ impl Core {
             self.threads[tid].chunk_scratch = scratch;
         }
         self.threads[tid].committed += 1;
-        self.stats.inc("committed");
+        self.stats.inc(Event::Committed);
         self.trace(now, tid, d.pc, TraceKind::Retire);
         true
     }
@@ -266,7 +266,7 @@ impl Core {
                         head.bytes,
                     ) {
                         StoreRelease::Wait => {
-                            self.stats.inc("store_verify_waits");
+                            self.stats.inc(Event::StoreVerifyWaits);
                             break;
                         }
                         StoreRelease::Release => {
@@ -289,7 +289,7 @@ impl Core {
                     }
                 }
                 if !hier.store_retire(self.core_id, head.addr, now) {
-                    self.stats.inc("merge_buffer_stalls");
+                    self.stats.inc(Event::MergeBufferStalls);
                     break;
                 }
                 env.write_mem(self.core_id, tid, head.addr, head.value, head.bytes);
@@ -297,7 +297,7 @@ impl Core {
                 self.threads[tid].sq_lifetime.record(now - head.alloc_cycle);
                 self.threads[tid].sq.release_head();
                 released += 1;
-                self.stats.inc("stores_released");
+                self.stats.inc(Event::StoresReleased);
             }
         }
     }

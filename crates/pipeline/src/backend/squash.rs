@@ -3,7 +3,7 @@
 //! and LSQs.
 
 use crate::config::ThreadId;
-use crate::core::{Core, SquashEvent};
+use crate::core::{Core, Event, SquashEvent};
 use crate::trace::TraceKind;
 
 impl Core {
@@ -65,11 +65,7 @@ impl Core {
             t.squashes += 1;
         }
         debug_assert!(trailing == self.threads[tid].role.is_trailing());
-        for e in &mut self.iq {
-            if e.tid == tid && e.seq >= from_seq {
-                e.dead = true;
-            }
-        }
+        self.iq.squash(tid, from_seq);
         self.events
             .retain(|e| !(e.tid == tid && e.cause_seq >= from_seq));
         // Idle issue slots until the frontend refills (fetch resumes next
@@ -78,7 +74,7 @@ impl Core {
         self.squash_recovery_until = self
             .squash_recovery_until
             .max(now + 1 + self.cfg.ibox_latency + self.cfg.pbox_latency + self.cfg.qbox_latency);
-        self.stats.inc("squashes");
+        self.stats.inc(Event::Squashes);
         self.trace(now, tid, new_pc, TraceKind::Squash { new_pc });
     }
 }

@@ -45,9 +45,9 @@ impl Core {
         }
     }
 
-    /// Core-wide event counters.
-    pub fn stats(&self) -> &CounterSet {
-        &self.stats
+    /// Core-wide event counters: every event that happened, by name.
+    pub fn stats(&self) -> CounterSet {
+        CounterSet::nonzero(self.stats.nonzero())
     }
 
     /// Issue-slot accounting totals (see [`IssueSlots`]).
@@ -77,7 +77,7 @@ impl Core {
         ] {
             reg.counter(&format!("{prefix}/slots/{name}"), v);
         }
-        for (name, v) in self.stats.iter() {
+        for (name, v) in self.stats.nonzero() {
             reg.counter(&format!("{prefix}/events/{name}"), v);
         }
         // Only present when tracing is on, so untraced runs (and their

@@ -5,13 +5,20 @@
 //! Orchestration (construction, [`Core::tick`], watchdog) lives here;
 //! the observation and injection surfaces are split out:
 //!
+//! * `counts` — the event counters, indexed by event.
+//! * `iq` — the instruction queue and its kept live counts.
 //! * `metrics` — statistics accessors, metric export, event tracing.
 //! * `state` — checkpoint/restore and quiesce (sampled simulation).
 //! * `faults` — fault-injection hooks used by `rmt-faults`.
 
+mod counts;
 mod faults;
+mod iq;
 mod metrics;
 mod state;
+
+pub(crate) use counts::{Event, EventCounts};
+pub(crate) use iq::{IqEntry, IssueQueue};
 
 use crate::chunk::{ChunkAggregator, FetchChunk};
 use crate::config::{CoreConfig, ThreadId, ThreadRole};
@@ -23,7 +30,7 @@ use rmt_isa::inst::Inst;
 use rmt_isa::program::Program;
 use rmt_mem::MemoryHierarchy;
 use rmt_predict::{BranchPredictor, LinePredictor, ReturnAddressStack, StoreSets};
-use rmt_stats::{CounterSet, Histogram};
+use rmt_stats::Histogram;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -49,8 +56,6 @@ pub(crate) struct DynInst {
     pub actual_next: u64,
     pub prd: Option<PhysReg>,
     pub old_prd: PhysReg,
-    pub prs1: PhysReg,
-    pub prs2: PhysReg,
     pub half: u8,
     pub fu_id: u8,
     pub state: InstState,
@@ -266,9 +271,9 @@ pub struct Core {
     pub(crate) line_pred: LinePredictor,
     pub(crate) branch_pred: BranchPredictor,
     pub(crate) store_sets: StoreSets,
-    pub(crate) iq: Vec<IqEntry>,
+    pub(crate) iq: IssueQueue,
     pub(crate) events: Vec<SquashEvent>,
-    pub(crate) stats: CounterSet,
+    pub(crate) stats: EventCounts,
     pub(crate) fetch_rr: usize,
     pub(crate) map_rr: usize,
     pub(crate) retire_rr: usize,
@@ -294,17 +299,6 @@ pub struct Core {
     pub(crate) occ_sq: Histogram,
     /// Per-cycle total rate-matching-buffer chunks across threads.
     pub(crate) occ_rmb: Histogram,
-}
-
-/// An instruction-queue slot.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct IqEntry {
-    pub tid: ThreadId,
-    pub seq: u64,
-    pub uid: u64,
-    pub half: u8,
-    pub min_issue: u64,
-    pub dead: bool,
 }
 
 impl Core {
@@ -352,9 +346,9 @@ impl Core {
             line_pred: LinePredictor::new(cfg.line_predictor_entries),
             branch_pred: BranchPredictor::new(cfg.predictor),
             store_sets: StoreSets::new(cfg.store_sets_entries),
-            iq: Vec::with_capacity(cfg.iq_size),
+            iq: IssueQueue::new(cfg.iq_size, cfg.max_threads),
             events: Vec::new(),
-            stats: CounterSet::new(),
+            stats: EventCounts::default(),
             fetch_rr: 0,
             map_rr: 0,
             retire_rr: 0,
@@ -446,17 +440,26 @@ impl Core {
         self.fetch(now, hier, env);
         self.watchdog(now);
         self.sample_occupancy();
+        debug_assert!(self.iq_consistent(), "instruction queue out of step");
+    }
+
+    /// Whether the instruction queue's kept counts equal a recount and
+    /// every entry's instruction still waits in its thread's ROB (the
+    /// invariants that let rename, issue and sampling skip IQ scans).
+    pub(crate) fn iq_consistent(&self) -> bool {
+        self.iq.counts_match()
+            && self.iq.entries().iter().all(|e| {
+                self.threads[e.tid]
+                    .rob_get_ref(e.seq)
+                    .is_some_and(|d| d.uid == e.uid && d.state == InstState::InQ)
+            })
     }
 
     /// Records per-cycle occupancy of the IQ halves, load/store queues and
     /// rate-matching buffers (per-box distributions for the metrics layer).
     fn sample_occupancy(&mut self) {
-        let mut half_live = [0u64; 2];
-        for e in self.iq.iter().filter(|e| !e.dead) {
-            half_live[e.half as usize] += 1;
-        }
-        self.occ_iq[0].record(half_live[0]);
-        self.occ_iq[1].record(half_live[1]);
+        self.occ_iq[0].record(self.iq.half_live(0) as u64);
+        self.occ_iq[1].record(self.iq.half_live(1) as u64);
         let (mut lq, mut sq, mut rmb) = (0u64, 0u64, 0u64);
         for t in self.threads.iter().filter(|t| t.active) {
             lq += t.lq.len() as u64;
@@ -482,8 +485,9 @@ impl Core {
                     t.rob.front().map(|d| {
                         let in_iq = self
                             .iq
+                            .entries()
                             .iter()
-                            .any(|e| !e.dead && e.tid == i && e.seq == d.seq && e.uid == d.uid);
+                            .any(|e| e.tid == i && e.seq == d.seq && e.uid == d.uid);
                         format!(
                             "t{i}: pc={:#x} op={:?} state={:?} done_at={} seq={} in_iq={in_iq}",
                             d.pc, d.inst.op, d.state, d.done_at, d.seq

@@ -3,7 +3,7 @@
 //! re-entry in sampled simulation.
 
 use crate::config::ThreadId;
-use crate::core::Core;
+use crate::core::{Core, Event};
 use crate::regs::RegFile;
 
 impl Core {
@@ -75,7 +75,7 @@ impl Core {
         t.halted = false;
         t.next_load_tag = 0;
         t.next_store_tag = 0;
-        self.stats.inc("thread_restores");
+        self.stats.inc(Event::ThreadRestores);
     }
 
     /// Reads the architectural value of register `r` in thread `tid`.

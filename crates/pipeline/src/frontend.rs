@@ -12,7 +12,7 @@
 
 use crate::chunk::FetchChunk;
 use crate::config::{ThreadId, ThreadRole};
-use crate::core::Core;
+use crate::core::{Core, Event};
 use crate::env::CoreEnv;
 use crate::trace::TraceKind;
 use rmt_isa::inst::Op;
@@ -106,7 +106,7 @@ impl Core {
                 },
                 0,
             ));
-            self.stats.inc("chunks_fetched");
+            self.stats.inc(Event::ChunksFetched);
             self.trace(now, tid, pc, TraceKind::FetchChunk { len: scanned.len });
             let mut stop = false;
             if line_next != scanned.next_pc {
@@ -115,14 +115,14 @@ impl Core {
                 self.line_pred.record_mispredict();
                 self.line_pred.train(pc, scanned.next_pc);
                 self.threads[tid].fetch_stalled_until = now + self.cfg.misfetch_penalty;
-                self.stats.inc("misfetches");
+                self.stats.inc(Event::Misfetches);
                 stop = true;
             }
             if !timing.l1_hit {
                 // I-cache miss: fetch for this thread stalls until the fill.
                 self.threads[tid].fetch_stalled_until =
                     self.threads[tid].fetch_stalled_until.max(timing.ready_at);
-                self.stats.inc("icache_miss_stalls");
+                self.stats.inc(Event::IcacheMissStalls);
                 stop = true;
             }
             pc = scanned.next_pc;
@@ -158,7 +158,7 @@ impl Core {
                 // and retry once the fill completes (Figure 4).
                 env.lpq_rollback(self.core_id, tid, pair);
                 self.threads[tid].fetch_stalled_until = timing.ready_at;
-                self.stats.inc("trailing_icache_rollbacks");
+                self.stats.inc(Event::TrailingIcacheRollbacks);
                 break;
             }
             env.lpq_fetch_done(self.core_id, tid, pair);
@@ -173,7 +173,7 @@ impl Core {
                 },
                 0,
             ));
-            self.stats.inc("trailing_chunks_fetched");
+            self.stats.inc(Event::TrailingChunksFetched);
             self.trace(
                 now,
                 tid,

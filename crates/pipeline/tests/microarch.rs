@@ -7,6 +7,7 @@ use rmt_isa::program::{Program, ProgramBuilder};
 use rmt_mem::{HierarchyConfig, MemoryHierarchy};
 use rmt_pipeline::env::IndependentEnv;
 use rmt_pipeline::{Core, CoreConfig};
+use rmt_stats::MetricsRegistry;
 use std::rc::Rc;
 
 fn r(i: u8) -> Reg {
@@ -268,4 +269,53 @@ fn wrong_path_instructions_never_commit_architecturally() {
     let mut rig = Rig::new(CoreConfig::base(), vec![p]);
     rig.run_until_committed(0, 30_000, 400_000);
     assert_eq!(rig.core.arch_reg(0, r(7)), 0, "wrong-path write committed!");
+}
+
+#[test]
+fn core_events_name_exactly_what_happened() {
+    // A store the next load forwards from, then a taken branch the cold
+    // predictor calls not taken: its wrong-path `addi` and `halt` are
+    // renamed and issued, then squashed, and the `halt` is fetched again.
+    let mut b = ProgramBuilder::new();
+    b.push(Inst::lui(r(1), 16));
+    b.push(Inst::addi(r(2), Reg::ZERO, 5));
+    b.push(Inst::sw(r(2), r(1), 0));
+    b.push(Inst::lw(r(3), r(1), 0));
+    b.push_branch(Inst::beq(r(3), r(2), 0), "done");
+    b.push(Inst::addi(r(4), Reg::ZERO, 0x666));
+    b.label("done");
+    b.push(Inst::halt());
+    let mut rig = Rig::new(CoreConfig::base(), vec![b.build().unwrap()]);
+    while !rig.core.all_halted() || rig.core.sq_occupancy(0) > 0 {
+        rig.core.tick(rig.cycle, &mut rig.hier, &mut rig.env);
+        rig.hier.tick(rig.cycle);
+        rig.cycle += 1;
+        assert!(rig.cycle < 5_000, "the program never drained");
+    }
+    // Every event that happened, in name order, and no other; the halt's
+    // retirement squashes too.
+    let want = [
+        ("branch_mispredicts", 1),
+        ("chunks_fetched", 2),
+        ("committed", 6),
+        ("icache_miss_stalls", 1),
+        ("issued", 8),
+        ("renamed", 8),
+        ("squashes", 2),
+        ("store_forwards", 1),
+        ("stores_released", 1),
+    ];
+    let stats = rig.core.stats();
+    assert_eq!(stats.iter().collect::<Vec<_>>(), want);
+    let mut reg = MetricsRegistry::new();
+    rig.core.export_metrics(&mut reg, "core0");
+    let snap = reg.snapshot();
+    let exported: Vec<(&str, u64)> = snap
+        .iter()
+        .filter_map(|(name, _)| {
+            let event = name.strip_prefix("core0/events/")?;
+            Some((event, snap.counter(name).expect("events are counters")))
+        })
+        .collect();
+    assert_eq!(exported, want);
 }

@@ -78,7 +78,10 @@ pub struct BranchPredictor {
     chooser: Vec<u8>,
     global_history: u32,
     jump_targets: Vec<(u64, u64)>,
-    stats: CounterSet,
+    direction_predictions: u64,
+    direction_mispredictions: u64,
+    jump_predictions: u64,
+    jump_retrains: u64,
 }
 
 impl Default for BranchPredictor {
@@ -109,7 +112,10 @@ impl BranchPredictor {
             global_history: 0,
             jump_targets: vec![(u64::MAX, 0); cfg.jump_entries],
             cfg,
-            stats: CounterSet::new(),
+            direction_predictions: 0,
+            direction_mispredictions: 0,
+            jump_predictions: 0,
+            jump_retrains: 0,
         }
     }
 
@@ -135,7 +141,7 @@ impl BranchPredictor {
 
     /// Predicts the direction of the conditional branch at `pc`.
     pub fn predict_direction(&mut self, pc: u64) -> bool {
-        self.stats.inc("direction_predictions");
+        self.direction_predictions += 1;
         let local = predicts_taken(self.local_counters[self.local_index(pc)]);
         let global = predicts_taken(self.global_counters[self.global_index(pc)]);
         let use_global = predicts_taken(self.chooser[self.chooser_index(pc)]);
@@ -150,7 +156,7 @@ impl BranchPredictor {
     /// [`Self::predict_direction`] returned for this instance of the branch.
     pub fn train_direction(&mut self, pc: u64, predicted: bool, taken: bool) {
         if predicted != taken {
-            self.stats.inc("direction_mispredictions");
+            self.direction_mispredictions += 1;
         }
         self.update_direction_tables(pc, taken);
     }
@@ -184,7 +190,7 @@ impl BranchPredictor {
     /// Predicts the target of an indirect jump (`jalr`) at `pc`; `None` if
     /// untrained.
     pub fn predict_jump_target(&mut self, pc: u64) -> Option<u64> {
-        self.stats.inc("jump_predictions");
+        self.jump_predictions += 1;
         let idx = (Self::pc_hash(pc) % self.cfg.jump_entries as u64) as usize;
         let (tag, target) = self.jump_targets[idx];
         (tag == pc).then_some(target)
@@ -194,7 +200,7 @@ impl BranchPredictor {
     pub fn train_jump_target(&mut self, pc: u64, target: u64) {
         let idx = (Self::pc_hash(pc) % self.cfg.jump_entries as u64) as usize;
         if self.jump_targets[idx] != (pc, target) {
-            self.stats.inc("jump_retrains");
+            self.jump_retrains += 1;
         }
         self.jump_targets[idx] = (pc, target);
     }
@@ -206,18 +212,24 @@ impl BranchPredictor {
     }
 
     /// Counters: `direction_predictions`, `direction_mispredictions`,
-    /// `jump_predictions`, `jump_retrains`.
-    pub fn stats(&self) -> &CounterSet {
-        &self.stats
+    /// `jump_predictions`, `jump_retrains` (those that happened at least
+    /// once).
+    pub fn stats(&self) -> CounterSet {
+        CounterSet::nonzero([
+            ("direction_predictions", self.direction_predictions),
+            ("direction_mispredictions", self.direction_mispredictions),
+            ("jump_predictions", self.jump_predictions),
+            ("jump_retrains", self.jump_retrains),
+        ])
     }
 
     /// Direction misprediction rate so far.
     pub fn misprediction_rate(&self) -> f64 {
-        let p = self.stats.get("direction_predictions") as f64;
+        let p = self.direction_predictions as f64;
         if p == 0.0 {
             0.0
         } else {
-            self.stats.get("direction_mispredictions") as f64 / p
+            self.direction_mispredictions as f64 / p
         }
     }
 }

@@ -27,7 +27,9 @@ use rmt_stats::CounterSet;
 pub struct LinePredictor {
     /// `(tag, next_pc)` per entry; `u64::MAX` tag = empty.
     table: Vec<(u64, u64)>,
-    stats: CounterSet,
+    predictions: u64,
+    retrains: u64,
+    mispredictions: u64,
 }
 
 impl LinePredictor {
@@ -41,7 +43,9 @@ impl LinePredictor {
         assert!(entries > 0, "line predictor needs at least one entry");
         LinePredictor {
             table: vec![(u64::MAX, 0); entries],
-            stats: CounterSet::new(),
+            predictions: 0,
+            retrains: 0,
+            mispredictions: 0,
         }
     }
 
@@ -60,7 +64,7 @@ impl LinePredictor {
     pub fn predict(&mut self, chunk_pc: u64, chunk_bytes: u64) -> u64 {
         let idx = self.index(chunk_pc);
         let (tag, next) = self.table[idx];
-        self.stats.inc("predictions");
+        self.predictions += 1;
         if tag == chunk_pc {
             next
         } else {
@@ -72,28 +76,33 @@ impl LinePredictor {
     pub fn train(&mut self, chunk_pc: u64, actual_next: u64) {
         let idx = self.index(chunk_pc);
         if self.table[idx] != (chunk_pc, actual_next) {
-            self.stats.inc("retrains");
+            self.retrains += 1;
         }
         self.table[idx] = (chunk_pc, actual_next);
     }
 
     /// Records a verified misprediction (for the misfetch-rate statistic).
     pub fn record_mispredict(&mut self) {
-        self.stats.inc("mispredictions");
+        self.mispredictions += 1;
     }
 
-    /// Counters: `predictions`, `retrains`, `mispredictions`.
-    pub fn stats(&self) -> &CounterSet {
-        &self.stats
+    /// Counters: `predictions`, `retrains`, `mispredictions` (those that
+    /// happened at least once).
+    pub fn stats(&self) -> CounterSet {
+        CounterSet::nonzero([
+            ("predictions", self.predictions),
+            ("retrains", self.retrains),
+            ("mispredictions", self.mispredictions),
+        ])
     }
 
     /// Fraction of predictions that were later found wrong.
     pub fn misprediction_rate(&self) -> f64 {
-        let p = self.stats.get("predictions") as f64;
+        let p = self.predictions as f64;
         if p == 0.0 {
             0.0
         } else {
-            self.stats.get("mispredictions") as f64 / p
+            self.mispredictions as f64 / p
         }
     }
 }

@@ -82,7 +82,7 @@ pub fn abl_fetch_policy(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark])
         table: t,
         summary,
         metrics: BTreeMap::new(),
-        timeseries: BTreeMap::new(),
+        timeseries: grid.timeseries,
     }
 }
 
@@ -113,7 +113,7 @@ pub fn abl_slack(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -> Fig
         table: t,
         summary,
         metrics: BTreeMap::new(),
-        timeseries: BTreeMap::new(),
+        timeseries: grid.timeseries,
     }
 }
 

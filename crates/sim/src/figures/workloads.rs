@@ -115,6 +115,6 @@ pub fn workload_chars(ctx: &FigureCtx, scale: SimScale, benches: &[Benchmark]) -
         table: t,
         summary,
         metrics: BTreeMap::new(),
-        timeseries: BTreeMap::new(),
+        timeseries: grid.timeseries,
     }
 }

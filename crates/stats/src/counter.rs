@@ -93,6 +93,27 @@ impl CounterSet {
         Self::default()
     }
 
+    /// Builds a set from `(name, count)` pairs, keeping only the non-zero
+    /// counts: the set a component that creates each counter on its first
+    /// increment would hold.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rmt_stats::CounterSet;
+    ///
+    /// let cs = CounterSet::nonzero([("hits", 3), ("misses", 0)]);
+    /// assert_eq!(cs.get("hits"), 3);
+    /// assert_eq!(cs.len(), 1);
+    /// ```
+    pub fn nonzero<'a>(counts: impl IntoIterator<Item = (&'a str, u64)>) -> Self {
+        let mut set = Self::new();
+        for (name, n) in counts.into_iter().filter(|&(_, n)| n > 0) {
+            set.add(name, n);
+        }
+        set
+    }
+
     /// Increments counter `name` by one, creating it if necessary.
     pub fn inc(&mut self, name: &str) {
         self.add(name, 1);

@@ -115,6 +115,10 @@ section "tests: every workspace crate"
 # above tests only `rmt`; this reaches every member crate's unit and
 # integration suites (serving, cluster, simulator, pipeline, ...).
 cargo test --workspace --release -q
+# A release build compiles `debug_assert!` out, so the pipeline's own
+# invariant checks (the instruction queue's kept counts, checked at the
+# end of every `Core::tick`) run again in a debug build.
+cargo test -q -p rmt-pipeline -p rmt-core
 
 section "smoke: rmt-serve round trip (miss simulates, repeat hits cache)"
 # An ephemeral-port daemon driven through real sockets: the first
