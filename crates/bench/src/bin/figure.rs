@@ -75,7 +75,7 @@ const FIGURES: [Figure; 20] = [
     Figure {
         sampled: Some((
             "Figure 6 (sampled): SRT SMT-efficiency, one logical thread",
-            |c, a| f::fig6_srt_single_sampled(c, a.scale, &a.plan, &a.benches),
+            |c, a| f::fig6_srt_single_sampled(c, a.scale, &a.spec.sample, &a.benches),
         )),
         ..fig(
             "fig6_srt_single",

@@ -30,7 +30,7 @@ fn main() {
         println!("{}", args.spec.to_json().encode_pretty());
         return;
     }
-    let plan = &args.plan;
+    let plan = &args.spec.sample;
     let ctx = args.ctx();
 
     let t_full = Instant::now();

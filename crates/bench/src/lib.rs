@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 use rmt_core::MachineSpec;
-use rmt_sample::SamplePlan;
 use rmt_sim::figures::FigureResult;
 use rmt_sim::{FigureCtx, ProgressSink, Runner, SimScale};
 use rmt_stats::cli::{self, Args};
@@ -77,9 +76,6 @@ pub struct FigureArgs {
     /// form): estimate the figure from SMARTS-style detailed windows
     /// instead of one long interval.
     pub sample: bool,
-    /// The sampling plan (defaults to [`SamplePlan::default`]); tuned by
-    /// `--set sample.*` like any other spec leaf.
-    pub plan: SamplePlan,
     /// Epoch width in cycles for time-series telemetry (`--epoch N`);
     /// `None` leaves sampling off and the `timeseries` section empty.
     pub epoch: Option<u64>,
@@ -163,7 +159,6 @@ impl FigureArgs {
             }
         }
         scale.seed = seed;
-        let plan = SamplePlan::from_spec(&spec.sample);
         let overrides = spec.diff(&MachineSpec::for_kind(spec.scheme.kind));
         Ok(FigureArgs {
             scale,
@@ -171,7 +166,6 @@ impl FigureArgs {
             jobs,
             json,
             sample,
-            plan,
             epoch,
             progress,
             spec,
@@ -522,11 +516,10 @@ mod tests {
     fn sample_set_edits_the_spec_and_the_plan() {
         let a = parse(&["--set", "sample.windows=4", "--set", "sample.measure=1500"]);
         assert_eq!(a.spec.sample.windows, 4);
-        assert_eq!(a.plan.windows, 4);
-        assert_eq!(a.plan.measure, 1_500);
+        assert_eq!(a.spec.sample.measure, 1_500);
         // Last edit wins.
         let b = parse(&["--set", "sample.windows=6", "--set", "sample.windows=3"]);
-        assert_eq!(b.plan.windows, 3);
+        assert_eq!(b.spec.sample.windows, 3);
     }
 
     #[test]

@@ -289,7 +289,6 @@ fn main() {
         inflight_per_worker: a.inflight,
         attempt_timeout: Duration::from_secs(a.timeout_secs),
         on_progress: progress_hook(&a, fleet.clone()),
-        ..ClusterOptions::default()
     };
     let start = Instant::now();
     let outcome = match run_cluster(&request, &addrs, &opts) {

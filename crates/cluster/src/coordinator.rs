@@ -17,7 +17,7 @@
 //! Failures requeue: a connection error, per-attempt timeout, 5xx, or
 //! digest mismatch sends the unit back to the queue (capped exponential
 //! backoff in the failing slot, so a flapping worker cannot hot-loop). A
-//! unit that fails [`ClusterOptions::max_attempts`] times aborts the run
+//! unit that fails `MAX_ATTEMPTS` (8) times aborts the run
 //! — by then the failure is deterministic (a simulation error every
 //! worker reproduces), not operational. Worker eviction via `/healthz`
 //! probing (see [`crate::pool`]) stops dispatch to dead workers; if
@@ -45,6 +45,12 @@ use std::time::{Duration, Instant};
 /// Most concurrent attempts one unit may accumulate via stealing.
 const MAX_INFLIGHT_PER_UNIT: u32 = 3;
 
+/// Failed attempts per unit before the whole run aborts.
+const MAX_ATTEMPTS: u32 = 8;
+
+/// `/healthz` probe cadence.
+const PROBE_INTERVAL: Duration = Duration::from_millis(250);
+
 /// How long every worker may be simultaneously evicted before the run
 /// aborts rather than waiting for a fleet that is gone.
 const ALL_EVICTED_GRACE: Duration = Duration::from_secs(20);
@@ -57,10 +63,6 @@ pub struct ClusterOptions {
     /// Per-attempt deadline: submit, poll, and fetch must finish inside
     /// it or the attempt is abandoned and the cell requeued.
     pub attempt_timeout: Duration,
-    /// Failed attempts per unit before the whole run aborts.
-    pub max_attempts: u32,
-    /// `/healthz` probe cadence.
-    pub probe_interval: Duration,
     /// Called with `(done_units, total_units)` after every completion —
     /// progress display and chaos triggers hang off this.
     pub on_progress: Option<Arc<dyn Fn(usize, usize) + Send + Sync>>,
@@ -71,8 +73,6 @@ impl Default for ClusterOptions {
         ClusterOptions {
             inflight_per_worker: 2,
             attempt_timeout: Duration::from_secs(600),
-            max_attempts: 8,
-            probe_interval: Duration::from_millis(250),
             on_progress: None,
         }
     }
@@ -83,8 +83,6 @@ impl std::fmt::Debug for ClusterOptions {
         f.debug_struct("ClusterOptions")
             .field("inflight_per_worker", &self.inflight_per_worker)
             .field("attempt_timeout", &self.attempt_timeout)
-            .field("max_attempts", &self.max_attempts)
-            .field("probe_interval", &self.probe_interval)
             .finish_non_exhaustive()
     }
 }
@@ -422,7 +420,7 @@ fn driver_loop(ctl: &Ctl, worker: &Worker, units: &[Unit], opts: &ClusterOptions
                 state.attempts[index] += 1;
                 if state.done.contains_key(&index) {
                     // Lost a race it no longer needed to win.
-                } else if state.attempts[index] >= opts.max_attempts {
+                } else if state.attempts[index] >= MAX_ATTEMPTS {
                     state.fatal = Some(format!(
                         "cell {} failed {} attempts; last error via {}: {message}",
                         units[index].digest, state.attempts[index], worker.addr
@@ -490,12 +488,8 @@ pub fn run_cluster(
     let units = Arc::new(units);
     let stop_probe = Arc::new(AtomicBool::new(false));
     let probe = {
-        let (w, s, interval) = (
-            Arc::clone(&workers),
-            Arc::clone(&stop_probe),
-            opts.probe_interval,
-        );
-        std::thread::spawn(move || probe_loop(w, s, interval))
+        let (w, s) = (Arc::clone(&workers), Arc::clone(&stop_probe));
+        std::thread::spawn(move || probe_loop(w, s, PROBE_INTERVAL))
     };
     let started = Instant::now();
     let slots: Vec<_> = workers

@@ -141,22 +141,22 @@ pub trait Device {
 /// experiment harness, sampled re-entry and the differential-verification
 /// harness all come through here).
 ///
-/// `Base2` runs each logical thread twice with no replication: committed
-/// work is measured on the even (first-copy) hardware threads, so callers
-/// pass exactly one thread per program for every kind.
+/// `Base2` runs each logical thread twice with no replication
+/// ([`DeviceKind::copies`]): committed work is measured on the first
+/// copy, so callers pass exactly one thread per program for every kind.
 ///
 /// # Panics
 ///
 /// Panics if the threads do not fit the arrangement's hardware contexts.
 pub fn build_device(spec: &MachineSpec, threads: Vec<LogicalThread>) -> Box<dyn Device> {
-    match spec.scheme.kind {
-        DeviceKind::Base => Box::new(Machine::independent(spec, threads)),
-        DeviceKind::Base2 => {
-            let doubled = threads
-                .iter()
-                .flat_map(|t| [t.clone(), t.clone()])
+    let kind = spec.scheme.kind;
+    match kind {
+        DeviceKind::Base | DeviceKind::Base2 => {
+            let copies = threads
+                .into_iter()
+                .flat_map(|t| std::iter::repeat_n(t, kind.copies()))
                 .collect();
-            Box::new(Machine::independent(spec, doubled))
+            Box::new(Machine::independent(spec, copies))
         }
         DeviceKind::Lock0 | DeviceKind::Lock8 => Box::new(Machine::lockstep(spec, threads)),
         DeviceKind::Srt

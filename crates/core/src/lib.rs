@@ -75,4 +75,4 @@ pub use machine::{Machine, RedundancyScheme, Substrate, WarmEvent};
 pub use recovery::RecoveringScheme;
 pub use rmt_env::RmtEnv;
 pub use schemes::{IndependentScheme, LockstepScheme, RmtScheme, Topology};
-pub use spec::{DeviceKind, MachineSpec, SampleModeSpec, SampleSpec, SchemeSpec, SpecError};
+pub use spec::{DeviceKind, MachineSpec, SampleMode, SamplePlan, SchemeSpec, SpecError};

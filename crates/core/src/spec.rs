@@ -27,6 +27,9 @@ use rmt_stats::Json;
 use std::fmt;
 
 mod codec;
+mod sample;
+
+pub use sample::{SampleMode, SamplePlan};
 
 /// The machine configurations the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,6 +98,17 @@ impl DeviceKind {
     pub fn from_name(name: &str) -> Option<DeviceKind> {
         DeviceKind::ALL.iter().copied().find(|k| k.name() == name)
     }
+
+    /// Hardware logical threads the machine runs per program: two for
+    /// `Base2`, one for every other kind. Program `t`'s copies are the
+    /// device's logical threads `t * copies ..`; the first is the one
+    /// measured.
+    pub fn copies(self) -> usize {
+        match self {
+            DeviceKind::Base2 => 2,
+            _ => 1,
+        }
+    }
 }
 
 impl fmt::Display for DeviceKind {
@@ -143,51 +157,6 @@ impl Default for SchemeSpec {
     }
 }
 
-/// Window placement policy of a [`SampleSpec`] — the serializable mirror
-/// of `rmt_sample::SampleMode`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SampleModeSpec {
-    /// Evenly spaced windows (SMARTS' systematic sampling).
-    Periodic,
-    /// Seeded uniform-random positions, sorted ascending.
-    Random {
-        /// Seed for the position stream.
-        seed: u64,
-    },
-}
-
-/// The sampling plan as configuration data — the serializable mirror of
-/// `rmt_sample::SamplePlan` (which converts from this with
-/// `SamplePlan::from_spec`; `rmt-sample` depends on this crate, not the
-/// other way around).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SampleSpec {
-    /// Number of detailed windows.
-    pub windows: usize,
-    /// Detailed (unmeasured) warmup instructions per window.
-    pub warmup: u64,
-    /// Detailed measured instructions per window.
-    pub measure: u64,
-    /// Functional warming-log depth (events replayed at window entry).
-    pub warm_window: usize,
-    /// Window placement policy.
-    pub mode: SampleModeSpec,
-}
-
-impl Default for SampleSpec {
-    /// Mirrors `SamplePlan::default()`: 8 periodic windows of 600 warmup
-    /// + 2k measured instructions over a 128k-event warming log.
-    fn default() -> Self {
-        SampleSpec {
-            windows: 8,
-            warmup: 600,
-            measure: 2_000,
-            warm_window: 131_072,
-            mode: SampleModeSpec::Periodic,
-        }
-    }
-}
-
 /// Error from spec (de)serialization or a key-path override: what went
 /// wrong, naming the offending dotted key path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,7 +202,7 @@ pub struct MachineSpec {
     pub scheme: SchemeSpec,
     /// Sampled-simulation plan (used only by sampled runs; carried so one
     /// document reproduces either kind of run).
-    pub sample: SampleSpec,
+    pub sample: SamplePlan,
 }
 
 impl Default for MachineSpec {
@@ -278,7 +247,7 @@ impl MachineSpec {
             hierarchy: rmt_mem::HierarchyConfig::default(),
             env,
             scheme: SchemeSpec::for_kind(kind),
-            sample: SampleSpec::default(),
+            sample: SamplePlan::default(),
         }
     }
 
@@ -448,7 +417,7 @@ mod tests {
         s.set_str("scheme.kind", "SRT").unwrap();
         assert_eq!(s.kind(), DeviceKind::Srt);
         s.set_str("sample.mode", "random").unwrap();
-        assert_eq!(s.sample.mode, SampleModeSpec::Random { seed: 0 });
+        assert_eq!(s.sample.mode, SampleMode::Random { seed: 0 });
     }
 
     #[test]
@@ -470,10 +439,17 @@ mod tests {
     fn sample_plan_needs_a_window_and_a_measured_instruction() {
         // `set` round-trips through the codec `--config` files use too.
         let mut s = MachineSpec::default();
-        for path in ["sample.windows", "sample.measure"] {
-            let e = s.set(path, Json::U64(0)).unwrap_err();
+        for (path, bad) in [
+            ("sample.windows", 0),
+            ("sample.measure", 0),
+            // A window's `warmup + measure` must fit in a u64.
+            ("sample.warmup", u64::MAX),
+        ] {
+            let e = s.set(path, Json::U64(bad)).unwrap_err();
             assert!(e.message.contains(path), "{e}");
         }
+        s.set("sample.warmup", Json::U64(u64::MAX - s.sample.measure))
+            .unwrap();
     }
 
     #[test]

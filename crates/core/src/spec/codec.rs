@@ -5,7 +5,7 @@
 //! embedded `config` section as self-validating and lets
 //! [`MachineSpec::set`] type-check overrides by round-tripping.
 
-use super::{DeviceKind, MachineSpec, SampleModeSpec, SampleSpec, SchemeSpec, SpecError};
+use super::{DeviceKind, MachineSpec, SampleMode, SamplePlan, SchemeSpec, SpecError};
 use crate::rmt_env::RmtEnvConfig;
 use rmt_mem::{CacheConfig, HierarchyConfig};
 use rmt_pipeline::CoreConfig;
@@ -415,10 +415,10 @@ fn scheme_from_json(v: &Json, path: &str) -> Result<SchemeSpec, SpecError> {
     Ok(s)
 }
 
-fn sample_to_json(s: &SampleSpec) -> Json {
+fn sample_to_json(s: &SamplePlan) -> Json {
     let (mode, seed) = match s.mode {
-        SampleModeSpec::Periodic => ("periodic", 0),
-        SampleModeSpec::Random { seed } => ("random", seed),
+        SampleMode::Periodic => ("periodic", 0),
+        SampleMode::Random { seed } => ("random", seed),
     };
     Json::obj()
         .with("windows", Json::U64(s.windows as u64))
@@ -429,7 +429,7 @@ fn sample_to_json(s: &SampleSpec) -> Json {
         .with("mode_seed", Json::U64(seed))
 }
 
-fn sample_from_json(v: &Json, path: &str) -> Result<SampleSpec, SpecError> {
+fn sample_from_json(v: &Json, path: &str) -> Result<SamplePlan, SpecError> {
     let mut f = Fields::new(v, path)?;
     let windows = f.usize("windows")?;
     let warmup = f.u64("warmup")?;
@@ -443,11 +443,18 @@ fn sample_from_json(v: &Json, path: &str) -> Result<SampleSpec, SpecError> {
             return Err(SpecError::new(format!("`{path}.{key}` must be at least 1")));
         }
     }
+    // A window runs `warmup + measure` detailed instructions; its cycle
+    // budget is computed from that sum.
+    if warmup.checked_add(measure).is_none() {
+        return Err(SpecError::new(format!(
+            "`{path}.warmup` + `{path}.measure` must fit in a u64"
+        )));
+    }
     let mode_name = f.str("mode")?;
     let seed = f.u64("mode_seed")?;
     let mode = match mode_name {
-        "periodic" => SampleModeSpec::Periodic,
-        "random" => SampleModeSpec::Random { seed },
+        "periodic" => SampleMode::Periodic,
+        "random" => SampleMode::Random { seed },
         other => {
             return Err(SpecError::new(format!(
                 "`{path}.mode`: unknown sampling mode `{other}` (periodic or random)"
@@ -455,7 +462,7 @@ fn sample_from_json(v: &Json, path: &str) -> Result<SampleSpec, SpecError> {
         }
     };
     f.finish()?;
-    Ok(SampleSpec {
+    Ok(SamplePlan {
         windows,
         warmup,
         measure,
@@ -600,8 +607,8 @@ mod tests {
     #[test]
     fn sample_modes_roundtrip() {
         let mut s = MachineSpec::default();
-        s.sample.mode = SampleModeSpec::Random { seed: 42 };
+        s.sample.mode = SampleMode::Random { seed: 42 };
         let back = MachineSpec::from_json(&s.to_json()).unwrap();
-        assert_eq!(back.sample.mode, SampleModeSpec::Random { seed: 42 });
+        assert_eq!(back.sample.mode, SampleMode::Random { seed: 42 });
     }
 }

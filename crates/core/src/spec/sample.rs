@@ -1,4 +1,8 @@
-//! Sampling plans: where the detailed windows go and how long they run.
+//! The sampling plan: where a sampled run's detailed windows go and how
+//! long they run. It is the `sample` section of a [`MachineSpec`]
+//! (`rmt-sample` re-exports both types).
+//!
+//! [`MachineSpec`]: super::MachineSpec
 
 use rmt_stats::Xoshiro256;
 
@@ -55,23 +59,6 @@ impl Default for SamplePlan {
 }
 
 impl SamplePlan {
-    /// Builds the runnable plan from its config-as-data mirror, the
-    /// `sample` section of an `rmt_core::MachineSpec` (this crate depends
-    /// on `rmt-core`, not the other way around, so the conversion lives
-    /// here).
-    pub fn from_spec(spec: &rmt_core::SampleSpec) -> Self {
-        SamplePlan {
-            windows: spec.windows,
-            warmup: spec.warmup,
-            measure: spec.measure,
-            warm_window: spec.warm_window,
-            mode: match spec.mode {
-                rmt_core::SampleModeSpec::Periodic => SampleMode::Periodic,
-                rmt_core::SampleModeSpec::Random { seed } => SampleMode::Random { seed },
-            },
-        }
-    }
-
     /// Detailed instructions simulated per window.
     pub fn window_len(&self) -> u64 {
         self.warmup + self.measure
@@ -120,20 +107,6 @@ impl SamplePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plan_mirrors_its_spec() {
-        let spec = rmt_core::SampleSpec::default();
-        assert_eq!(SamplePlan::from_spec(&spec), SamplePlan::default());
-        let random = rmt_core::SampleSpec {
-            windows: 3,
-            mode: rmt_core::SampleModeSpec::Random { seed: 9 },
-            ..spec
-        };
-        let plan = SamplePlan::from_spec(&random);
-        assert_eq!(plan.windows, 3);
-        assert_eq!(plan.mode, SampleMode::Random { seed: 9 });
-    }
 
     #[test]
     fn periodic_positions_are_sorted_and_fit() {

@@ -212,9 +212,9 @@ fn inject<S: RedundancyScheme>(
             let probe = |dev: &Machine<S>| {
                 let c = dev.substrate().core(core);
                 Probe {
-                    released: c.stats().get("stores_released"),
+                    released: c.stat("stores_released"),
                     squashes: c.thread_stats(tid).squashes,
-                    strikes: c.stats().get("sq_strikes_landed"),
+                    strikes: c.stat("sq_strikes_landed"),
                 }
             };
             observe_window(

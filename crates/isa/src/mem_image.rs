@@ -108,36 +108,6 @@ impl MemImage {
         self.pages.len()
     }
 
-    /// The page size in bytes (granularity of [`Self::pages_sorted`]).
-    pub const PAGE_BYTES: usize = PAGE_SIZE;
-
-    /// The non-zero pages as `(page_index, contents)`, sorted by index.
-    ///
-    /// All-zero pages are skipped, matching [`Self::digest`] — two images
-    /// with equal digests serialize identically.
-    pub fn pages_sorted(&self) -> Vec<(u64, &[u8; PAGE_SIZE])> {
-        let mut out: Vec<(u64, &[u8; PAGE_SIZE])> = self
-            .pages
-            .iter()
-            .filter(|(_, p)| p.iter().any(|b| *b != 0))
-            .map(|(k, p)| (*k, &**p))
-            .collect();
-        out.sort_unstable_by_key(|(k, _)| *k);
-        out
-    }
-
-    /// Installs a full page at `page_index` (checkpoint restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly [`Self::PAGE_BYTES`] long.
-    pub fn install_page(&mut self, page_index: u64, data: &[u8]) {
-        assert_eq!(data.len(), PAGE_SIZE, "a page is {PAGE_SIZE} bytes");
-        let mut page = Box::new([0u8; PAGE_SIZE]);
-        page.copy_from_slice(data);
-        self.pages.insert(page_index, page);
-    }
-
     /// Returns a canonical digest of the full image contents, used to compare
     /// architectural state between redundant executions. Zero pages and
     /// absent pages hash identically.

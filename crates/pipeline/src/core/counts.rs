@@ -94,6 +94,11 @@ impl EventCounts {
         self.0[event as usize] += 1;
     }
 
+    /// The count of the event exported as `name` (0 for an unknown name).
+    pub(crate) fn get(&self, name: &str) -> u64 {
+        NAMES.binary_search(&name).map_or(0, |i| self.0[i])
+    }
+
     /// `(name, count)` of every event that happened, in name order.
     pub(crate) fn nonzero(&self) -> impl Iterator<Item = (&'static str, u64)> {
         NAMES
@@ -114,5 +119,15 @@ mod tests {
         assert_eq!(Event::UncachedLoads as usize, NAMES.len() - 1);
         assert_eq!(NAMES[Event::Renamed as usize], "renamed");
         assert_eq!(NAMES[Event::StallIqHalfFull as usize], "stall_iq_half_full");
+    }
+
+    #[test]
+    fn get_reads_one_count_by_name() {
+        let mut c = EventCounts::default();
+        c.inc(Event::StoresReleased);
+        c.inc(Event::StoresReleased);
+        assert_eq!(c.get("stores_released"), 2);
+        assert_eq!(c.get("sq_strikes_landed"), 0);
+        assert_eq!(c.get("no_such_event"), 0);
     }
 }

@@ -50,6 +50,12 @@ impl Core {
         CounterSet::nonzero(self.stats.nonzero())
     }
 
+    /// One core-wide event count, by its [`Core::stats`] name (0 if the
+    /// event never happened), read without building the counter set.
+    pub fn stat(&self, name: &str) -> u64 {
+        self.stats.get(name)
+    }
+
     /// Issue-slot accounting totals (see [`IssueSlots`]).
     pub fn issue_slots(&self) -> IssueSlots {
         self.slots

@@ -1,20 +1,16 @@
-//! Architectural checkpoints, serialized through the `rmt-stats` JSON
-//! codec.
+//! Architectural checkpoints.
 //!
 //! A checkpoint captures everything a detailed window needs to re-enter a
 //! fast-forwarded workload: the committed registers and PC, the absolute
 //! committed-instruction count (so sample positions stay comparable
 //! across restores), the architectural memory image, and a bounded log of
-//! recent [`WarmEvent`]s for functional cache/predictor warming. Memory is
-//! serialized page-wise (non-zero pages only, sorted by index, hex-encoded
-//! contents), matching the zero-page-insensitive `MemImage::digest`.
+//! recent [`WarmEvent`]s for functional cache/predictor warming.
 
 use rmt_core::WarmEvent;
 use rmt_isa::inst::NUM_ARCH_REGS;
 use rmt_isa::MemImage;
-use rmt_stats::Json;
 
-/// A serializable architectural snapshot of one logical thread.
+/// An architectural snapshot of one logical thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Committed architectural registers.
@@ -27,259 +23,4 @@ pub struct Checkpoint {
     pub memory: MemImage,
     /// Recent warming events, oldest first.
     pub warm: Vec<WarmEvent>,
-}
-
-fn hex_encode(data: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut s = String::with_capacity(data.len() * 2);
-    for &b in data {
-        s.push(HEX[(b >> 4) as usize] as char);
-        s.push(HEX[(b & 0xf) as usize] as char);
-    }
-    s
-}
-
-fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err("odd-length hex page".into());
-    }
-    let nib = |c: u8| -> Result<u8, String> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            other => Err(format!("invalid hex digit {:?}", other as char)),
-        }
-    };
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len() / 2);
-    for pair in bytes.chunks_exact(2) {
-        out.push((nib(pair[0])? << 4) | nib(pair[1])?);
-    }
-    Ok(out)
-}
-
-fn warm_to_json(ev: &WarmEvent) -> Json {
-    let arr = |items: Vec<Json>| Json::Arr(items);
-    match *ev {
-        WarmEvent::IFetch { addr } => arr(vec![Json::Str("if".into()), Json::U64(addr)]),
-        WarmEvent::Load { addr } => arr(vec![Json::Str("ld".into()), Json::U64(addr)]),
-        WarmEvent::Store { addr } => arr(vec![Json::Str("st".into()), Json::U64(addr)]),
-        WarmEvent::Branch { pc, taken } => arr(vec![
-            Json::Str("br".into()),
-            Json::U64(pc),
-            Json::Bool(taken),
-        ]),
-        WarmEvent::Jump { pc, target } => arr(vec![
-            Json::Str("jp".into()),
-            Json::U64(pc),
-            Json::U64(target),
-        ]),
-    }
-}
-
-fn u64_at(items: &[Json], i: usize, what: &str) -> Result<u64, String> {
-    items
-        .get(i)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("warm event missing u64 {what}"))
-}
-
-fn warm_from_json(v: &Json) -> Result<WarmEvent, String> {
-    let items = v.as_array().ok_or("warm event is not an array")?;
-    let tag = items
-        .first()
-        .and_then(Json::as_str)
-        .ok_or("warm event missing tag")?;
-    match tag {
-        "if" => Ok(WarmEvent::IFetch {
-            addr: u64_at(items, 1, "addr")?,
-        }),
-        "ld" => Ok(WarmEvent::Load {
-            addr: u64_at(items, 1, "addr")?,
-        }),
-        "st" => Ok(WarmEvent::Store {
-            addr: u64_at(items, 1, "addr")?,
-        }),
-        "br" => Ok(WarmEvent::Branch {
-            pc: u64_at(items, 1, "pc")?,
-            taken: items
-                .get(2)
-                .and_then(Json::as_bool)
-                .ok_or("branch event missing taken")?,
-        }),
-        "jp" => Ok(WarmEvent::Jump {
-            pc: u64_at(items, 1, "pc")?,
-            target: u64_at(items, 2, "target")?,
-        }),
-        other => Err(format!("unknown warm event tag {other:?}")),
-    }
-}
-
-impl Checkpoint {
-    /// Serializes to a JSON value tree.
-    pub fn to_json(&self) -> Json {
-        let pages = self
-            .memory
-            .pages_sorted()
-            .into_iter()
-            .map(|(idx, data)| {
-                Json::obj()
-                    .with("index", Json::U64(idx))
-                    .with("data", Json::Str(hex_encode(data)))
-            })
-            .collect();
-        Json::obj()
-            .with("committed", Json::U64(self.committed))
-            .with("pc", Json::U64(self.pc))
-            .with(
-                "regs",
-                Json::Arr(self.regs.iter().map(|&r| Json::U64(r)).collect()),
-            )
-            .with("pages", Json::Arr(pages))
-            .with(
-                "warm",
-                Json::Arr(self.warm.iter().map(warm_to_json).collect()),
-            )
-    }
-
-    /// Rebuilds a checkpoint from [`Self::to_json`]'s layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem found.
-    pub fn from_json(v: &Json) -> Result<Self, String> {
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("missing key {k:?}"));
-        let committed = field("committed")?
-            .as_u64()
-            .ok_or("committed is not a u64")?;
-        let pc = field("pc")?.as_u64().ok_or("pc is not a u64")?;
-        let regs_arr = field("regs")?.as_array().ok_or("regs is not an array")?;
-        if regs_arr.len() != NUM_ARCH_REGS {
-            return Err(format!(
-                "expected {NUM_ARCH_REGS} registers, found {}",
-                regs_arr.len()
-            ));
-        }
-        let mut regs = [0u64; NUM_ARCH_REGS];
-        for (i, r) in regs_arr.iter().enumerate() {
-            regs[i] = r.as_u64().ok_or_else(|| format!("reg {i} is not a u64"))?;
-        }
-        let mut memory = MemImage::new();
-        for (i, p) in field("pages")?
-            .as_array()
-            .ok_or("pages is not an array")?
-            .iter()
-            .enumerate()
-        {
-            let idx = p
-                .get("index")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("page {i} missing index"))?;
-            let data = hex_decode(
-                p.get("data")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("page {i} missing data"))?,
-            )?;
-            if data.len() != MemImage::PAGE_BYTES {
-                return Err(format!("page {i} has {} bytes", data.len()));
-            }
-            memory.install_page(idx, &data);
-        }
-        let warm = field("warm")?
-            .as_array()
-            .ok_or("warm is not an array")?
-            .iter()
-            .map(warm_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Checkpoint {
-            regs,
-            pc,
-            committed,
-            memory,
-            warm,
-        })
-    }
-
-    /// Serializes to JSON text.
-    pub fn encode(&self) -> String {
-        self.to_json().encode()
-    }
-
-    /// Parses JSON text produced by [`Self::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first parse or structural problem.
-    pub fn decode(text: &str) -> Result<Self, String> {
-        let v = rmt_stats::json::parse(text).map_err(|e| e.to_string())?;
-        Self::from_json(&v)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_checkpoint() -> Checkpoint {
-        let mut memory = MemImage::new();
-        memory.write_u64(0x1000, 0xdead_beef_cafe_f00d);
-        memory.write_u8(0x7fff, 0x5a);
-        let mut regs = [0u64; NUM_ARCH_REGS];
-        regs[1] = 42;
-        regs[NUM_ARCH_REGS - 1] = u64::MAX;
-        Checkpoint {
-            regs,
-            pc: 0x120,
-            committed: 9_999,
-            memory,
-            warm: vec![
-                WarmEvent::IFetch { addr: 0x120 },
-                WarmEvent::Load { addr: 0x1000 },
-                WarmEvent::Store { addr: 0x2000 },
-                WarmEvent::Branch {
-                    pc: 0x124,
-                    taken: true,
-                },
-                WarmEvent::Jump {
-                    pc: 0x128,
-                    target: 0x40,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn json_roundtrip_is_identity() {
-        let cp = sample_checkpoint();
-        let back = Checkpoint::decode(&cp.encode()).unwrap();
-        assert_eq!(back, cp);
-        assert_eq!(back.memory.digest(), cp.memory.digest());
-    }
-
-    #[test]
-    fn zero_pages_are_not_serialized() {
-        let mut cp = sample_checkpoint();
-        cp.memory.write_u8(0x9_0000, 0); // touch a page with zeros only
-        let back = Checkpoint::decode(&cp.encode()).unwrap();
-        assert_eq!(back.memory.digest(), cp.memory.digest());
-        assert!(back.memory.page_count() < cp.memory.page_count());
-    }
-
-    #[test]
-    fn structural_errors_are_reported() {
-        let cp = sample_checkpoint();
-        let mut v = cp.to_json();
-        v.set("regs", Json::Arr(vec![Json::U64(1)]));
-        assert!(Checkpoint::from_json(&v).unwrap_err().contains("registers"));
-        assert!(Checkpoint::decode("{").is_err());
-        assert!(Checkpoint::decode("{}").unwrap_err().contains("committed"));
-    }
-
-    #[test]
-    fn hex_codec_roundtrip() {
-        let data: Vec<u8> = (0..=255).collect();
-        assert_eq!(hex_decode(&hex_encode(&data)).unwrap(), data);
-        assert!(hex_decode("0").is_err());
-        assert!(hex_decode("zz").is_err());
-    }
 }

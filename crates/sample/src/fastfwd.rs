@@ -9,7 +9,7 @@
 
 use crate::checkpoint::Checkpoint;
 use rmt_core::WarmEvent;
-use rmt_isa::interp::{ArchState, Interpreter, StopReason};
+use rmt_isa::interp::{Interpreter, StopReason};
 use rmt_isa::{MemImage, Op, Program};
 use std::collections::VecDeque;
 
@@ -27,23 +27,6 @@ impl<'p> FastForward<'p> {
         FastForward {
             interp: Interpreter::new(program, memory),
             warm: VecDeque::with_capacity(warm_window),
-            warm_window,
-        }
-    }
-
-    /// Resumes fast-forwarding from a checkpoint (same program), with the
-    /// checkpoint's warming log carried over and re-bounded to
-    /// `warm_window`.
-    pub fn resume(program: &'p Program, cp: &Checkpoint, warm_window: usize) -> Self {
-        let keep = cp.warm.len().saturating_sub(warm_window);
-        FastForward {
-            interp: Interpreter::resume(
-                program,
-                cp.memory.clone(),
-                ArchState::from_parts(cp.regs, cp.pc),
-                cp.committed,
-            ),
-            warm: cp.warm[keep..].iter().copied().collect(),
             warm_window,
         }
     }
@@ -109,27 +92,21 @@ impl<'p> FastForward<'p> {
         Ok(())
     }
 
-    /// Snapshots the current architectural state and warming log.
-    pub fn checkpoint(&self) -> Checkpoint {
+    /// Snapshots the current architectural state and drains the warming
+    /// log: the checkpoint carries the events recorded since the previous
+    /// drain (bounded by `warm_window`) and the log restarts empty. A
+    /// sampled run taking consecutive draining checkpoints replays the
+    /// whole fast-forward stream exactly once across its windows —
+    /// cumulative warming without re-replaying shared history at every
+    /// window.
+    pub fn take_checkpoint(&mut self) -> Checkpoint {
         Checkpoint {
             regs: *self.interp.state().regs(),
             pc: self.interp.state().pc(),
             committed: self.interp.committed(),
             memory: self.interp.mem().clone(),
-            warm: self.warm.iter().copied().collect(),
+            warm: self.warm.drain(..).collect(),
         }
-    }
-
-    /// Like [`FastForward::checkpoint`], but drains the warming log: the
-    /// checkpoint carries the events recorded since the previous drain
-    /// (bounded by `warm_window`) and the log restarts empty. A sampled
-    /// run taking consecutive draining checkpoints replays the whole
-    /// fast-forward stream exactly once across its windows — cumulative
-    /// warming without re-replaying shared history at every window.
-    pub fn take_checkpoint(&mut self) -> Checkpoint {
-        let cp = self.checkpoint();
-        self.warm.clear();
-        cp
     }
 }
 
@@ -178,7 +155,7 @@ mod tests {
         let p = busy_program();
         let mut ff = FastForward::new(&p, MemImage::new(), 64);
         ff.run_to(1_000).unwrap();
-        let cp = ff.checkpoint();
+        let cp = ff.take_checkpoint();
         assert_eq!(cp.warm.len(), 64);
         let has = |f: fn(&WarmEvent) -> bool| cp.warm.iter().any(f);
         assert!(has(|e| matches!(e, WarmEvent::IFetch { .. })));
@@ -186,26 +163,8 @@ mod tests {
         assert!(has(|e| matches!(e, WarmEvent::Store { .. })));
         assert!(has(|e| matches!(e, WarmEvent::Branch { .. })));
         assert!(has(|e| matches!(e, WarmEvent::Jump { .. })));
-    }
-
-    #[test]
-    fn checkpoint_resume_equals_straight_through() {
-        let p = busy_program();
-        let mut straight = FastForward::new(&p, MemImage::new(), 32);
-        straight.run_to(2_000).unwrap();
-
-        let mut first = FastForward::new(&p, MemImage::new(), 32);
-        first.run_to(700).unwrap();
-        // Round-trip the checkpoint through the JSON codec on the way.
-        let cp = Checkpoint::decode(&first.checkpoint().encode()).unwrap();
-        let mut resumed = FastForward::resume(&p, &cp, 32);
-        resumed.run_to(2_000).unwrap();
-
-        let (a, b) = (straight.checkpoint(), resumed.checkpoint());
-        assert_eq!(a.regs, b.regs);
-        assert_eq!(a.pc, b.pc);
-        assert_eq!(a.committed, b.committed);
-        assert_eq!(a.memory.digest(), b.memory.digest());
+        // The checkpoint drained the log.
+        assert!(ff.take_checkpoint().warm.is_empty());
     }
 
     #[test]

@@ -7,26 +7,27 @@
 //! short *detailed windows* at planned positions, and report the window
 //! mean with an explicit confidence interval.
 //!
-//! This crate supplies the three sampling-specific pieces; the experiment
-//! harness in `rmt-sim` composes them with the existing `Machine` fabric:
+//! This crate supplies the functional half of sampling; the experiment
+//! harness in `rmt-sim` composes it with the detailed `Machine` fabric:
 //!
-//! * [`checkpoint::Checkpoint`] — a serializable architectural snapshot
-//!   (registers + PC + memory image + a bounded functional-warming log),
-//!   written and read through the `rmt-stats` JSON codec so a workload is
-//!   fast-forwarded once and re-entered at any sample point by any
-//!   device kind.
+//! * [`checkpoint::Checkpoint`] — an architectural snapshot (registers +
+//!   PC + memory image + a bounded functional-warming log), so a workload
+//!   is fast-forwarded once and re-entered at any sample point by any
+//!   device kind. Checkpoints stay in memory: `rmt-sim` hands a run its
+//!   ladder of them directly.
 //! * [`fastfwd::FastForward`] — the functional fast-forward engine: it
 //!   drives the `rmt-isa` reference interpreter between detailed windows
 //!   while recording the recent instruction/data/branch activity that
 //!   warms caches and predictors at window entry.
-//! * [`plan::SamplePlan`] — the sampling controller's configuration:
-//!   periodic or seeded-random window positions, detailed warmup and
-//!   measure lengths, and the warming-log depth.
+//! * [`SamplePlan`] — the sampling controller's configuration (periodic
+//!   or seeded-random window positions, detailed warmup and measure
+//!   lengths, the warming-log depth), re-exported from `rmt_core::spec`,
+//!   where it is the `sample` section of every `MachineSpec`.
 //!
 //! # Examples
 //!
 //! ```
-//! use rmt_sample::{Checkpoint, FastForward, SamplePlan};
+//! use rmt_sample::{FastForward, SamplePlan};
 //! use rmt_isa::{MemImage, Program, ProgramBuilder};
 //! use rmt_isa::inst::{Inst, Reg};
 //!
@@ -38,13 +39,9 @@
 //!
 //! let mut ff = FastForward::new(&p, MemImage::new(), 64);
 //! ff.run_to(100).unwrap();
-//! let cp = ff.checkpoint();
+//! let cp = ff.take_checkpoint();
 //! assert_eq!(cp.committed, 100);
-//!
-//! // Round-trip through the JSON codec: the restored checkpoint is the
-//! // one that was saved.
-//! let restored = Checkpoint::decode(&cp.encode()).unwrap();
-//! assert_eq!(restored, cp);
+//! assert_eq!(cp.warm.len(), 64);
 //!
 //! let plan = SamplePlan::default();
 //! let positions = plan.positions(1_000, 8_000);
@@ -56,8 +53,7 @@
 
 pub mod checkpoint;
 pub mod fastfwd;
-pub mod plan;
 
 pub use checkpoint::Checkpoint;
 pub use fastfwd::FastForward;
-pub use plan::{SampleMode, SamplePlan};
+pub use rmt_core::{SampleMode, SamplePlan};

@@ -4,6 +4,7 @@
 use rmt_core::device::{build_device, Device, LogicalThread};
 use rmt_core::spec::MachineSpec;
 use rmt_stats::{Json, MetricsRegistry};
+use rmt_verify::Oracle;
 use rmt_workloads::{Benchmark, Workload};
 
 pub use crate::outcome::{RunResult, SimError, ThreadOutcome, VerifiedRun, VerifyError};
@@ -159,8 +160,8 @@ impl Experiment {
 
     /// Builds the device this experiment is configured for with
     /// [`rmt_core::build_device`] — the one construction path for every
-    /// [`DeviceKind`] (`run` uses it, and the refactor-guard test pins its
-    /// output).
+    /// [`DeviceKind`], which full and sampled runs take too (the
+    /// refactor-guard test pins its output).
     ///
     /// # Errors
     ///
@@ -180,11 +181,7 @@ impl Experiment {
     /// [`SimError::BudgetOverflow`] if the cycle budget does not fit in a
     /// `u64`; [`SimError::Timeout`] if the run exceeds it.
     pub fn run(self) -> Result<RunResult, SimError> {
-        match self.run_inner(None) {
-            Ok((result, _)) => Ok(result),
-            Err(VerifyError::Sim(e)) => Err(e),
-            Err(VerifyError::Divergence(_)) => unreachable!("no oracle attached"),
-        }
+        unverified(self.run_inner(false)).map(|(result, _)| result)
     }
 
     /// Runs the experiment with the differential co-simulation oracle
@@ -198,113 +195,88 @@ impl Experiment {
     /// `(pc, register write, load, store)` tuple disagrees with the
     /// reference model, with a trail of the preceding commits.
     pub fn run_verified(self) -> Result<VerifiedRun, VerifyError> {
-        if self.benchmarks.is_empty() {
-            return Err(VerifyError::Sim(SimError::NoBenchmarks));
-        }
-        // Mirror `build_device`'s Base2 doubling: the oracle keeps
-        // one lane per *hardware* logical thread, so on Base2 both
-        // copies are independently cross-checked.
-        let mut threads = self.logical_threads();
-        if self.kind() == DeviceKind::Base2 {
-            threads = threads
-                .iter()
-                .flat_map(|t| [t.clone(), t.clone()])
-                .collect();
-        }
-        let mut oracle = rmt_verify::Oracle::for_threads(&threads);
-        let (result, commits_checked) = self.run_inner(Some(&mut oracle))?;
+        let (result, commits_checked) = self.run_inner(true)?;
         Ok(VerifiedRun {
             result,
             commits_checked,
         })
     }
 
-    fn run_inner(
-        self,
-        mut oracle: Option<&mut rmt_verify::Oracle>,
-    ) -> Result<(RunResult, u64), VerifyError> {
+    /// Builds this experiment's device around `threads` (one per program)
+    /// and, when `verify`, an oracle attached to it with one lane per
+    /// hardware copy ([`DeviceKind::copies`]), seeded like the device.
+    pub(crate) fn device_and_oracle(
+        &self,
+        threads: Vec<LogicalThread>,
+        verify: bool,
+    ) -> (Box<dyn Device>, Option<Oracle>) {
+        let copies = self.kind().copies();
+        let oracle = verify.then(|| {
+            Oracle::new(
+                threads
+                    .iter()
+                    .flat_map(|t| std::iter::repeat_n(t, copies))
+                    .map(|t| (t.program.clone(), t.memory.clone()))
+                    .collect(),
+            )
+        });
+        let mut device = build_device(&self.spec, threads);
+        if let Some(o) = &oracle {
+            o.attach(device.as_mut());
+        }
+        (device, oracle)
+    }
+
+    fn run_inner(self, verify: bool) -> Result<(RunResult, u64), VerifyError> {
         let budget = cycle_budget(self.warmup, self.measure, self.max_cycle_factor)
             .ok_or(VerifyError::Sim(SimError::BudgetOverflow))?;
-        let mut device = self.build_device().map_err(VerifyError::Sim)?;
+        if self.benchmarks.is_empty() {
+            return Err(VerifyError::Sim(SimError::NoBenchmarks));
+        }
+        let (mut device, mut oracle) = self.device_and_oracle(self.logical_threads(), verify);
         if self.epoch > 0 {
             device.enable_epoch_sampling(self.epoch);
         }
-        if let Some(o) = oracle.as_deref_mut() {
-            o.attach(device.as_mut());
-        }
-        let logical_idx: Vec<usize> = match self.kind() {
-            DeviceKind::Base2 => (0..self.benchmarks.len()).map(|i| 2 * i).collect(),
-            _ => (0..self.benchmarks.len()).collect(),
-        };
-
-        // Per-thread measurement windows, as in the paper's fixed
-        // instruction count per program: thread i's window opens when it
-        // commits its `warmup`-th instruction and closes when it commits
-        // `measure` more. This keeps fast threads' efficiency from being
-        // inflated by the extra cache warmup they enjoy while slower
-        // threads catch up.
-        let n = logical_idx.len();
-        let mut start_cycle: Vec<Option<u64>> = vec![None; n];
-        let mut end_cycle: Vec<Option<u64>> = vec![None; n];
-        let mut faults = 0usize;
+        let copies = self.kind().copies();
+        let lanes: Vec<(usize, u64)> = (0..self.benchmarks.len())
+            .map(|t| (t * copies, self.warmup))
+            .collect();
         let target = self.warmup + self.measure;
-        while end_cycle.iter().any(Option::is_none) {
-            device.tick();
-            if let Some(sink) = &self.progress {
-                if device.cycle().is_multiple_of(PROGRESS_STRIDE) {
-                    let slowest = logical_idx
-                        .iter()
-                        .map(|&i| device.committed(i))
-                        .min()
-                        .unwrap_or(0);
-                    sink.report(slowest.min(target), target);
-                }
-            }
-            if let Some(o) = oracle.as_deref_mut() {
-                o.observe(device.as_mut())
-                    .map_err(VerifyError::Divergence)?;
-            }
-            if device.cycle() > budget {
-                return Err(VerifyError::Sim(SimError::Timeout {
-                    cycles: device.cycle(),
-                }));
-            }
-            for (k, &i) in logical_idx.iter().enumerate() {
-                let c = device.committed(i);
-                if start_cycle[k].is_none() && c >= self.warmup {
-                    start_cycle[k] = Some(device.cycle());
-                    // Only faults during measurement are reported.
+        let mut faults = 0usize;
+        let windows = run_windows(
+            device.as_mut(),
+            &lanes,
+            self.measure,
+            budget,
+            oracle.as_mut(),
+            |device, opened| {
+                // Only faults during measurement are reported: the count
+                // restarts on the tick any window opens.
+                if opened {
                     faults = 0;
                 }
-                if start_cycle[k].is_some()
-                    && end_cycle[k].is_none()
-                    && c >= self.warmup + self.measure
-                {
-                    end_cycle[k] = Some(device.cycle());
+                faults += device.drain_detected_faults().len();
+                if let Some(sink) = &self.progress {
+                    if device.cycle().is_multiple_of(PROGRESS_STRIDE) {
+                        let slowest = lanes.iter().map(|&(i, _)| device.committed(i)).min();
+                        sink.report(slowest.unwrap_or(0).min(target), target);
+                    }
                 }
-            }
-            faults += device.drain_detected_faults().len();
-        }
+            },
+        )?;
         if let Some(sink) = &self.progress {
             sink.report(target, target);
         }
-        let total_cycles = end_cycle
+        let first_open = windows.iter().map(|w| w.0).min().unwrap_or(0);
+        let last_close = windows.iter().map(|w| w.1).max().unwrap_or(0);
+        let per_thread = self
+            .benchmarks
             .iter()
-            .map(|c| c.expect("all windows closed"))
-            .max()
-            .unwrap_or(0)
-            - start_cycle
-                .iter()
-                .map(|c| c.expect("all windows opened"))
-                .min()
-                .unwrap_or(0);
-        let per_thread = logical_idx
-            .iter()
-            .enumerate()
-            .map(|(k, _)| ThreadOutcome {
-                benchmark: self.benchmarks[k],
+            .zip(&windows)
+            .map(|(&benchmark, &(open, close))| ThreadOutcome {
+                benchmark,
                 committed: self.measure,
-                cycles: end_cycle[k].expect("closed") - start_cycle[k].expect("opened"),
+                cycles: close - open,
             })
             .collect();
         let mut reg = MetricsRegistry::new();
@@ -313,7 +285,7 @@ impl Experiment {
         Ok((
             RunResult {
                 kind: self.kind(),
-                cycles: total_cycles,
+                cycles: last_close - first_open,
                 per_thread,
                 faults_detected: faults,
                 metrics: reg.snapshot(),
@@ -323,6 +295,68 @@ impl Experiment {
             checked,
         ))
     }
+}
+
+/// The [`SimError`] of a run made without an oracle (which cannot
+/// diverge).
+pub(crate) fn unverified<T>(r: Result<T, VerifyError>) -> Result<T, SimError> {
+    r.map_err(|e| match e {
+        VerifyError::Sim(e) => e,
+        VerifyError::Divergence(_) => unreachable!("no oracle attached"),
+    })
+}
+
+/// Ticks `device` until every measured lane has opened and then closed
+/// its window — the per-thread measured interval of the paper's fixed
+/// instruction count per program, shared by full, verified and sampled
+/// runs. Lane `(i, open_at)` measures the device's logical thread `i`:
+/// its window opens on the tick its committed count reaches `open_at`
+/// and closes on the tick it reaches `open_at + measure`. Per-thread
+/// windows keep fast threads' efficiency from being inflated by the
+/// extra cache warmup they enjoy while slower threads catch up.
+///
+/// After each tick the oracle, if any, checks the new commits, a cycle
+/// past `deadline` fails the run with [`SimError::Timeout`], and then
+/// `on_tick` sees the device and whether a window opened on that tick.
+///
+/// Returns each lane's `(open, close)` cycles.
+pub(crate) fn run_windows(
+    device: &mut dyn Device,
+    lanes: &[(usize, u64)],
+    measure: u64,
+    deadline: u64,
+    mut oracle: Option<&mut Oracle>,
+    mut on_tick: impl FnMut(&mut dyn Device, bool),
+) -> Result<Vec<(u64, u64)>, VerifyError> {
+    let mut open: Vec<Option<u64>> = vec![None; lanes.len()];
+    let mut close: Vec<Option<u64>> = vec![None; lanes.len()];
+    while close.iter().any(Option::is_none) {
+        device.tick();
+        if let Some(o) = oracle.as_deref_mut() {
+            o.observe(device).map_err(VerifyError::Divergence)?;
+        }
+        let cycle = device.cycle();
+        if cycle > deadline {
+            return Err(VerifyError::Sim(SimError::Timeout { cycles: cycle }));
+        }
+        let mut opened = false;
+        for (k, &(i, open_at)) in lanes.iter().enumerate() {
+            let c = device.committed(i);
+            if open[k].is_none() && c >= open_at {
+                open[k] = Some(cycle);
+                opened = true;
+            }
+            if open[k].is_some() && close[k].is_none() && c >= open_at + measure {
+                close[k] = Some(cycle);
+            }
+        }
+        on_tick(device, opened);
+    }
+    Ok(open
+        .into_iter()
+        .zip(close)
+        .map(|(o, c)| (o.expect("opened"), c.expect("closed")))
+        .collect())
 }
 
 #[cfg(test)]

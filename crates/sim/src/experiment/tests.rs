@@ -24,8 +24,15 @@ fn empty_experiment_errors() {
 fn an_overflowing_cycle_budget_errors_before_simulating() {
     assert_eq!(cycle_budget(1, 2, 3), Some(200_009));
     let e = Experiment::new(DeviceKind::Srt).benchmark(Benchmark::M88ksim);
-    let err = e.warmup(u64::MAX).measure(1).run().unwrap_err();
+    let err = e.clone().warmup(u64::MAX).measure(1).run().unwrap_err();
     assert_eq!(err, SimError::BudgetOverflow);
+    // A sampled window's budget overflows the same way.
+    let plan = rmt_sample::SamplePlan {
+        warmup: u64::MAX,
+        ..rmt_sample::SamplePlan::default()
+    };
+    let e = e.warmup(1_000).measure(6_000);
+    assert_eq!(e.run_sampled(&plan).unwrap_err(), SimError::BudgetOverflow);
 }
 
 #[test]

@@ -26,12 +26,13 @@
 //! reproduces the full run's cycles exactly (the sampled determinism
 //! tests assert both).
 
-use crate::experiment::{DeviceKind, Experiment, SimError, VerifyError};
-use rmt_core::device::{build_device, LogicalThread};
+use crate::experiment::{
+    cycle_budget, run_windows, unverified, DeviceKind, Experiment, SimError, VerifyError,
+};
+use rmt_core::device::LogicalThread;
 use rmt_isa::Program;
 use rmt_sample::{Checkpoint, FastForward, SamplePlan};
 use rmt_stats::{mean_ci95, Estimate};
-use rmt_verify::Oracle;
 use rmt_workloads::Workload;
 use std::rc::Rc;
 
@@ -125,7 +126,8 @@ impl Experiment {
     /// # Errors
     ///
     /// [`SimError::NoBenchmarks`] if no benchmark was added;
-    /// [`SimError::Timeout`] if any window exceeds its cycle budget.
+    /// [`SimError::BudgetOverflow`] if a window's cycle budget does not
+    /// fit in a `u64`; [`SimError::Timeout`] if any window exceeds it.
     ///
     /// # Panics
     ///
@@ -144,7 +146,8 @@ impl Experiment {
     /// # Errors
     ///
     /// [`SimError::NoBenchmarks`] if no benchmark was added;
-    /// [`SimError::Timeout`] if any window exceeds its cycle budget.
+    /// [`SimError::BudgetOverflow`] if a window's cycle budget does not
+    /// fit in a `u64`; [`SimError::Timeout`] if any window exceeds it.
     ///
     /// # Panics
     ///
@@ -155,11 +158,7 @@ impl Experiment {
         plan: &SamplePlan,
         ladder: &CheckpointLadder,
     ) -> Result<SampledResult, SimError> {
-        match self.run_sampled_inner(plan, ladder, false) {
-            Ok((result, _)) => Ok(result),
-            Err(VerifyError::Sim(e)) => Err(e),
-            Err(VerifyError::Divergence(_)) => unreachable!("no oracle attached"),
-        }
+        unverified(self.run_sampled_inner(plan, ladder, false)).map(|(result, _)| result)
     }
 
     /// Runs this experiment under `plan` with the co-simulation oracle
@@ -191,49 +190,30 @@ impl Experiment {
         ladder: &CheckpointLadder,
         verify: bool,
     ) -> Result<(SampledResult, u64), VerifyError> {
+        let budget = cycle_budget(plan.warmup, plan.measure, self.max_cycle_factor)
+            .ok_or(VerifyError::Sim(SimError::BudgetOverflow))?;
         if self.benchmarks.is_empty() {
             return Err(VerifyError::Sim(SimError::NoBenchmarks));
         }
         let positions = plan.positions(self.warmup, self.measure);
         let cps = &ladder.windows;
         assert_eq!(cps.len(), positions.len(), "ladder does not match plan");
-        let ff_insts = ladder.fastforward_instructions;
-        let programs: Vec<Rc<_>> = ladder.programs.iter().map(|p| Rc::new(p.clone())).collect();
         let n = self.benchmarks.len();
-        let copies = if self.kind() == DeviceKind::Base2 {
-            2
-        } else {
-            1
-        };
+        let copies = self.kind().copies();
         // One machine serves every window (SMARTS-style): between windows
         // only the architectural state moves to the next checkpoint, so
         // caches and predictors accumulate warmth across the whole run
         // instead of restarting cold each window.
-        let threads: Vec<LogicalThread> = cps[0]
+        let threads = cps[0]
             .iter()
-            .zip(&programs)
-            .map(|(cp, p)| LogicalThread::new(p.clone(), cp.memory.clone()))
+            .zip(&ladder.programs)
+            .map(|(cp, p)| LogicalThread::new(Rc::new(p.clone()), cp.memory.clone()))
             .collect();
-        let mut device = build_device(self.spec(), threads);
-        // One oracle lane per hardware logical thread (Base2 copies each
-        // get their own), seeded like the device itself.
-        let mut oracle = verify.then(|| {
-            let programs = &programs;
-            let entry = &cps[0];
-            let lanes = (0..n)
-                .flat_map(|t| {
-                    (0..copies).map(move |_| (programs[t].clone(), entry[t].memory.clone()))
-                })
-                .collect();
-            let o = Oracle::new(lanes);
-            o.attach(device.as_mut());
-            o
-        });
+        let (mut device, mut oracle) = self.device_and_oracle(threads, verify);
         let mut window_ipc: Vec<Vec<f64>> = vec![Vec::with_capacity(positions.len()); n];
-        for (wi, cps_w) in cps.iter().enumerate() {
+        for (wi, (cps_w, &position)) in cps.iter().zip(&positions).enumerate() {
             for (t, cp) in cps_w.iter().enumerate() {
-                for c in 0..copies {
-                    let logical = t * copies + c;
+                for logical in t * copies..(t + 1) * copies {
                     if let Some(o) = oracle.as_mut() {
                         // The reference lane moves to the same checkpoint
                         // the device re-enters (at window 0 this is the
@@ -261,60 +241,45 @@ impl Experiment {
                     }
                 }
             }
-            // Per-thread relative windows, exactly as in the full run:
-            // thread t's warmup is its distance from checkpoint to
-            // position (plan.warmup, except clamped near instruction 0).
             // Commit counts and cycles keep running across restores, so
-            // everything is measured as a delta from window entry.
-            let entry_cycle = device.cycle();
-            let entry_committed: Vec<u64> = (0..n).map(|t| device.committed(t * copies)).collect();
-            let budget = plan.window_len() * self.max_cycle_factor + 200_000;
-            let mut start_cycle: Vec<Option<u64>> = vec![None; n];
-            let mut end_cycle: Vec<Option<u64>> = vec![None; n];
-            while end_cycle.iter().any(Option::is_none) {
-                device.tick();
-                if let Some(o) = oracle.as_mut() {
-                    o.observe(device.as_mut())
-                        .map_err(VerifyError::Divergence)?;
-                }
-                if device.cycle() - entry_cycle > budget {
-                    return Err(VerifyError::Sim(SimError::Timeout {
-                        cycles: device.cycle(),
-                    }));
-                }
-                for t in 0..n {
-                    let warm = positions[wi] - cps_w[t].committed;
-                    let c = device.committed(t * copies) - entry_committed[t];
-                    if start_cycle[t].is_none() && c >= warm {
-                        start_cycle[t] = Some(device.cycle());
-                    }
-                    if start_cycle[t].is_some()
-                        && end_cycle[t].is_none()
-                        && c >= warm + plan.measure
-                    {
-                        end_cycle[t] = Some(device.cycle());
-                    }
-                }
-            }
-            for t in 0..n {
-                let dc = end_cycle[t].expect("closed") - start_cycle[t].expect("opened");
-                window_ipc[t].push(if dc == 0 {
+            // thread t's window opens once it has committed, past window
+            // entry, its distance from checkpoint to position (plan.warmup,
+            // except clamped near instruction 0).
+            let lanes: Vec<(usize, u64)> = cps_w
+                .iter()
+                .enumerate()
+                .map(|(t, cp)| {
+                    let i = t * copies;
+                    (i, device.committed(i) + (position - cp.committed))
+                })
+                .collect();
+            let deadline = device.cycle().saturating_add(budget);
+            let windows = run_windows(
+                device.as_mut(),
+                &lanes,
+                plan.measure,
+                deadline,
+                oracle.as_mut(),
+                |_, _| {},
+            )?;
+            for (ipc, (open, close)) in window_ipc.iter_mut().zip(windows) {
+                let dc = close - open;
+                ipc.push(if dc == 0 {
                     0.0
                 } else {
                     plan.measure as f64 / dc as f64
                 });
             }
         }
-        let cycles = device.cycle();
         let checked = oracle.map_or(0, |o| o.checked());
         Ok((
             SampledResult {
                 kind: self.kind(),
                 ipc: window_ipc.iter().map(|w| mean_ci95(w)).collect(),
                 window_ipc,
-                cycles,
+                cycles: device.cycle(),
                 detailed_instructions: positions.len() as u64 * plan.window_len() * n as u64,
-                fastforward_instructions: ff_insts,
+                fastforward_instructions: ladder.fastforward_instructions,
             },
             checked,
         ))
@@ -387,37 +352,27 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtripped_ladder_gives_bitwise_identical_windows() {
-        // Checkpoints are the persistence format: a ladder rebuilt from
-        // its JSON encoding must drive every detailed window to the exact
-        // same cycles, for every device kind that can re-enter it.
+    fn one_base_ladder_gives_every_kind_its_own_windows() {
+        // Checkpoints are kind-independent: the ladder a Base experiment
+        // takes is the one every kind takes, and re-entering it drives
+        // each kind's windows to the exact cycles of its own ladder.
         let plan = small_plan();
-        let ladder = exp(DeviceKind::Base, Benchmark::M88ksim)
+        let base = exp(DeviceKind::Base, Benchmark::M88ksim)
             .sample_checkpoints(&plan)
             .unwrap();
-        let rebuilt = CheckpointLadder {
-            windows: ladder
-                .windows
-                .iter()
-                .map(|w| {
-                    w.iter()
-                        .map(|cp| Checkpoint::decode(&cp.encode()).unwrap())
-                        .collect()
-                })
-                .collect(),
-            programs: ladder.programs.clone(),
-            fastforward_instructions: ladder.fastforward_instructions,
-        };
         for kind in [DeviceKind::Base, DeviceKind::Srt, DeviceKind::Lock0] {
-            let direct = exp(kind, Benchmark::M88ksim)
-                .run_sampled_with(&plan, &ladder)
-                .unwrap();
-            let replayed = exp(kind, Benchmark::M88ksim)
-                .run_sampled_with(&plan, &rebuilt)
-                .unwrap();
+            let e = exp(kind, Benchmark::M88ksim);
+            let ladder = e.sample_checkpoints(&plan).unwrap();
+            assert_eq!(ladder, base, "{kind}: the ladder depends on the kind");
+            let own = e.run_sampled(&plan).unwrap();
             assert_eq!(
-                direct, replayed,
-                "{kind}: codec round trip changed a window"
+                e.run_sampled_with(&plan, &base).unwrap(),
+                own,
+                "{kind}: the Base ladder changed a window"
+            );
+            assert!(
+                own.window_ipc[0].iter().all(|&ipc| ipc > 0.0),
+                "{kind}: a re-entered window made no progress"
             );
         }
     }

@@ -80,18 +80,21 @@ usage_check rmt-cluster sweeps/slack_sq.json --bogus
 section "smoke: parallel figure run (quick scale, 2 workers)"
 cargo run --release -p rmt-bench --bin figure -- fig6_srt_single --quick --jobs 2
 
-section "smoke: sampled figure run (quick scale, 2 workers)"
+section "smoke: sampled figure run (quick scale, 2 workers), bitwise"
 # The sampled path exercises checkpointing, functional fast-forward and
-# warm replay end to end; a blow-up in any of them shows first as runtime.
+# warm replay end to end; a blow-up in any of them shows first as runtime,
+# and any change to a sampled window shows in the committed document.
 sample_start=$SECONDS
 cargo run --release -p rmt-bench --bin figure -- fig6_srt_single \
-    --quick --jobs 2 --sample
+    --quick --jobs 2 --sample --json "$tmpdir/fig6_sampled.json"
 sample_elapsed=$((SECONDS - sample_start))
 echo "  [sampled smoke took ${sample_elapsed}s; budget 120s]"
 if [ "$sample_elapsed" -gt 120 ]; then
     echo "error: sampled smoke exceeded its 120s wall-clock budget" >&2
     exit 1
 fi
+cargo run --release -p rmt-bench --bin check_json -- \
+    --compare results/fig6_sampled_quick.json "$tmpdir/fig6_sampled.json"
 
 section "smoke: machine-readable results (--json round trip)"
 cargo run --release -p rmt-bench --bin figure -- fig6_srt_single \
@@ -200,9 +203,10 @@ section "schema: every committed figure document carries a valid config"
 # sections, no unknown keys) on every committed golden.
 cargo run --release -p rmt-bench --bin check_json -- \
     results/fig6_srt_single.json results/fig6_epoch.json \
+    results/fig6_sampled_quick.json \
     results/fault_forensics.json results/sampling_validation.json \
     results/sensitivity_slack_sq.json results/serve_roundtrip.json \
-    BENCH_PR2.json
+    results/aggregate.json
 
 section "golden: committed results must regenerate bitwise (sans host)"
 cargo run --release -p rmt-bench --bin figure -- fig6_srt_single \
@@ -212,7 +216,7 @@ cargo run --release -p rmt-bench --bin check_json -- \
 cargo run --release -p rmt-bench --bin figure -- aggregate \
     --standard --json "$tmpdir/agg_golden.json" > /dev/null
 cargo run --release -p rmt-bench --bin check_json -- \
-    --compare BENCH_PR2.json "$tmpdir/agg_golden.json"
+    --compare results/aggregate.json "$tmpdir/agg_golden.json"
 
 section "golden: epoch time-series telemetry must regenerate bitwise"
 # `--epoch` sampling is keyed to the simulated cycle, so the per-epoch
