@@ -24,7 +24,9 @@ const PAPER: &str = "SMARTS-style sampling (PAPERS.md); accuracy target: <2% mea
 fn main() {
     let usage = format!("usage: sampling_validation {FIGURE_FLAGS}");
     let args = cli::run(&usage, |argv| {
-        FigureArgs::parse(argv, BenchInput::List, false).and_then(FigureArgs::refuse_epoch)
+        FigureArgs::parse(argv, BenchInput::List, false)
+            .and_then(FigureArgs::refuse_epoch)
+            .and_then(FigureArgs::fit_sample)
     });
     if args.print_config {
         println!("{}", args.spec.to_json().encode_pretty());

@@ -98,7 +98,8 @@ pub struct FigureArgs {
 
 impl FigureArgs {
     /// Parses the flags of a figure that takes `input` and, when
-    /// `sampled`, `--sample`; an error names the flag it is about.
+    /// `sampled`, `--sample`; an error names the flag it is about. A
+    /// `--sample` run must fit its sampling plan ([`Self::fit_sample`]).
     pub fn parse(mut argv: Args, input: BenchInput, sampled: bool) -> Result<Self, String> {
         let mut scale = SimScale::standard();
         let mut seed = scale.seed;
@@ -160,7 +161,7 @@ impl FigureArgs {
         }
         scale.seed = seed;
         let overrides = spec.diff(&MachineSpec::for_kind(spec.scheme.kind));
-        Ok(FigureArgs {
+        let args = FigureArgs {
             scale,
             benches,
             jobs,
@@ -171,7 +172,26 @@ impl FigureArgs {
             spec,
             overrides,
             print_config,
-        })
+        };
+        if sample {
+            args.fit_sample()
+        } else {
+            Ok(args)
+        }
+    }
+
+    /// Refuses a sampling plan whose measured window is longer than the
+    /// scale's measured interval, which no window placement can fit. A
+    /// binary whose every run samples calls this after [`Self::parse`].
+    pub fn fit_sample(self) -> Result<Self, String> {
+        let (measure, interval) = (self.spec.sample.measure, self.scale.measure);
+        if measure > interval {
+            return Err(format!(
+                "`sample.measure` ({measure}) is longer than this scale's measured interval \
+                 ({interval} instructions)"
+            ));
+        }
+        Ok(self)
     }
 
     /// Refuses `--epoch` for a run that fills no time series: a figure
@@ -520,6 +540,20 @@ mod tests {
         // Last edit wins.
         let b = parse(&["--set", "sample.windows=6", "--set", "sample.windows=3"]);
         assert_eq!(b.spec.sample.windows, 3);
+    }
+
+    #[test]
+    fn a_sampled_window_longer_than_the_interval_is_a_usage_error() {
+        let line = ["--quick", "--sample", "--set", "sample.measure=20000"];
+        let err = parse_as(&line, BenchInput::List, true).unwrap_err();
+        assert!(err.contains("`sample.measure` (20000)"), "{err}");
+        assert!(err.contains("(10000 instructions)"), "{err}");
+        // The window fits the standard scale, and an unsampled run ignores
+        // the plan.
+        assert!(parse_as(&line[1..], BenchInput::List, true).is_ok());
+        assert!(parse_as(&[line[0], line[2], line[3]], BenchInput::List, true).is_ok());
+        let unsampled = parse_as(&[line[0], line[2], line[3]], BenchInput::List, false).unwrap();
+        assert!(unsampled.fit_sample().is_err());
     }
 
     #[test]

@@ -61,8 +61,20 @@ impl MemImage {
         self.page_mut(addr)[(addr & OFFSET_MASK) as usize] = value;
     }
 
+    /// The in-page offset of the 8-byte word at `addr`, or `None` when
+    /// the word straddles two pages.
+    fn word_offset(addr: u64) -> Option<usize> {
+        let off = (addr & OFFSET_MASK) as usize;
+        (off <= PAGE_SIZE - 8).then_some(off)
+    }
+
     /// Reads a little-endian 64-bit word (may straddle pages).
     pub fn read_u64(&self, addr: u64) -> u64 {
+        if let Some(off) = Self::word_offset(addr) {
+            return self.page(addr).map_or(0, |p| {
+                u64::from_le_bytes(p[off..off + 8].try_into().expect("an 8-byte slice"))
+            });
+        }
         let mut v = 0u64;
         for i in 0..8 {
             v |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
@@ -72,6 +84,10 @@ impl MemImage {
 
     /// Writes a little-endian 64-bit word (may straddle pages).
     pub fn write_u64(&mut self, addr: u64, value: u64) {
+        if let Some(off) = Self::word_offset(addr) {
+            self.page_mut(addr)[off..off + 8].copy_from_slice(&value.to_le_bytes());
+            return;
+        }
         for i in 0..8 {
             self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
         }
@@ -174,6 +190,26 @@ mod tests {
         m.write_u64(addr, u64::MAX);
         assert_eq!(m.read_u64(addr), u64::MAX);
         assert_eq!(m.page_count(), 2);
+    }
+
+    #[test]
+    fn words_at_page_edges_match_their_bytes() {
+        let page = 1u64 << PAGE_SHIFT;
+        // The last in-page word, the first straddling one, and one that
+        // wraps from the top of the address space to page 0.
+        for (addr, pages) in [(page - 8, 1), (page - 7, 2), (u64::MAX - 3, 2)] {
+            let mut m = MemImage::new();
+            m.write_u64(addr, 0x0102_0304_0506_0708);
+            assert_eq!(m.page_count(), pages, "{addr:#x}");
+            assert_eq!(m.read_u64(addr), 0x0102_0304_0506_0708, "{addr:#x}");
+            for i in 0..8u64 {
+                assert_eq!(
+                    m.read_u8(addr.wrapping_add(i)),
+                    8 - i as u8,
+                    "{addr:#x}+{i}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! sphere-crossing load path (LVQ lookups, uncached loads, store-queue
 //! forwarding) and the per-cycle issue-slot attribution.
 
-use crate::core::{Core, DetectedFault, Event, FaultDetector, InstState, IqEntry, SquashEvent};
+use crate::config::ThreadId;
+use crate::core::{
+    Core, DetectedFault, Event, FaultDetector, InstState, IqEntry, SquashEvent, NOT_READY,
+};
 use crate::env::{CoreEnv, LvqResult};
 use crate::lsq::ForwardResult;
 use crate::trace::TraceKind;
@@ -29,11 +32,31 @@ fn class_idx(c: FuClass) -> usize {
 enum IssueOutcome {
     /// The instruction issued.
     Issued,
-    /// Blocked on a data/memory dependence (store-set wait, partial
-    /// forward, uncached ordering).
+    /// Blocked on a data/memory dependence (partial forward, uncached
+    /// ordering).
     DataWait,
+    /// A load held by its store set: a data wait that select replays
+    /// until the store-set epoch or the unit changes.
+    StoreSetWait,
     /// Blocked waiting on sphere-crossing state (LVQ entry not ready).
     SphereWait,
+}
+
+/// Where a load gets its value, decided without side effects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LoadSource {
+    /// A trailing thread reads the load value queue.
+    Lvq,
+    /// A device load below `uncached_below`: non-speculative.
+    Uncached,
+    /// Partially overlapped by the older store `store_seq`.
+    Partial { store_seq: u64 },
+    /// Fully covered by an older store: its value.
+    Forward(u64),
+    /// An older store of the load's store set has no address yet.
+    StoreSetWait,
+    /// The cache hierarchy.
+    Cache,
 }
 
 impl Core {
@@ -50,9 +73,17 @@ impl Core {
         let mut total = 0usize;
         let per_half_issue = self.cfg.issue_width / 2;
         let mut half_issued = [0usize; 2];
+        // Until a half, class or port limit is reached, every check before
+        // the operand check passes, so an unready entry is a data wait and
+        // one compare decides it. A zero limit is reached from the start.
+        let mut limited = per_half_issue == 0
+            || per_half_limit.contains(&0)
+            || self.cfg.max_loads_per_cycle == 0
+            || self.cfg.max_stores_per_cycle == 0;
+        let bypass = self.cfg.rbox_latency;
         // Blocked-candidate tallies for slot attribution: each live, ripe
         // candidate scanned this cycle counts once, at its first failing
-        // check.
+        // check (half, unit class, load port, store port, operands).
         let mut blocked_data = 0u64;
         let mut blocked_sphere = 0u64;
         let mut blocked_fu = 0u64;
@@ -62,46 +93,37 @@ impl Core {
             if total >= self.cfg.issue_width {
                 break;
             }
-            let entry = self.iq.entries()[i];
-            if entry.min_issue > now {
-                continue;
+            let e = &mut self.iq.entries_mut()[i];
+            // The unripe entries are a suffix of the queue.
+            if e.min_issue > now {
+                break;
             }
-            let h = entry.half as usize;
-            if half_issued[h] >= per_half_issue {
-                blocked_half += 1;
-                continue;
+            if e.ready == NOT_READY {
+                e.ready = e.operand_ready(&self.regfile, bypass);
             }
-            let inst = entry.inst;
-            let ci = class_idx(inst.op.fu_class());
-            if used[h][ci] >= per_half_limit[ci] {
-                blocked_fu += 1;
-                continue;
-            }
-            if inst.op.is_load() && loads_issued >= self.cfg.max_loads_per_cycle {
-                blocked_fu += 1;
-                continue;
-            }
-            if inst.op.is_store() && stores_issued >= self.cfg.max_stores_per_cycle {
-                blocked_fu += 1;
-                continue;
-            }
-            let bypass = self.cfg.rbox_latency;
-            if !self.regfile.ready(entry.prs1, now, bypass) {
+            let data_ready = e.ready <= now;
+            if !data_ready && !limited {
                 blocked_data += 1;
                 continue;
             }
-            if inst.op.is_store() {
-                // Stores issue on the *address* operand; the data arrives at
-                // the store queue once its producer has executed (§3.4:
-                // "store data arrives at the store queue two cycles after
-                // the store address").
-                if !self.regfile.written(entry.prs2) {
+            let (h, op, held) = (e.half as usize, e.inst.op, e.held);
+            let ci = class_idx(op.fu_class());
+            if limited {
+                if half_issued[h] >= per_half_issue {
+                    blocked_half += 1;
+                    continue;
+                }
+                if used[h][ci] >= per_half_limit[ci]
+                    || (op.is_load() && loads_issued >= self.cfg.max_loads_per_cycle)
+                    || (op.is_store() && stores_issued >= self.cfg.max_stores_per_cycle)
+                {
+                    blocked_fu += 1;
+                    continue;
+                }
+                if !data_ready {
                     blocked_data += 1;
                     continue;
                 }
-            } else if !self.regfile.ready(entry.prs2, now, bypass) {
-                blocked_data += 1;
-                continue;
             }
             // Functional-unit id (for PSR statistics and permanent faults).
             let class_total = [
@@ -112,28 +134,41 @@ impl Core {
             ];
             let class_base: usize = class_total[..ci].iter().sum();
             let fu_id = (class_base + h * (class_total[ci] / 2) + used[h][ci]) as u8;
+            // Nothing the store-set verdict reads has changed: replay it.
+            if held == Some((self.store_set_epoch, fu_id)) {
+                self.stats.inc(Event::StoreSetWaits);
+                blocked_data += 1;
+                continue;
+            }
 
+            let entry = self.iq.entries()[i];
             match self.try_issue_one(now, &entry, fu_id, hier, env) {
                 IssueOutcome::Issued => {
                     used[h][ci] += 1;
                     half_issued[h] += 1;
                     total += 1;
-                    if inst.op.is_load() {
+                    if op.is_load() {
                         loads_issued += 1;
                     }
-                    if inst.op.is_store() {
+                    if op.is_store() {
                         stores_issued += 1;
                     }
+                    limited |= half_issued[h] >= per_half_issue
+                        || used[h][ci] >= per_half_limit[ci]
+                        || loads_issued >= self.cfg.max_loads_per_cycle
+                        || stores_issued >= self.cfg.max_stores_per_cycle;
                     self.iq.mark_issued(i);
                     self.issued_total += 1;
                 }
                 IssueOutcome::DataWait => blocked_data += 1,
+                IssueOutcome::StoreSetWait => {
+                    self.iq.entries_mut()[i].held = Some((self.store_set_epoch, fu_id));
+                    blocked_data += 1;
+                }
                 IssueOutcome::SphereWait => blocked_sphere += 1,
             }
         }
-        if total > 0 {
-            self.iq.remove_issued();
-        }
+        self.iq.remove_issued();
 
         // ---- issue-slot attribution ----
         // Every slot of every cycle lands in exactly one category, so the
@@ -158,6 +193,67 @@ impl Core {
                 self.slots.squash_recovery += idle;
             } else {
                 self.slots.window_empty += idle;
+            }
+        }
+    }
+
+    /// Whether what select settled still holds: every cached ready cycle
+    /// equals a recomputation from the register file, every load held at
+    /// the current epoch would still be held if tried again on the same
+    /// unit, and `min_issue` never decreases along the queue (so select
+    /// may stop at the first unripe entry).
+    pub(crate) fn select_consistent(&self) -> bool {
+        let bypass = self.cfg.rbox_latency;
+        let entries = self.iq.entries();
+        entries.windows(2).all(|w| w[0].min_issue <= w[1].min_issue)
+            && entries.iter().all(|e| {
+                (e.ready == NOT_READY || e.ready == e.operand_ready(&self.regfile, bypass))
+                    && match e.held {
+                        Some((epoch, fu_id)) if epoch == self.store_set_epoch => {
+                            let a = self.regfile.value(e.prs1);
+                            let b = self.regfile.value(e.prs2);
+                            matches!(
+                                execute(&e.inst, e.pc, a, b),
+                                ExecOutcome::Load { addr, bytes } if self.load_source(
+                                    e.tid,
+                                    e.seq,
+                                    e.pc,
+                                    self.fault_state.apply(fu_id, addr),
+                                    bytes,
+                                ) == LoadSource::StoreSetWait
+                            )
+                        }
+                        _ => true,
+                    }
+            })
+    }
+
+    /// Where the load of thread `tid` at `seq`/`pc`, reading `bytes` at
+    /// `addr`, gets its value. Reads only the thread's role, the store
+    /// queue and the store-set predictor, so a store-set verdict holds
+    /// until one of them changes.
+    fn load_source(&self, tid: ThreadId, seq: u64, pc: u64, addr: u64, bytes: u64) -> LoadSource {
+        let t = &self.threads[tid];
+        if t.role.is_trailing() {
+            return LoadSource::Lvq;
+        }
+        if addr < self.cfg.uncached_below {
+            return LoadSource::Uncached;
+        }
+        match t.sq.forward(addr, bytes, seq) {
+            ForwardResult::Partial { store_seq } => LoadSource::Partial { store_seq },
+            ForwardResult::Full(v) => LoadSource::Forward(v),
+            ForwardResult::None => {
+                // A load with no store set waits for no store.
+                let held = self.store_sets.set_of(pc).is_some_and(|set| {
+                    t.sq.unknown_addr_older(seq)
+                        .any(|e| self.store_sets.set_of(e.pc) == Some(set))
+                });
+                if held {
+                    LoadSource::StoreSetWait
+                } else {
+                    LoadSource::Cache
+                }
             }
         }
     }
@@ -207,90 +303,57 @@ impl Core {
             }
             ExecOutcome::Load { addr, bytes } => {
                 let addr = self.fault_state.apply(fu_id, addr);
-                if trailing {
-                    match env.lvq_lookup(self.core_id, tid, now, role.pair().unwrap(), tag) {
-                        LvqResult::NotReady => {
-                            self.stats.inc(Event::LvqNotReady);
-                            return IssueOutcome::SphereWait;
-                        }
-                        LvqResult::Entry {
-                            addr: lead_addr,
-                            value,
-                        } => {
-                            if lead_addr != addr {
-                                self.detected_faults.push(DetectedFault {
-                                    cycle: now,
-                                    tid,
-                                    kind: FaultDetector::LvqAddressMismatch,
-                                });
-                                self.trace(now, tid, pc, TraceKind::FaultDetect);
+                match self.load_source(tid, seq, pc, addr, bytes) {
+                    LoadSource::Lvq => {
+                        match env.lvq_lookup(self.core_id, tid, now, role.pair().unwrap(), tag) {
+                            LvqResult::NotReady => {
+                                self.stats.inc(Event::LvqNotReady);
+                                return IssueOutcome::SphereWait;
                             }
-                            self.trace(now, tid, pc, TraceKind::LvqDrain);
-                            // The entry is consumed by the environment
-                            // when this load retires (so squashed
-                            // wrong-path lookups, possible in the non-
-                            // LPQ ablation, never lose entries).
-                            (
-                                now + rbox + mbox,
-                                Some(value),
-                                pc + 4,
-                                Some((addr, bytes, value)),
-                            )
-                        }
-                    }
-                } else if addr < self.cfg.uncached_below {
-                    // Uncached (device) load: non-speculative — issues
-                    // only from the head of the reorder buffer with the
-                    // store queue drained — and bypasses the cache
-                    // hierarchy entirely.
-                    if self.threads[tid].rob_base != seq || self.threads[tid].sq.has_older_than(seq)
-                    {
-                        self.stats.inc(Event::UncachedLoadWaits);
-                        // The §4.4.2 deadlock shape again: a leading
-                        // store that cannot drain before verification
-                        // blocks the uncached load forever unless the
-                        // open LPQ chunk is forced shut.
-                        if role.is_leading() {
-                            let blocked = self.threads[tid]
-                                .sq
-                                .head()
-                                .map(|e| e.seq < seq && e.retired && !e.verified)
-                                .unwrap_or(false);
-                            if blocked {
-                                env.lead_retire_blocked(
-                                    self.core_id,
-                                    tid,
-                                    now,
-                                    role.pair().unwrap(),
-                                );
+                            LvqResult::Entry {
+                                addr: lead_addr,
+                                value,
+                            } => {
+                                if lead_addr != addr {
+                                    self.detected_faults.push(DetectedFault {
+                                        cycle: now,
+                                        tid,
+                                        kind: FaultDetector::LvqAddressMismatch,
+                                    });
+                                    self.trace(now, tid, pc, TraceKind::FaultDetect);
+                                }
+                                self.trace(now, tid, pc, TraceKind::LvqDrain);
+                                // The entry is consumed by the environment
+                                // when this load retires (so squashed
+                                // wrong-path lookups, possible in the non-
+                                // LPQ ablation, never lose entries).
+                                (
+                                    now + rbox + mbox,
+                                    Some(value),
+                                    pc + 4,
+                                    Some((addr, bytes, value)),
+                                )
                             }
                         }
-                        return IssueOutcome::DataWait;
                     }
-                    let v = env.read_mem(self.core_id, tid, addr, bytes);
-                    self.threads[tid].lq.fill(seq, addr, bytes);
-                    self.stats.inc(Event::UncachedLoads);
-                    let lat = hier.config().mem_latency;
-                    (
-                        now + rbox + mbox + lat,
-                        Some(v),
-                        pc + 4,
-                        Some((addr, bytes, v)),
-                    )
-                } else {
-                    match self.threads[tid].sq.forward(addr, bytes, seq) {
-                        ForwardResult::Partial { store_seq } => {
-                            self.stats.inc(Event::PartialForwardStalls);
-                            // §4.4.2: if the blocking store already
-                            // retired but cannot drain before its
-                            // trailing copy is fetched, force the open
-                            // LPQ chunk to terminate.
+                    LoadSource::Uncached => {
+                        // Uncached (device) load: non-speculative — issues
+                        // only from the head of the reorder buffer with the
+                        // store queue drained — and bypasses the cache
+                        // hierarchy entirely.
+                        if self.threads[tid].rob_base != seq
+                            || self.threads[tid].sq.has_older_than(seq)
+                        {
+                            self.stats.inc(Event::UncachedLoadWaits);
+                            // The §4.4.2 deadlock shape again: a leading
+                            // store that cannot drain before verification
+                            // blocks the uncached load forever unless the
+                            // open LPQ chunk is forced shut.
                             if role.is_leading() {
                                 let blocked = self.threads[tid]
                                     .sq
-                                    .iter()
-                                    .find(|e| e.seq == store_seq)
-                                    .map(|e| e.retired && !e.verified)
+                                    .head()
+                                    .map(|e| e.seq < seq && e.retired && !e.verified)
                                     .unwrap_or(false);
                                 if blocked {
                                     env.lead_retire_blocked(
@@ -303,39 +366,68 @@ impl Core {
                             }
                             return IssueOutcome::DataWait;
                         }
-                        ForwardResult::Full(v) => {
-                            self.stats.inc(Event::StoreForwards);
-                            self.threads[tid].lq.fill(seq, addr, bytes);
-                            (now + rbox + mbox, Some(v), pc + 4, Some((addr, bytes, v)))
-                        }
-                        ForwardResult::None => {
-                            let predicted_dependent = self.threads[tid]
+                        let v = env.read_mem(self.core_id, tid, addr, bytes);
+                        self.threads[tid].lq.fill(seq, addr, bytes);
+                        self.stats.inc(Event::UncachedLoads);
+                        let lat = hier.config().mem_latency;
+                        (
+                            now + rbox + mbox + lat,
+                            Some(v),
+                            pc + 4,
+                            Some((addr, bytes, v)),
+                        )
+                    }
+                    LoadSource::Partial { store_seq } => {
+                        self.stats.inc(Event::PartialForwardStalls);
+                        // §4.4.2: if the blocking store already retired but
+                        // cannot drain before its trailing copy is fetched,
+                        // force the open LPQ chunk to terminate.
+                        if role.is_leading() {
+                            let blocked = self.threads[tid]
                                 .sq
-                                .unknown_addr_older(seq)
-                                .any(|e| self.store_sets.must_wait(pc, e.pc));
-                            if predicted_dependent {
-                                self.stats.inc(Event::StoreSetWaits);
-                                return IssueOutcome::DataWait;
+                                .iter()
+                                .find(|e| e.seq == store_seq)
+                                .map(|e| e.retired && !e.verified)
+                                .unwrap_or(false);
+                            if blocked {
+                                env.lead_retire_blocked(
+                                    self.core_id,
+                                    tid,
+                                    now,
+                                    role.pair().unwrap(),
+                                );
                             }
-                            let v = env.read_mem(
-                                self.core_id,
-                                tid,
-                                addr,
-                                self.load_read_bytes(inst.op, bytes),
-                            );
-                            let timing = hier.dload(self.core_id, addr, now);
-                            let extra = timing.ready_at.saturating_sub(now);
-                            if !timing.l1_hit {
-                                self.stats.inc(Event::DcacheMisses);
-                            }
-                            self.threads[tid].lq.fill(seq, addr, bytes);
-                            (
-                                now + rbox + mbox + extra,
-                                Some(v),
-                                pc + 4,
-                                Some((addr, bytes, v)),
-                            )
                         }
+                        return IssueOutcome::DataWait;
+                    }
+                    LoadSource::Forward(v) => {
+                        self.stats.inc(Event::StoreForwards);
+                        self.threads[tid].lq.fill(seq, addr, bytes);
+                        (now + rbox + mbox, Some(v), pc + 4, Some((addr, bytes, v)))
+                    }
+                    LoadSource::StoreSetWait => {
+                        self.stats.inc(Event::StoreSetWaits);
+                        return IssueOutcome::StoreSetWait;
+                    }
+                    LoadSource::Cache => {
+                        let v = env.read_mem(
+                            self.core_id,
+                            tid,
+                            addr,
+                            self.load_read_bytes(inst.op, bytes),
+                        );
+                        let timing = hier.dload(self.core_id, addr, now);
+                        let extra = timing.ready_at.saturating_sub(now);
+                        if !timing.l1_hit {
+                            self.stats.inc(Event::DcacheMisses);
+                        }
+                        self.threads[tid].lq.fill(seq, addr, bytes);
+                        (
+                            now + rbox + mbox + extra,
+                            Some(v),
+                            pc + 4,
+                            Some((addr, bytes, v)),
+                        )
                     }
                 }
             }
@@ -344,6 +436,7 @@ impl Core {
                 let value = self.fault_state.apply(fu_id, value);
                 let done = now + rbox + 1;
                 self.threads[tid].sq.fill(seq, addr, value, bytes);
+                self.store_set_epoch += 1;
                 if trailing {
                     env.trailing_store_executed(
                         self.core_id,
@@ -360,6 +453,7 @@ impl Core {
                     let (lseq, lpc) = (v.seq, v.pc);
                     let load_uid = self.threads[tid].rob_get_ref(lseq).map(|l| l.uid);
                     self.store_sets.record_violation(lpc, pc);
+                    self.store_set_epoch += 1;
                     self.stats.inc(Event::OrderViolations);
                     if let Some(load_uid) = load_uid {
                         // The *load* is the cause: if an older squash

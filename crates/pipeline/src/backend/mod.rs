@@ -21,4 +21,6 @@
 mod issue;
 mod rename;
 mod retire;
+#[cfg(test)]
+mod select_tests;
 mod squash;

@@ -3,7 +3,7 @@
 //! the preferential-space-redundancy half choice.
 
 use crate::config::ThreadId;
-use crate::core::{Core, DynInst, Event, InstState, IqEntry};
+use crate::core::{Core, DynInst, Event, InstState, IqEntry, NOT_READY};
 use crate::regs::RegFile;
 use crate::trace::TraceKind;
 
@@ -181,7 +181,8 @@ impl Core {
                 prs1,
                 prs2,
                 tag,
-                issued: false,
+                ready: NOT_READY,
+                held: None,
             });
             // consume from the chunk
             if let Some((c, k)) = self.threads[tid].rmb.front_mut() {

@@ -66,6 +66,7 @@ impl Core {
         }
         debug_assert!(trailing == self.threads[tid].role.is_trailing());
         self.iq.squash(tid, from_seq);
+        self.store_set_epoch += 1;
         self.events
             .retain(|e| !(e.tid == tid && e.cause_seq >= from_seq));
         // Idle issue slots until the frontend refills (fetch resumes next

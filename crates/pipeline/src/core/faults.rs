@@ -1,7 +1,8 @@
 //! Fault-injection hooks used by `rmt-faults`: fault-site enumeration
 //! (live physical registers, filled store-queue entries), transient
 //! strikes, armed store-queue strikes, and permanent stuck-at faults on
-//! functional units.
+//! functional units. Every hook that can change a load's address or the
+//! store queue it is checked against moves the store-set epoch.
 
 use crate::config::ThreadId;
 use crate::core::{Core, DetectedFault};
@@ -44,11 +45,13 @@ impl Core {
     /// XORs `mask` into physical register `r` (transient fault).
     pub fn corrupt_phys_reg(&mut self, r: PhysReg, mask: u64) {
         self.regfile.corrupt(r, mask);
+        self.store_set_epoch += 1;
     }
 
     /// XORs `mask` into the data of the `idx`-th store-queue entry of
     /// thread `tid`; returns whether an entry was present.
     pub fn corrupt_sq_entry(&mut self, tid: ThreadId, idx: usize, mask: u64) -> bool {
+        self.store_set_epoch += 1;
         let t = &mut self.threads[tid];
         let seq = t.sq.iter().nth(idx).map(|e| e.seq);
         match seq {
@@ -109,6 +112,7 @@ impl Core {
     pub fn set_fu_stuck(&mut self, fu: usize, bit: u8, value: bool) {
         assert!(fu < self.cfg.total_fus(), "functional unit out of range");
         self.fault_state.fu_stuck[fu] = Some((bit, value));
+        self.store_set_epoch += 1;
     }
 
     /// Removes all configured permanent faults.
@@ -116,5 +120,6 @@ impl Core {
         for f in &mut self.fault_state.fu_stuck {
             *f = None;
         }
+        self.store_set_epoch += 1;
     }
 }

@@ -4,18 +4,25 @@
 //! Entries enter at rename and leave when they issue or are squashed.
 
 use crate::config::ThreadId;
-use crate::regs::PhysReg;
+use crate::regs::{PhysReg, RegFile};
 use rmt_isa::inst::Inst;
+
+/// [`IqEntry::ready`] while a producer the entry reads has not executed.
+pub(crate) const NOT_READY: u64 = u64::MAX;
 
 /// An instruction-queue slot. It carries the select inputs, copied from
 /// the instruction at rename, so issue reads the reorder buffer only for
-/// the instruction it issues.
+/// the instruction it issues, and what select has already settled about
+/// it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IqEntry {
     pub tid: ThreadId,
     pub seq: u64,
     pub uid: u64,
     pub half: u8,
+    /// Rename cycle plus the PBOX and QBOX latencies. Entries enter in
+    /// rename order and leave by order-preserving removal, so this never
+    /// decreases along the queue.
     pub min_issue: u64,
     pub pc: u64,
     pub inst: Inst,
@@ -23,9 +30,37 @@ pub(crate) struct IqEntry {
     pub prs2: PhysReg,
     /// Program-order tag (load tag for loads, store tag for stores).
     pub tag: u64,
-    /// Issued during the current select scan, which removes it when it
-    /// ends; `false` everywhere else.
-    pub issued: bool,
+    /// The first cycle the data checks pass ([`IqEntry::operand_ready`]),
+    /// cached once every producer it reads has executed; [`NOT_READY`]
+    /// until then. The registers cannot change under it: each ready time
+    /// is written once, and a register is not freed while a consumer
+    /// waits.
+    pub ready: u64,
+    /// `(epoch, fu_id)` of the store-set verdict that last held this
+    /// load: while both still match, select replays the verdict instead
+    /// of trying the load.
+    pub held: Option<(u64, u8)>,
+}
+
+impl IqEntry {
+    /// The first cycle the entry's data checks pass, or [`NOT_READY`]
+    /// while a producer it reads has not executed. A store issues on its
+    /// address operand once its data operand's producer has executed
+    /// (§3.4: the data reaches the store queue a couple of cycles after
+    /// the address); everything else waits for both operands.
+    pub(crate) fn operand_ready(&self, regs: &RegFile, bypass: u64) -> u64 {
+        let Some(a) = regs.issue_ready(self.prs1, bypass) else {
+            return NOT_READY;
+        };
+        let Some(b) = regs.issue_ready(self.prs2, bypass) else {
+            return NOT_READY;
+        };
+        if self.inst.op.is_store() {
+            a
+        } else {
+            a.max(b)
+        }
+    }
 }
 
 /// The live entries and their kept counts.
@@ -34,6 +69,9 @@ pub(crate) struct IssueQueue {
     entries: Vec<IqEntry>,
     half_live: [usize; 2],
     thread_live: Vec<usize>,
+    /// Positions issued during the current select scan, ascending; they
+    /// leave at [`Self::remove_issued`].
+    issued: Vec<usize>,
 }
 
 impl IssueQueue {
@@ -43,6 +81,7 @@ impl IssueQueue {
             entries: Vec::with_capacity(capacity),
             half_live: [0; 2],
             thread_live: vec![0; threads],
+            issued: Vec::new(),
         }
     }
 
@@ -66,6 +105,11 @@ impl IssueQueue {
         &self.entries
     }
 
+    /// The entries in rename order, for select to record what it settled.
+    pub(crate) fn entries_mut(&mut self) -> &mut [IqEntry] {
+        &mut self.entries
+    }
+
     /// Inserts a renamed instruction.
     pub(crate) fn push(&mut self, entry: IqEntry) {
         self.half_live[entry.half as usize] += 1;
@@ -74,18 +118,36 @@ impl IssueQueue {
     }
 
     /// Marks entry `i` issued: it stops counting at once and leaves the
-    /// queue at [`Self::remove_issued`].
+    /// queue at [`Self::remove_issued`]. Select marks in ascending order.
     pub(crate) fn mark_issued(&mut self, i: usize) {
-        let e = &mut self.entries[i];
-        debug_assert!(!e.issued, "an entry issues once");
-        e.issued = true;
+        debug_assert!(
+            self.issued.last().is_none_or(|&j| j < i),
+            "select issues each entry once, in queue order"
+        );
+        self.issued.push(i);
+        let e = &self.entries[i];
         self.half_live[e.half as usize] -= 1;
         self.thread_live[e.tid] -= 1;
     }
 
-    /// Ends a select scan: removes the entries it issued.
+    /// Ends a select scan: removes the entries it issued, moving each run
+    /// of entries between them once.
     pub(crate) fn remove_issued(&mut self) {
-        self.entries.retain(|e| !e.issued);
+        let Some(&first) = self.issued.first() else {
+            return;
+        };
+        let mut to = first;
+        for (k, &at) in self.issued.iter().enumerate() {
+            let end = self
+                .issued
+                .get(k + 1)
+                .copied()
+                .unwrap_or(self.entries.len());
+            self.entries.copy_within(at + 1..end, to);
+            to += end - at - 1;
+        }
+        self.entries.truncate(to);
+        self.issued.clear();
     }
 
     /// Removes every entry of `tid` with `seq >= from_seq`.
@@ -102,7 +164,7 @@ impl IssueQueue {
     }
 
     /// Whether the kept counts equal a recount of the entries and no
-    /// entry is left marked issued.
+    /// issued position is left to remove.
     pub(crate) fn counts_match(&self) -> bool {
         let mut half = [0usize; 2];
         let mut thread = vec![0usize; self.thread_live.len()];
@@ -110,19 +172,53 @@ impl IssueQueue {
             half[e.half as usize] += 1;
             thread[e.tid] += 1;
         }
-        half == self.half_live
-            && thread == self.thread_live
-            && self.entries.iter().all(|e| !e.issued)
+        half == self.half_live && thread == self.thread_live && self.issued.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{IqEntry, IssueQueue, NOT_READY};
     use crate::env::IndependentEnv;
     use crate::{Core, CoreConfig};
+    use rmt_isa::inst::Inst;
     use rmt_mem::MemoryHierarchy;
     use rmt_workloads::{Benchmark, Workload};
     use std::rc::Rc;
+
+    #[test]
+    fn issued_entries_leave_and_the_rest_keep_their_order() {
+        let mut q = IssueQueue::new(8, 1);
+        for seq in 0..7 {
+            q.push(IqEntry {
+                tid: 0,
+                seq,
+                uid: seq,
+                half: (seq % 2) as u8,
+                min_issue: 0,
+                pc: 4 * seq,
+                inst: Inst::nop(),
+                prs1: 0,
+                prs2: 0,
+                tag: 0,
+                ready: NOT_READY,
+                held: None,
+            });
+        }
+        for i in [0, 2, 3, 6] {
+            q.mark_issued(i);
+        }
+        assert_eq!(
+            (q.half_live(0), q.half_live(1), q.thread_live(0)),
+            (1, 2, 3)
+        );
+        q.remove_issued();
+        let left: Vec<u64> = q.entries().iter().map(|e| e.seq).collect();
+        assert_eq!(left, [1, 4, 5]);
+        assert!(q.counts_match());
+        q.remove_issued();
+        assert_eq!(q.len(), 3);
+    }
 
     /// Two independent threads on one core, so a squash of one leaves the
     /// other's entries in the queue.

@@ -18,7 +18,7 @@ mod metrics;
 mod state;
 
 pub(crate) use counts::{Event, EventCounts};
-pub(crate) use iq::{IqEntry, IssueQueue};
+pub(crate) use iq::{IqEntry, IssueQueue, NOT_READY};
 
 use crate::chunk::{ChunkAggregator, FetchChunk};
 use crate::config::{CoreConfig, ThreadId, ThreadRole};
@@ -271,6 +271,11 @@ pub struct Core {
     pub(crate) line_pred: LinePredictor,
     pub(crate) branch_pred: BranchPredictor,
     pub(crate) store_sets: StoreSets,
+    /// Moves whenever a load's store-set verdict could change: a store
+    /// fills its address, the predictor learns a violation, a squash, or
+    /// a fault hook. A load held by its store set at the current epoch,
+    /// on the same unit, is still held.
+    pub(crate) store_set_epoch: u64,
     pub(crate) iq: IssueQueue,
     pub(crate) events: Vec<SquashEvent>,
     pub(crate) stats: EventCounts,
@@ -346,6 +351,7 @@ impl Core {
             line_pred: LinePredictor::new(cfg.line_predictor_entries),
             branch_pred: BranchPredictor::new(cfg.predictor),
             store_sets: StoreSets::new(cfg.store_sets_entries),
+            store_set_epoch: 0,
             iq: IssueQueue::new(cfg.iq_size, cfg.max_threads),
             events: Vec::new(),
             stats: EventCounts::default(),
@@ -441,6 +447,7 @@ impl Core {
         self.watchdog(now);
         self.sample_occupancy();
         debug_assert!(self.iq_consistent(), "instruction queue out of step");
+        debug_assert!(self.select_consistent(), "select kept a stale verdict");
     }
 
     /// Whether the instruction queue's kept counts equal a recount and

@@ -88,28 +88,19 @@ impl RegFile {
         }
     }
 
-    /// Whether `r` is readable at `cycle` given `bypass` cycles of forward
-    /// slack (operands are read `rbox_latency` after issue, so a consumer
-    /// may issue before the producer's value lands).
-    pub fn ready(&self, r: PhysReg, cycle: u64, bypass: u64) -> bool {
-        if r == Self::ZERO {
-            return true;
-        }
+    /// The first cycle a consumer of `r` may issue given `bypass` cycles
+    /// of forward slack (operands are read `rbox_latency` after issue, so
+    /// a consumer may issue before the producer's value lands), or `None`
+    /// while `r`'s producer has not executed. Once `Some`, the answer
+    /// holds until `r` is freed: a register's ready time is written once.
+    pub fn issue_ready(&self, r: PhysReg, bypass: u64) -> Option<u64> {
         let t = self.ready_at[r as usize];
-        t != u64::MAX && t <= cycle.saturating_add(bypass)
+        (t != u64::MAX).then(|| t.saturating_sub(bypass))
     }
 
     /// The raw ready time of `r`.
     pub fn ready_at(&self, r: PhysReg) -> u64 {
         self.ready_at[r as usize]
-    }
-
-    /// Whether `r`'s producer has executed (its value bits are computed,
-    /// even if the bypass network has not delivered them yet). Store-data
-    /// operands use this: the store queue receives the data a couple of
-    /// cycles after the address, which this models.
-    pub fn written(&self, r: PhysReg) -> bool {
-        r == Self::ZERO || self.ready_at[r as usize] != u64::MAX
     }
 }
 
@@ -184,12 +175,12 @@ mod tests {
     fn write_and_read_value() {
         let mut rf = RegFile::new(8);
         let r = rf.alloc().unwrap();
-        assert!(!rf.ready(r, 100, 0), "freshly allocated is not ready");
+        assert_eq!(rf.issue_ready(r, 0), None, "freshly allocated is not ready");
         rf.write(r, 42, 10);
         assert_eq!(rf.value(r), 42);
-        assert!(!rf.ready(r, 5, 0));
-        assert!(rf.ready(r, 10, 0));
-        assert!(rf.ready(r, 6, 4), "bypass slack counts");
+        assert_eq!(rf.issue_ready(r, 0), Some(10));
+        assert_eq!(rf.issue_ready(r, 4), Some(6), "bypass slack counts");
+        assert_eq!(rf.issue_ready(r, 20), Some(0));
     }
 
     #[test]
@@ -197,7 +188,7 @@ mod tests {
         let mut rf = RegFile::new(8);
         rf.write(RegFile::ZERO, 99, 0);
         assert_eq!(rf.value(RegFile::ZERO), 0);
-        assert!(rf.ready(RegFile::ZERO, 0, 0));
+        assert_eq!(rf.issue_ready(RegFile::ZERO, 0), Some(0));
     }
 
     #[test]

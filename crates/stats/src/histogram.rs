@@ -24,6 +24,9 @@ use std::fmt;
 pub struct Histogram {
     name: String,
     bucket_width: u64,
+    /// `log2(bucket_width)` when the width is a power of two, so
+    /// [`Histogram::record`] buckets by shift instead of dividing.
+    shift: Option<u32>,
     buckets: Vec<u64>,
     overflow: u64,
     count: u64,
@@ -45,6 +48,9 @@ impl Histogram {
         Histogram {
             name: name.into(),
             bucket_width,
+            shift: bucket_width
+                .is_power_of_two()
+                .then(|| bucket_width.trailing_zeros()),
             buckets: vec![0; num_buckets],
             overflow: 0,
             count: 0,
@@ -59,9 +65,14 @@ impl Histogram {
         &self.name
     }
 
-    /// Records one sample.
+    /// Records one sample. Inlinable across crates: a simulated core
+    /// records five samples per cycle.
+    #[inline]
     pub fn record(&mut self, sample: u64) {
-        let idx = (sample / self.bucket_width) as usize;
+        let idx = match self.shift {
+            Some(shift) => sample >> shift,
+            None => sample / self.bucket_width,
+        } as usize;
         if idx < self.buckets.len() {
             self.buckets[idx] += 1;
         } else {
@@ -226,6 +237,17 @@ mod tests {
         assert_eq!(h.bucket(3), 1);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.count(), 5);
+    }
+
+    #[test]
+    fn power_of_two_width_buckets_on_its_edges() {
+        let mut h = Histogram::new("t", 8, 3);
+        for v in [0, 7, 8, 15, 16, 23, 24, u64::MAX] {
+            h.record(v);
+        }
+        assert_eq!((h.bucket(0), h.bucket(1), h.bucket(2)), (2, 2, 2));
+        assert_eq!(h.overflow(), 2);
+        assert_eq!(h.percentile(50.0), Some(15));
     }
 
     #[test]

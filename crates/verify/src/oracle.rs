@@ -256,21 +256,6 @@ impl Oracle {
         lane.trail.clear();
     }
 
-    /// Advances lane `logical`'s reference execution by `n` instructions
-    /// without checking anything (attach to a device mid-run, e.g. after
-    /// an unverified warmup interval).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reference execution stops early.
-    pub fn fast_forward(&mut self, logical: usize, n: u64) {
-        for _ in 0..n {
-            self.lanes[logical]
-                .step()
-                .expect("reference execution stops during fast-forward");
-        }
-    }
-
     /// Drains and checks the commit streams of every logical thread of
     /// `device`. Call once per tick (or at least often enough to bound the
     /// log).

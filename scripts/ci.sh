@@ -119,9 +119,11 @@ section "tests: every workspace crate"
 # integration suites (serving, cluster, simulator, pipeline, ...).
 cargo test --workspace --release -q
 # A release build compiles `debug_assert!` out, so the pipeline's own
-# invariant checks (the instruction queue's kept counts, checked at the
-# end of every `Core::tick`) run again in a debug build.
-cargo test -q -p rmt-pipeline -p rmt-core
+# invariant checks (the instruction queue's kept counts and what select
+# settled, checked at the end of every `Core::tick`) run again in a debug
+# build. The fault campaigns corrupt registers and store-queue entries and
+# stick units: the events that must invalidate a held load's verdict.
+cargo test -q -p rmt-pipeline -p rmt-core -p rmt-faults
 
 section "smoke: rmt-serve round trip (miss simulates, repeat hits cache)"
 # An ephemeral-port daemon driven through real sockets: the first
