@@ -1,7 +1,9 @@
 //! Bounded job queue with in-flight deduplication and graceful drain.
 //!
 //! Connection threads [`JobTable::submit`] validated requests; worker
-//! threads block in [`JobTable::next_job`] until work arrives. Two
+//! threads block in [`JobTable::next_job`] until work arrives, and take
+//! the request payload with the job: a record keeps only what the status
+//! and listing documents report, because records are never removed. Two
 //! concurrent submissions of the same digest share one job (the second
 //! submitter gets the first job's id), so a thundering herd of identical
 //! requests costs one simulation. [`JobTable::drain`] stops intake and
@@ -43,14 +45,24 @@ pub struct JobRecord {
     pub id: String,
     /// The request's content digest (the cache key of its result).
     pub digest: String,
-    /// The canonical request document the worker will execute, carried
-    /// with the job so queueing and payload hand-off are one atomic step.
-    pub payload: String,
     /// Where the job is in its lifecycle.
     pub status: JobStatus,
     /// Completion estimate in thousandths, updated by the worker's
     /// progress sink.
     pub progress_permille: u64,
+}
+
+/// A job as [`JobTable::next_job`] hands it to a worker.
+#[derive(Debug)]
+pub struct Job {
+    /// The job's id.
+    pub id: String,
+    /// The request's content digest (the cache key of its result).
+    pub digest: String,
+    /// The canonical request document to execute. It travels in the
+    /// queue beside the job's id, so queueing and payload hand-off are
+    /// one atomic step, and leaves the table with the job.
+    pub payload: String,
 }
 
 /// What [`JobTable::submit`] decided.
@@ -69,7 +81,8 @@ pub enum Submit {
 #[derive(Debug, Default)]
 struct Inner {
     jobs: HashMap<String, JobRecord>,
-    queue: VecDeque<String>,
+    /// Queued job ids, each with its payload.
+    queue: VecDeque<(String, String)>,
     /// digest -> job id for queued/running jobs (in-flight dedup).
     by_digest: HashMap<String, String>,
     next_id: u64,
@@ -115,27 +128,31 @@ impl JobTable {
             JobRecord {
                 id: id.clone(),
                 digest: digest.to_string(),
-                payload: payload.to_string(),
                 status: JobStatus::Queued,
                 progress_permille: 0,
             },
         );
         inner.by_digest.insert(digest.to_string(), id.clone());
-        inner.queue.push_back(id.clone());
+        inner.queue.push_back((id.clone(), payload.to_string()));
         self.work_ready.notify_one();
         Submit::New(id)
     }
 
     /// Blocks until a job is available, marks it `Running`, and returns
-    /// it. Returns `None` once the table is draining and the queue is
-    /// empty — the worker's signal to exit.
-    pub fn next_job(&self) -> Option<JobRecord> {
+    /// it with its payload. Returns `None` once the table is draining and
+    /// the queue is empty — the worker's signal to exit.
+    pub fn next_job(&self) -> Option<Job> {
         let mut inner = self.inner.lock().expect("job mutex poisoned");
         loop {
-            if let Some(id) = inner.queue.pop_front() {
+            if let Some((id, payload)) = inner.queue.pop_front() {
                 let rec = inner.jobs.get_mut(&id).expect("queued job exists");
                 rec.status = JobStatus::Running;
-                return Some(rec.clone());
+                let digest = rec.digest.clone();
+                return Some(Job {
+                    id,
+                    digest,
+                    payload,
+                });
             }
             if inner.draining {
                 return None;
@@ -202,7 +219,7 @@ impl JobTable {
         let queued = inner
             .queue
             .iter()
-            .map(|id| inner.jobs.get(id).expect("queued job exists"));
+            .map(|(id, _)| inner.jobs.get(id).expect("queued job exists"));
         let records = running
             .into_iter()
             .chain(queued)
@@ -260,6 +277,30 @@ mod tests {
         // Completed jobs no longer dedup — a resubmit is the cache's
         // problem, and here it queues fresh.
         assert!(matches!(table.submit("d1", "{}"), Submit::New(_)));
+    }
+
+    /// The worker takes the payload with its job; the table keeps only
+    /// what the status and listing documents report.
+    #[test]
+    fn the_payload_leaves_the_table_with_its_job() {
+        let table = JobTable::new(2);
+        let payload = r#"{"type":"run","marker":"payload-7f3a"}"#;
+        let Submit::New(id) = table.submit("d7", payload) else {
+            panic!("queue");
+        };
+        assert!(format!("{table:?}").contains("payload-7f3a"), "queued");
+        let job = table.next_job().unwrap();
+        assert_eq!(
+            (job.id.as_str(), job.digest.as_str(), job.payload.as_str()),
+            (id.as_str(), "d7", payload)
+        );
+        table.complete(&id);
+        assert!(
+            !format!("{table:?}").contains("payload-7f3a"),
+            "the table keeps no payload once a worker has it"
+        );
+        let rec = table.status(&id).unwrap();
+        assert_eq!((rec.status, rec.progress_permille), (JobStatus::Done, 1000));
     }
 
     #[test]

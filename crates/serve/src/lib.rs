@@ -11,7 +11,8 @@
 //!
 //! * [`http`] — hand-rolled, panic-free HTTP/1.1 parsing (the build is
 //!   fully offline; no framework crates).
-//! * [`cache`] — in-memory LRU over an atomic-rename disk tier.
+//! * [`cache`] — in-memory LRU over a checksummed, atomic-rename disk
+//!   tier.
 //! * [`jobs`] — bounded queue with in-flight dedup and graceful drain.
 //! * [`server`] — endpoints, worker pool, `/metrics` snapshot.
 //! * [`client`] — the minimal blocking client behind `rmtc` and the

@@ -9,6 +9,15 @@
 //! job on a miss, so a repeated request is answered bitwise-identically
 //! without re-simulation.
 //!
+//! A cache hit is answered from bytes the daemon already holds. A
+//! bounded memo maps each validated body (with its endpoint) to its
+//! digest and its canonical request's pretty text, so a repeated body
+//! is not parsed, validated or digested again. The cache verifies what
+//! it reads from disk, and the hit envelope is written by nesting the
+//! request text and the stored document into it
+//! ([`rmt_stats::json::write_nested`]), bytes identical to encoding the
+//! envelope as a tree, without parsing or encoding either document.
+//!
 //! Every accepted socket has Nagle's algorithm off (`TCP_NODELAY`) and
 //! each response goes out in one write, so no part of an answer waits for
 //! the client's delayed acknowledgement.
@@ -23,12 +32,13 @@
 //! Ctrl-C is an abrupt exit; the disk cache's atomic writes keep it
 //! consistent anyway.
 
-use crate::cache::ResultCache;
+use crate::cache::{Lru, ResultCache};
 use crate::http::{self, Request};
 use crate::jobs::{JobStatus, JobTable, Submit};
 use rmt_sim::service::ServiceRequest;
 use rmt_sim::ProgressSink;
-use rmt_stats::json::parse;
+use rmt_stats::digest::digest;
+use rmt_stats::json::{self, parse};
 use rmt_stats::{Histogram, Json, MetricsRegistry};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -47,6 +57,24 @@ pub const SCHEMA: &str = "rmt-serve/v1";
 const ENDPOINTS: &[&str] = &[
     "run", "sweep", "jobs", "results", "metrics", "healthz", "shutdown", "other",
 ];
+
+/// Width of a latency bucket in microseconds: a power of two, so a
+/// sample is bucketed by a shift. [`LATENCY_BUCKETS`] of them cover
+/// 8.192 ms; a slower request counts in the overflow bucket, and a
+/// percentile that falls there reads the recorded maximum.
+const LATENCY_BUCKET_US: u64 = 8;
+/// Buckets per latency histogram.
+const LATENCY_BUCKETS: usize = 1024;
+
+/// Request bodies the memo remembers. An entry holds the endpoint and
+/// body, the digest and the canonical request's pretty text: about
+/// 2.7 KB for a run request, whose resolved spec is most of it, so a
+/// full memo of run requests holds about 3 MB. An entry larger than
+/// [`MEMO_ENTRY_BYTES`] is not kept, which bounds the worst case at
+/// 1,024 × 8 KiB = 8 MiB.
+const MEMO_ENTRIES: usize = 1024;
+/// Largest endpoint, body and request text one memo entry may hold.
+const MEMO_ENTRY_BYTES: usize = 8 * 1024;
 
 /// Everything `rmt-serve` needs to start.
 #[derive(Debug, Clone)]
@@ -82,8 +110,19 @@ impl Default for ServerConfig {
 #[derive(Debug)]
 struct EndpointStats {
     requests: AtomicU64,
-    /// Milliseconds, 1 ms buckets (overflow clamps to the last bucket).
-    latency_ms: Mutex<Histogram>,
+    /// Microseconds, in [`LATENCY_BUCKET_US`] buckets.
+    latency_us: Mutex<Histogram>,
+}
+
+/// What a validated request body resolves to. Body to digest is a pure
+/// function: the same bytes on the same endpoint always validate to the
+/// same request.
+#[derive(Debug, Clone)]
+struct Known {
+    /// The request's digest, the cache key of its result.
+    digest: Arc<str>,
+    /// The canonical request's [`Json::encode_pretty`] text.
+    request: Arc<str>,
 }
 
 /// State shared by the accept loop, connection threads, and workers.
@@ -91,6 +130,9 @@ struct EndpointStats {
 struct Shared {
     cfg: ServerConfig,
     cache: ResultCache,
+    /// Endpoint name, a newline and the exact body bytes → what the body
+    /// validated to. Only bodies that validated enter.
+    memo: Mutex<Lru<Arc<[u8]>, Known>>,
     jobs: JobTable,
     endpoints: Vec<EndpointStats>,
     jobs_completed: AtomicU64,
@@ -126,6 +168,62 @@ fn json_reply(status: u16, doc: &Json) -> Reply {
     }
 }
 
+/// The body `json_reply(200, ..)` writes for a hit envelope, spliced
+/// from the request text and `stored`, the cached document (its
+/// `encode_pretty` text plus the worker's newline). It is byte-identical
+/// to encoding the envelope tree with the parsed document, because
+/// encoder text re-parses to a tree that re-encodes to the same text.
+fn hit_body(known: &Known, stored: &str, wall_seconds: f64) -> Vec<u8> {
+    let result = stored.strip_suffix('\n').unwrap_or(stored);
+    // Nesting adds two bytes of indent per line, about a tenth.
+    let nested = known.request.len() + result.len();
+    let mut out = String::with_capacity(nested + nested / 8 + 256);
+    out.push_str("{\n  \"schema\": ");
+    json::write_escaped(SCHEMA, &mut out);
+    out.push_str(",\n  \"digest\": ");
+    json::write_escaped(&known.digest, &mut out);
+    out.push_str(
+        ",\n  \"job\": null,\n  \"cache_hit\": true,\n  \"status\": \"done\",\n  \"request\": ",
+    );
+    json::write_nested(&known.request, 1, &mut out);
+    out.push_str(",\n  \"result\": ");
+    json::write_nested(result, 1, &mut out);
+    out.push_str(",\n  \"host\": {\n    \"wall_seconds\": ");
+    json::write_f64(wall_seconds, &mut out);
+    out.push_str("\n  }\n}\n\n");
+    out.into_bytes()
+}
+
+/// Parses and validates a submitted body into its canonical request.
+/// A body without `"type"` takes its endpoint's type.
+fn validate(body: &[u8], endpoint: &str) -> Result<Json, Reply> {
+    let text = std::str::from_utf8(body)
+        .map_err(|_| json_reply(400, &err_body("request body is not UTF-8")))?;
+    let mut doc = parse(text).map_err(|e| json_reply(400, &err_body(&format!("bad JSON: {e}"))))?;
+    match doc.get("type").and_then(Json::as_str) {
+        Some(t) if t != endpoint => {
+            return Err(json_reply(
+                400,
+                &err_body(&format!(
+                    "request type `{t}` does not match endpoint `/v1/{endpoint}`"
+                )),
+            ));
+        }
+        Some(_) => {}
+        None => {
+            // A bare document submitted to a typed endpoint gets the
+            // endpoint's type (convenience); a non-object falls
+            // through to the validator's error.
+            if doc.members().is_some() && doc.get("type").is_none() {
+                doc.set("type", Json::Str(endpoint.to_string()));
+            }
+        }
+    }
+    ServiceRequest::from_json(&doc)
+        .map(|request| request.canonical_json())
+        .map_err(|e| json_reply(422, &err_body(&e)))
+}
+
 /// How long a poller should wait before asking about a queued job:
 /// a floor for the accept/queue round trip plus a per-queued-job term,
 /// capped — deep queues should poll lazily, not never.
@@ -159,10 +257,10 @@ impl Shared {
         let stats = &self.endpoints[idx];
         stats.requests.fetch_add(1, Ordering::Relaxed);
         stats
-            .latency_ms
+            .latency_us
             .lock()
             .expect("latency mutex poisoned")
-            .record(start.elapsed().as_millis() as u64);
+            .record(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
         reply
     }
 
@@ -204,61 +302,57 @@ impl Shared {
         }
     }
 
-    /// `POST /v1/run` and `/v1/sweep`: parse, canonicalize, answer from
-    /// the cache on a digest hit, otherwise queue a job.
-    fn submit(&self, body: &[u8], expected_type: &str, start: Instant) -> Reply {
-        let Ok(text) = std::str::from_utf8(body) else {
-            return json_reply(400, &err_body("request body is not UTF-8"));
-        };
-        let mut doc = match parse(text) {
-            Ok(d) => d,
-            Err(e) => return json_reply(400, &err_body(&format!("bad JSON: {e}"))),
-        };
-        match doc.get("type").and_then(Json::as_str) {
-            Some(t) if t != expected_type => {
-                return json_reply(
-                    400,
-                    &err_body(&format!(
-                        "request type `{t}` does not match endpoint `/v1/{expected_type}`"
-                    )),
-                );
-            }
-            Some(_) => {}
+    /// `POST /v1/run` and `/v1/sweep`: answer from the cache on a digest
+    /// hit, otherwise queue a job. A body this endpoint validated before
+    /// takes its digest and request text from the memo.
+    fn submit(&self, body: &[u8], endpoint: &str, start: Instant) -> Reply {
+        let key = [endpoint.as_bytes(), b"\n", body].concat();
+        let remembered = self
+            .memo
+            .lock()
+            .expect("memo mutex poisoned")
+            .get(key.as_slice());
+        let (known, canonical) = match remembered {
+            Some(known) => (known, None),
             None => {
-                // A bare document submitted to a typed endpoint gets the
-                // endpoint's type (convenience); a non-object falls
-                // through to the validator's error.
-                if doc.members().is_some() && doc.get("type").is_none() {
-                    doc.set("type", Json::Str(expected_type.to_string()));
+                let canonical = match validate(body, endpoint) {
+                    Ok(c) => c,
+                    Err(reply) => return reply,
+                };
+                let known = Known {
+                    digest: digest(&canonical).into(),
+                    request: canonical.encode_pretty().into(),
+                };
+                if key.len() + known.request.len() <= MEMO_ENTRY_BYTES {
+                    self.memo
+                        .lock()
+                        .expect("memo mutex poisoned")
+                        .insert(key.into(), known.clone());
                 }
+                (known, Some(canonical))
             }
-        }
-        let request = match ServiceRequest::from_json(&doc) {
-            Ok(r) => r,
-            Err(e) => return json_reply(422, &err_body(&e)),
         };
-        let digest = request.digest();
-        let envelope = Json::obj()
-            .with("schema", Json::Str(SCHEMA.into()))
-            .with("digest", Json::Str(digest.clone()));
 
-        if let Some(cached) = self.cache.get(&digest) {
-            let result = parse(&cached).expect("cached documents are valid JSON");
-            let envelope = envelope
-                .with("job", Json::Null)
-                .with("cache_hit", Json::Bool(true))
-                .with("status", Json::Str("done".into()))
-                .with("request", request.canonical_json())
-                .with("result", result)
-                .with(
-                    "host",
-                    Json::obj().with("wall_seconds", Json::F64(start.elapsed().as_secs_f64())),
-                );
-            return json_reply(200, &envelope);
+        if let Some(stored) = self.cache.get(&known.digest) {
+            let wall_seconds = start.elapsed().as_secs_f64();
+            return Reply {
+                status: 200,
+                body: hit_body(&known, &stored, wall_seconds),
+                retry_after: None,
+            };
         }
+        // A remembered body whose result is not cached takes the path of
+        // a new one.
+        match canonical.map_or_else(|| validate(body, endpoint), Ok) {
+            Ok(canonical) => self.queue(&known.digest, canonical),
+            Err(reply) => reply,
+        }
+    }
 
-        let canonical = request.canonical_json();
-        let (job_id, status) = match self.jobs.submit(&digest, &canonical.encode()) {
+    /// Queues a job for a request whose result is not cached: 202 with
+    /// the job's id, or 503 when the queue is full or the daemon drains.
+    fn queue(&self, digest: &str, canonical: Json) -> Reply {
+        let (job_id, status) = match self.jobs.submit(digest, &canonical.encode()) {
             Submit::New(id) => (id, "queued".to_string()),
             Submit::InFlight(id) => {
                 let status = self
@@ -276,7 +370,9 @@ impl Shared {
             }
         };
         let retry_after = retry_after_secs(self.jobs.queue_depth());
-        let envelope = envelope
+        let envelope = Json::obj()
+            .with("schema", Json::Str(SCHEMA.into()))
+            .with("digest", Json::Str(digest.to_string()))
             .with("job", Json::Str(job_id))
             .with("cache_hit", Json::Bool(false))
             .with("status", Json::Str(status))
@@ -337,7 +433,7 @@ impl Shared {
         match self.cache.get(digest) {
             Some(text) => Reply {
                 status: 200,
-                body: text.into_bytes(),
+                body: text.as_bytes().to_vec(),
                 retry_after: None,
             },
             None => json_reply(404, &err_body("no result under that digest")),
@@ -352,6 +448,7 @@ impl Shared {
         reg.counter("serve/cache/hits", cs.mem_hits + cs.disk_hits);
         reg.counter("serve/cache/misses", cs.misses);
         reg.counter("serve/cache/evictions", cs.evictions);
+        reg.counter("serve/cache/corrupt", cs.corrupt);
         reg.counter(
             "serve/jobs/completed",
             self.jobs_completed.load(Ordering::Relaxed),
@@ -368,8 +465,8 @@ impl Shared {
                 stats.requests.load(Ordering::Relaxed),
             );
             reg.histogram(
-                &format!("serve/latency_ms/{name}"),
-                &stats.latency_ms.lock().expect("latency mutex poisoned"),
+                &format!("serve/latency_us/{name}"),
+                &stats.latency_us.lock().expect("latency mutex poisoned"),
             );
         }
         reg.snapshot().to_json()
@@ -511,12 +608,17 @@ impl Server {
             .iter()
             .map(|name| EndpointStats {
                 requests: AtomicU64::new(0),
-                latency_ms: Mutex::new(Histogram::new(format!("serve/latency_ms/{name}"), 1, 256)),
+                latency_us: Mutex::new(Histogram::new(
+                    format!("serve/latency_us/{name}"),
+                    LATENCY_BUCKET_US,
+                    LATENCY_BUCKETS,
+                )),
             })
             .collect();
         let shared = Arc::new(Shared {
             cfg,
             cache,
+            memo: Mutex::new(Lru::new(MEMO_ENTRIES)),
             jobs,
             endpoints,
             jobs_completed: AtomicU64::new(0),

@@ -13,7 +13,7 @@ use rmt_serve::{Server, ServerConfig, ServerHandle};
 use rmt_sim::ServiceRequest;
 use rmt_stats::json::parse;
 use rmt_stats::Json;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
@@ -27,9 +27,15 @@ fn temp_cache_dir(tag: &str) -> PathBuf {
 fn start(tag: &str) -> (ServerHandle, Client, PathBuf) {
     let dir = temp_cache_dir(tag);
     std::fs::remove_dir_all(&dir).ok();
+    let (handle, client) = start_in(&dir);
+    (handle, client, dir)
+}
+
+/// A daemon over the cache directory `dir`, which may hold results.
+fn start_in(dir: &Path) -> (ServerHandle, Client) {
     let handle = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        cache_dir: dir.clone(),
+        cache_dir: dir.to_path_buf(),
         workers: 1,
         queue_cap: 4,
         mem_cache: 8,
@@ -37,11 +43,40 @@ fn start(tag: &str) -> (ServerHandle, Client, PathBuf) {
     })
     .expect("server starts on an ephemeral port");
     let client = Client::new(&handle.addr().to_string());
-    (handle, client, dir)
+    (handle, client)
 }
 
 const RUN_DOC: &str = r#"{"type": "run", "spec": "SRT", "benches": ["m88ksim"],
                           "scale": {"warmup": 200, "measure": 1000, "seed": 7}}"#;
+
+/// [`RUN_DOC`] executed in-process, as the daemon stores and serves it.
+fn direct_run() -> String {
+    let request = ServiceRequest::from_json(&parse(RUN_DOC).unwrap()).unwrap();
+    let mut direct = request.execute(1, None).unwrap().encode_pretty();
+    direct.push('\n');
+    direct
+}
+
+/// A string field of a response envelope.
+fn field(envelope: &Json, key: &str) -> String {
+    envelope
+        .get(key)
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("envelope lacks `{key}`"))
+        .to_string()
+}
+
+/// Runs [`RUN_DOC`] on a daemon over `dir` and stops it; returns the
+/// result's digest.
+fn cache_run_doc(dir: &Path) -> String {
+    let (handle, mut client) = start_in(dir);
+    let resp = client.post("/v1/run", RUN_DOC.as_bytes()).expect("submit");
+    assert_eq!(resp.status, 202, "{}", resp.text());
+    let envelope = parse(&resp.text()).unwrap();
+    poll_until_done(&mut client, &field(&envelope, "job"));
+    handle.stop();
+    field(&envelope, "digest")
+}
 
 fn poll_until_done(client: &mut Client, job: &str) {
     for _ in 0..2_000 {
@@ -127,6 +162,16 @@ fn submit_poll_fetch_and_cached_resubmit_are_bitwise_identical() {
     );
 
     poll_until_done(&mut client, &job);
+    // A finished job's status document is unchanged by the worker having
+    // taken its payload.
+    let status = client.get(&format!("/v1/jobs/{job}")).expect("status");
+    let want = Json::obj()
+        .with("schema", Json::Str("rmt-serve/v1".into()))
+        .with("job", Json::Str(job.clone()))
+        .with("digest", Json::Str(digest.clone()))
+        .with("status", Json::Str("done".into()))
+        .with("progress_permille", Json::U64(1000));
+    assert_eq!(status.text(), want.encode_pretty() + "\n");
     let fetched = client.get(&format!("/v1/results/{digest}")).expect("fetch");
     assert_eq!(fetched.status, 200);
 
@@ -137,8 +182,7 @@ fn submit_poll_fetch_and_cached_resubmit_are_bitwise_identical() {
         digest,
         "client and server agree on the digest"
     );
-    let mut direct = request.execute(1, None).unwrap().encode_pretty();
-    direct.push('\n');
+    let direct = direct_run();
     assert_eq!(
         fetched.text(),
         direct,
@@ -164,6 +208,23 @@ fn submit_poll_fetch_and_cached_resubmit_are_bitwise_identical() {
         parse(&direct).unwrap().encode(),
         "hit envelope embeds the cached document"
     );
+    // The spliced hit envelope is byte for byte the envelope tree, with
+    // the parsed document, encoded as every other reply is.
+    let wall_seconds = envelope2
+        .get("host")
+        .and_then(|h| h.get("wall_seconds"))
+        .cloned()
+        .expect("host.wall_seconds");
+    let tree = Json::obj()
+        .with("schema", Json::Str("rmt-serve/v1".into()))
+        .with("digest", Json::Str(digest.clone()))
+        .with("job", Json::Null)
+        .with("cache_hit", Json::Bool(true))
+        .with("status", Json::Str("done".into()))
+        .with("request", request.canonical_json())
+        .with("result", parse(&direct).unwrap())
+        .with("host", Json::obj().with("wall_seconds", wall_seconds));
+    assert_eq!(resp2.text(), tree.encode_pretty() + "\n");
 
     // Bitwise contract #2: a second fetch returns the same bytes, and the
     // job counter proves nothing was re-simulated.
@@ -328,5 +389,80 @@ fn shutdown_drains_gracefully() {
     let fetched = client.get(&format!("/v1/results/{digest}")).expect("fetch");
     assert_eq!(fetched.status, 200);
     handle.wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `/metrics` times requests in microseconds, so a cache hit, well under
+/// a millisecond, reads above zero.
+#[test]
+fn a_hit_on_a_fresh_daemon_is_timed_in_microseconds() {
+    let dir = temp_cache_dir("latency");
+    std::fs::remove_dir_all(&dir).ok();
+    cache_run_doc(&dir);
+    let (handle, mut client) = start_in(&dir);
+    let resp = client.post("/v1/run", RUN_DOC.as_bytes()).expect("submit");
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    let metrics = parse(&client.get("/metrics").expect("metrics").text()).unwrap();
+    let run = metrics
+        .get("serve/latency_us/run")
+        .expect("metrics lack the run latency histogram");
+    assert_eq!(run.get("count").and_then(Json::as_u64), Some(1), "{run:?}");
+    assert!(
+        run.get("max").and_then(Json::as_u64).unwrap_or(0) > 0,
+        "{run:?}"
+    );
+    handle.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flipped byte in a disk entry is never served. A fresh daemon, its
+/// memory tier empty, finds that the entry fails its checksum, moves it
+/// aside and computes the result again.
+#[test]
+fn a_flipped_byte_in_a_disk_entry_is_recomputed_not_served() {
+    let dir = temp_cache_dir("flip");
+    std::fs::remove_dir_all(&dir).ok();
+    let digest = cache_run_doc(&dir);
+    let entry = dir.join(&digest[..2]).join(format!("{digest}.json"));
+    let mut bytes = std::fs::read(&entry).expect("the result is on disk");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&entry, &bytes).unwrap();
+
+    let (handle, mut client) = start_in(&dir);
+    let resp = client.post("/v1/run", RUN_DOC.as_bytes()).expect("submit");
+    assert_eq!(
+        resp.status,
+        202,
+        "a corrupt entry must be recomputed, not served: {}",
+        resp.text()
+    );
+    assert!(entry.with_extension("json.corrupt").exists(), "moved aside");
+    let job = field(&parse(&resp.text()).unwrap(), "job");
+    // The body is remembered now, its result not yet cached: a
+    // resubmission rides along with the job, or hits once it is done.
+    let again = client
+        .post("/v1/run", RUN_DOC.as_bytes())
+        .expect("ride along");
+    match again.status {
+        202 => assert_eq!(field(&parse(&again.text()).unwrap(), "job"), job),
+        200 => {}
+        other => panic!("resubmission answered {other}: {}", again.text()),
+    }
+    poll_until_done(&mut client, &job);
+
+    let direct = direct_run();
+    let hit = client
+        .post("/v1/run", RUN_DOC.as_bytes())
+        .expect("resubmit");
+    assert_eq!(hit.status, 200, "{}", hit.text());
+    let envelope = parse(&hit.text()).unwrap();
+    assert_eq!(envelope.get("result"), Some(&parse(&direct).unwrap()));
+    let fetched = client.get(&format!("/v1/results/{digest}")).expect("fetch");
+    assert_eq!(fetched.text(), direct, "served bytes equal a direct run");
+    let metrics = parse(&client.get("/metrics").expect("metrics").text()).unwrap();
+    assert_eq!(counter(&metrics, "serve/cache/corrupt"), 1);
+    assert_eq!(counter(&metrics, "serve/jobs/completed"), 1);
+    handle.stop();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -89,12 +89,17 @@ pub fn digest_bytes(bytes: &[u8]) -> [u64; 2] {
     [mix64(h0 ^ h1), mix64(h1.wrapping_add(h0.rotate_left(32)))]
 }
 
+/// [`digest_bytes`] of `bytes` as 32 lowercase hex characters.
+pub fn digest_hex(bytes: &[u8]) -> String {
+    let [a, b] = digest_bytes(bytes);
+    format!("{a:016x}{b:016x}")
+}
+
 /// The 128-bit content address of `v` as 32 lowercase hex characters:
-/// [`digest_bytes`] over [`canonical_encode`]. Invariant under object-key
+/// [`digest_hex`] of [`canonical_encode`]. Invariant under object-key
 /// reordering; sensitive to any value, key-name, or structural change.
 pub fn digest(v: &Json) -> String {
-    let [a, b] = digest_bytes(canonical_encode(v).as_bytes());
-    format!("{a:016x}{b:016x}")
+    digest_hex(canonical_encode(v).as_bytes())
 }
 
 /// True when `s` has the shape [`digest`] produces (32 lowercase hex

@@ -214,10 +214,27 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
+/// Appends `pretty`, the [`Json::encode_pretty`] text of a document (its
+/// final newline included), as the value of a field or element at
+/// `depth`: the bytes `encode_pretty` writes for that document nested
+/// there. Every raw newline in encoder text is structural, because
+/// strings escape `\n` and every other control character, so nesting
+/// indents each line after the first.
+pub fn write_nested(pretty: &str, depth: usize, out: &mut String) {
+    let text = pretty.strip_suffix('\n').unwrap_or(pretty);
+    let mut lines = text.split('\n');
+    out.push_str(lines.next().unwrap_or_default());
+    for line in lines {
+        out.push('\n');
+        indent(out, depth);
+        out.push_str(line);
+    }
+}
+
 /// Encodes an `f64` deterministically: non-finite values become `null`,
 /// finite values use Rust's shortest-roundtrip `{:?}` formatting (which
 /// always keeps a decimal point or exponent, e.g. `1.0`).
-fn write_f64(v: f64, out: &mut String) {
+pub fn write_f64(v: f64, out: &mut String) {
     if v.is_finite() {
         out.push_str(&format!("{v:?}"));
     } else {
@@ -225,7 +242,8 @@ fn write_f64(v: f64, out: &mut String) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Encodes `s` as a JSON string literal, quotes included.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -5,7 +5,7 @@
 //! encoder determinism are load-bearing, not cosmetic.
 
 use rmt_stats::check::{gen_vec, run_cases, DEFAULT_CASES};
-use rmt_stats::json::{parse, Json};
+use rmt_stats::json::{parse, write_nested, Json};
 use rmt_stats::rng::Xoshiro256;
 
 /// Characters the encoder must escape (or pass through) correctly, biased
@@ -141,5 +141,113 @@ fn non_finite_floats_encode_as_null_deterministically() {
             assert!(!bad.is_finite());
             assert_eq!(Json::F64(bad).encode(), "null");
         }
+    });
+}
+
+/// Stands in for the nested document while the wrapper is encoded.
+const PLACEHOLDER: &str = "\u{1}nested";
+
+/// `inner` inside `depth` levels of objects and arrays, each with
+/// siblings before and after it.
+fn wrap(depth: usize, inner: Json) -> Json {
+    (0..depth).fold(inner, |inner, level| {
+        if level % 2 == 0 {
+            Json::obj()
+                .with("before", Json::U64(level as u64))
+                .with("doc", inner)
+                .with("after", Json::Arr(vec![Json::Bool(true)]))
+        } else {
+            Json::Arr(vec![Json::obj(), inner, Json::Str("after".into())])
+        }
+    })
+}
+
+/// Splices `pretty`, a document's `encode_pretty` text, into a wrapper at
+/// `depth` with [`write_nested`], and checks that the result is
+/// `encode_pretty` of the wrapper holding the parsed document: the way
+/// `rmt-serve` writes a hit envelope around the stored result text.
+fn assert_nests(pretty: &str, depth: usize) {
+    let doc = parse(pretty).expect("encoder text parses");
+    let expected = wrap(depth, doc).encode_pretty();
+    let frame = wrap(depth, Json::Str(PLACEHOLDER.into())).encode_pretty();
+    let (before, after) = frame
+        .split_once(&Json::Str(PLACEHOLDER.into()).encode())
+        .expect("the frame holds the placeholder");
+    let mut spliced = before.to_string();
+    write_nested(pretty, depth, &mut spliced);
+    spliced.push_str(after);
+    assert_eq!(spliced, expected, "depth {depth}");
+}
+
+#[test]
+fn committed_documents_nest_as_the_encoder_writes_them() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let mut seen = 0;
+    for dir in ["results", "requests", "sweeps"] {
+        let mut paths: Vec<_> = std::fs::read_dir(format!("{root}/{dir}"))
+            .expect("committed directory")
+            .map(|e| e.expect("directory entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        paths.sort();
+        for path in paths {
+            let text = std::fs::read_to_string(&path).expect("committed file");
+            let doc = parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            for depth in [1, 2, 5] {
+                assert_nests(&doc.encode_pretty(), depth);
+            }
+            seen += 1;
+        }
+    }
+    assert!(seen >= 10, "found only {seen} committed documents");
+}
+
+#[test]
+fn edge_values_nest_as_the_encoder_writes_them() {
+    let edges = Json::obj()
+        .with("neg_zero", Json::F64(-0.0))
+        .with("big", Json::F64(1e21))
+        .with("subnormal", Json::F64(5e-324))
+        .with("max", Json::F64(f64::MAX))
+        .with("nan", Json::F64(f64::NAN))
+        .with(
+            "ints",
+            Json::Arr(vec![Json::U64(u64::MAX), Json::I64(i64::MIN)]),
+        )
+        .with(
+            "text",
+            Json::Str("tab\t nl\n cr\r quote\" back\\ nul\u{0} del\u{7f} é 中 😀".into()),
+        )
+        .with("empty_arr", Json::Arr(vec![]))
+        .with("empty_obj", Json::obj())
+        .with("empties", Json::Arr(vec![Json::Arr(vec![]), Json::obj()]))
+        .with("esc\"aped\nkey", Json::Null);
+    for depth in 0..4 {
+        assert_nests(&edges.encode_pretty(), depth);
+    }
+    for scalar in [Json::Null, Json::F64(-0.0), Json::Str("\n".into())] {
+        assert_nests(&scalar.encode_pretty(), 2);
+    }
+}
+
+#[test]
+fn seeded_documents_nest_as_the_encoder_writes_them() {
+    run_cases("nesting", DEFAULT_CASES, 0x5b1ce, |rng| {
+        let tree = if rng.chance(0.5) {
+            gen_tree(rng, &mut 40)
+        } else {
+            // Deep nesting: alternating arrays and objects.
+            let mut doc = Json::Str(gen_string(rng));
+            for level in 0..rng.range(1, 64) {
+                doc = if level % 2 == 0 {
+                    Json::Arr(vec![doc, Json::Arr(vec![])])
+                } else {
+                    Json::Obj(vec![(gen_string(rng), doc)])
+                };
+            }
+            doc
+        };
+        let depth = rng.range(0, 6) as usize;
+        assert_nests(&tree.encode_pretty(), depth);
     });
 }

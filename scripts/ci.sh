@@ -129,9 +129,10 @@ section "smoke: rmt-serve round trip (miss simulates, repeat hits cache)"
 # An ephemeral-port daemon driven through real sockets: the first
 # submission simulates, the resubmission must be answered from the
 # cache, and both payloads must be bitwise identical — to each other and
-# to the figure binary's cell for the same machine.
+# to the figure binary's cell for the same machine. The memory tier is
+# off, so every hit is a verified read of the disk entry.
 cargo build --release -p rmt-serve
-./target/release/rmt-serve --addr 127.0.0.1:0 \
+./target/release/rmt-serve --addr 127.0.0.1:0 --mem-cache 0 \
     --cache-dir "$tmpdir/serve-cache" --addr-file "$tmpdir/serve-addr" &
 serve_pid=$!
 for _ in $(seq 1 100); do [ -s "$tmpdir/serve-addr" ] && break; sleep 0.1; done
@@ -147,6 +148,19 @@ cargo run --release -p rmt-bench --bin check_json -- \
     --serve-cell "$tmpdir/fig6_cell.json" m88ksim/SRT "$tmpdir/served1.json"
 cargo run --release -p rmt-bench --bin check_json -- \
     --compare results/serve_roundtrip.json "$tmpdir/hit_env.json"
+# Byte-flip chaos: a byte flipped in the middle of the cached entry must
+# fail its checksum, never be served; the entry is moved aside and the
+# resubmission simulates again, to the same bytes.
+digest="$(sed -n 's/^  "digest": "\([0-9a-f]*\)",$/\1/p' "$tmpdir/hit_env.json")"
+entry="$tmpdir/serve-cache/${digest:0:2}/$digest.json"
+mid=$(( $(wc -c < "$entry") / 2 ))
+byte="$(od -An -tu1 -j "$mid" -N1 "$entry" | tr -d ' ')"
+printf '%b' "\\0$(printf '%o' $(( byte ^ 1 )))" \
+    | dd of="$entry" bs=1 seek="$mid" conv=notrunc status=none
+./target/release/rmtc --server "$serve_addr" submit requests/fig6_cell.json \
+    --expect-miss --wait --result-out "$tmpdir/served3.json"
+cmp "$tmpdir/served1.json" "$tmpdir/served3.json"
+test -e "$entry.corrupt"
 ./target/release/rmtc --server "$serve_addr" shutdown > /dev/null
 # The daemon blocks in `accept` and must wake itself to exit; a plain
 # `wait` would hang if it never did, so give it 30 s and then fail.
