@@ -4,7 +4,7 @@
 //!
 //! Prints the forensic summary table; with `--json`, writes the standard
 //! figure document plus a `forensics` array of full
-//! [`rmt_faults::FaultForensics`] records — the generator behind the
+//! `rmt_faults::FaultForensics` records — the generator behind the
 //! committed `results/fault_forensics.json` golden, which
 //! `scripts/ci.sh` regenerates and compares bitwise (sans `host`).
 

@@ -38,9 +38,10 @@ use rmt_stats::{MetricsRegistry, MetricsSnapshot, TimeSeries};
 /// Sampled simulation (SMARTS-style) fast-forwards a workload with the
 /// functional interpreter and replays the most recent of these events into
 /// the caches and predictors before opening a detailed window, so the
-/// window does not start against pathologically cold structures. Warm
-/// replays never move measured counters — see the stat-free `warm_*`
-/// methods on [`rmt_mem::MemoryHierarchy`] and the predictors.
+/// window does not start against pathologically cold structures. A replay
+/// applies the timed path's own cache and predictor updates but bypasses
+/// the core, so no event count moves — see the `warm_*` methods on
+/// [`rmt_mem::MemoryHierarchy`] and [`Core`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarmEvent {
     /// An instruction fetch touched the block containing `addr`.
@@ -162,20 +163,20 @@ impl Substrate {
         }
     }
 
-    /// Functionally warms core `core`'s instruction-fetch path (stat-free;
-    /// resolves shared-vs-private hierarchy indexing).
+    /// Functionally warms core `core`'s instruction-fetch path (resolves
+    /// shared-vs-private hierarchy indexing).
     pub fn warm_ifetch(&mut self, core: usize, addr: u64) {
         let (h, c) = self.warm_hier(core);
         h.warm_ifetch(c, addr);
     }
 
-    /// Functionally warms core `core`'s data-load path (stat-free).
+    /// Functionally warms core `core`'s data-load path.
     pub fn warm_dload(&mut self, core: usize, addr: u64) {
         let (h, c) = self.warm_hier(core);
         h.warm_dload(c, addr);
     }
 
-    /// Functionally warms a retired store on core `core` (stat-free).
+    /// Functionally warms a retired store on core `core`.
     pub fn warm_store(&mut self, core: usize, addr: u64) {
         let (h, c) = self.warm_hier(core);
         h.warm_store(c, addr);
@@ -319,12 +320,6 @@ impl<S: RedundancyScheme> Machine<S> {
     /// Mutable scheme access (sphere-structure fault injection).
     pub fn scheme_mut(&mut self) -> &mut S {
         &mut self.scheme
-    }
-
-    /// Both halves at once (for callers that must thread substrate access
-    /// through scheme state).
-    pub fn parts_mut(&mut self) -> (&mut Substrate, &mut S) {
-        (&mut self.substrate, &mut self.scheme)
     }
 }
 

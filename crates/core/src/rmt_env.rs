@@ -193,11 +193,6 @@ impl RmtEnv {
         self.pairs[p] = PairState::new(&self.cfg, image);
     }
 
-    /// Number of pairs.
-    pub fn num_pairs(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// The configuration.
     pub fn config(&self) -> &RmtEnvConfig {
         &self.cfg

@@ -5,7 +5,7 @@
 //! both threads of a redundant pair fetch identical instruction values given
 //! identical PCs, and no input replication is needed for fetch.
 
-use crate::inst::{Inst, Op};
+use crate::inst::Inst;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -167,16 +167,10 @@ impl ProgramBuilder {
     }
 }
 
-/// Returns `true` if `op` terminates a sequential fetch chunk when taken
-/// (used both by the IBOX chunker and the LPQ writer).
-pub fn ends_chunk_when_taken(op: Op) -> bool {
-    op.is_control()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::Reg;
+    use crate::inst::{Op, Reg};
 
     #[test]
     fn fetch_by_pc() {

@@ -5,8 +5,6 @@
 //! prediction gives the fast hit path; a way mispredict on a hit costs one
 //! extra cycle.
 
-use rmt_stats::CounterSet;
-
 /// Geometry of a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -81,21 +79,17 @@ struct Line {
 /// ```
 /// use rmt_mem::{Cache, CacheConfig};
 ///
-/// let mut c = Cache::new("l1d", CacheConfig::l1d());
+/// let mut c = Cache::new(CacheConfig::l1d());
 /// assert!(!c.access(0x1000).hit);   // cold miss (access allocates)
 /// assert!(c.access(0x1000).hit);    // now resident
 /// assert!(c.access(0x1008).hit);    // same 64-byte block
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    name: String,
     cfg: CacheConfig,
     sets: Vec<Vec<Line>>,
     way_pred: Vec<usize>,
     use_clock: u64,
-    hits: u64,
-    misses: u64,
-    way_mispredicts: u64,
 }
 
 impl Cache {
@@ -105,7 +99,7 @@ impl Cache {
     ///
     /// Panics if the geometry is degenerate (zero sets/ways, or a
     /// non-power-of-two block size).
-    pub fn new(name: impl Into<String>, cfg: CacheConfig) -> Self {
+    pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.assoc > 0, "associativity must be non-zero");
         assert!(
             cfg.block_bytes.is_power_of_two(),
@@ -114,7 +108,6 @@ impl Cache {
         let sets = cfg.num_sets();
         assert!(sets > 0, "cache must have at least one set");
         Cache {
-            name: name.into(),
             cfg,
             sets: vec![
                 vec![
@@ -129,20 +122,12 @@ impl Cache {
             ],
             way_pred: vec![0; sets],
             use_clock: 0,
-            hits: 0,
-            misses: 0,
-            way_mispredicts: 0,
         }
     }
 
     /// The cache's configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
-    }
-
-    /// The cache's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     fn index_tag(&self, addr: u64) -> (usize, u64) {
@@ -163,17 +148,10 @@ impl Cache {
         let set = &mut self.sets[set_idx];
         if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
             set[way].lru = self.use_clock;
-            let way_penalty = if self.cfg.way_prediction && way != predicted_way {
-                self.way_mispredicts += 1;
-                1
-            } else {
-                0
-            };
             self.way_pred[set_idx] = way;
-            self.hits += 1;
             return ProbeResult {
                 hit: true,
-                way_penalty,
+                way_penalty: u32::from(self.cfg.way_prediction && way != predicted_way),
             };
         }
         // Miss: allocate via LRU.
@@ -186,38 +164,10 @@ impl Cache {
             lru: self.use_clock,
         };
         self.way_pred[set_idx] = victim;
-        self.misses += 1;
         ProbeResult {
             hit: false,
             way_penalty: 0,
         }
-    }
-
-    /// Warms the cache exactly as [`Self::access`] would — same hit/miss
-    /// decision, LRU touch, way-predictor update and miss allocation — but
-    /// counts nothing, so functional warming between sampled windows leaves
-    /// the measured `hits`/`misses`/`way_mispredicts` counters untouched.
-    ///
-    /// Returns whether the block was already resident.
-    pub fn warm(&mut self, addr: u64) -> bool {
-        self.use_clock += 1;
-        let (set_idx, tag) = self.index_tag(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
-            set[way].lru = self.use_clock;
-            self.way_pred[set_idx] = way;
-            return true;
-        }
-        let victim = (0..set.len())
-            .min_by_key(|&w| if set[w].valid { set[w].lru } else { 0 })
-            .expect("non-empty set");
-        set[victim] = Line {
-            tag,
-            valid: true,
-            lru: self.use_clock,
-        };
-        self.way_pred[set_idx] = victim;
-        false
     }
 
     /// Probes without updating replacement state or allocating.
@@ -235,27 +185,6 @@ impl Cache {
             }
         }
     }
-
-    /// Event counters: `hits`, `misses`, `way_mispredicts` (those that
-    /// happened at least once).
-    pub fn stats(&self) -> CounterSet {
-        CounterSet::nonzero([
-            ("hits", self.hits),
-            ("misses", self.misses),
-            ("way_mispredicts", self.way_mispredicts),
-        ])
-    }
-
-    /// Miss ratio over all accesses so far (0.0 if never accessed).
-    pub fn miss_ratio(&self) -> f64 {
-        let h = self.hits as f64;
-        let m = self.misses as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            m / (h + m)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -264,15 +193,12 @@ mod tests {
 
     fn tiny() -> Cache {
         // 2 sets x 2 ways x 64B = 256 B.
-        Cache::new(
-            "tiny",
-            CacheConfig {
-                size_bytes: 256,
-                assoc: 2,
-                block_bytes: 64,
-                way_prediction: false,
-            },
-        )
+        Cache::new(CacheConfig {
+            size_bytes: 256,
+            assoc: 2,
+            block_bytes: 64,
+            way_prediction: false,
+        })
     }
 
     #[test]
@@ -289,8 +215,6 @@ mod tests {
         assert!(c.access(0).hit);
         assert!(c.access(63).hit); // same block
         assert!(!c.access(64).hit); // next block, other set
-        assert_eq!(c.stats().get("hits"), 2);
-        assert_eq!(c.stats().get("misses"), 2);
     }
 
     #[test]
@@ -325,15 +249,12 @@ mod tests {
 
     #[test]
     fn way_prediction_penalty() {
-        let mut c = Cache::new(
-            "wp",
-            CacheConfig {
-                size_bytes: 256,
-                assoc: 2,
-                block_bytes: 64,
-                way_prediction: true,
-            },
-        );
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 256,
+            assoc: 2,
+            block_bytes: 64,
+            way_prediction: true,
+        });
         // Two blocks in the same set (set 0): block 0 and block 2 (addr 128).
         c.access(0); // miss, fills way 0, pred[0] = 0
         c.access(128); // miss, fills way 1, pred[0] = 1
@@ -342,30 +263,17 @@ mod tests {
         assert_eq!(r.way_penalty, 1);
         let r2 = c.access(0); // predictor retrained
         assert_eq!(r2.way_penalty, 0);
-        assert_eq!(c.stats().get("way_mispredicts"), 1);
-    }
-
-    #[test]
-    fn miss_ratio_tracks_accesses() {
-        let mut c = tiny();
-        assert_eq!(c.miss_ratio(), 0.0);
-        c.access(0);
-        c.access(0);
-        assert!((c.miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn bad_block_size_panics() {
-        Cache::new(
-            "bad",
-            CacheConfig {
-                size_bytes: 256,
-                assoc: 2,
-                block_bytes: 48,
-                way_prediction: false,
-            },
-        );
+        Cache::new(CacheConfig {
+            size_bytes: 256,
+            assoc: 2,
+            block_bytes: 48,
+            way_prediction: false,
+        });
     }
 
     #[test]

@@ -35,9 +35,6 @@ pub struct MergeBuffer {
     /// bandwidth into the data cache).
     drain_interval: u64,
     next_drain_ok: u64,
-    coalesced: u64,
-    drained: u64,
-    full_stalls: u64,
 }
 
 impl MergeBuffer {
@@ -58,31 +55,25 @@ impl MergeBuffer {
             block_bytes,
             drain_interval,
             next_drain_ok: 0,
-            coalesced: 0,
-            drained: 0,
-            full_stalls: 0,
         }
     }
 
     /// Attempts to accept a retired store to `addr` at cycle `now`.
     ///
-    /// Returns `false` (and records a stall) when the buffer is full and no
-    /// entry could be drained; the caller must retry on a later cycle.
+    /// Returns `false` when the buffer is full and no entry could be
+    /// drained; the caller must retry on a later cycle.
     pub fn try_insert(&mut self, addr: u64, now: u64) -> bool {
         let block = addr / self.block_bytes;
         if let Some(e) = self.entries.iter_mut().find(|e| e.block == block) {
             e.last_write = now;
-            self.coalesced += 1;
             return true;
         }
         if self.entries.len() >= self.capacity {
             // Opportunistically drain the oldest entry if bandwidth allows.
-            if now >= self.next_drain_ok {
-                self.drain_oldest(now);
-            } else {
-                self.full_stalls += 1;
+            if now < self.next_drain_ok {
                 return false;
             }
+            self.drain_oldest(now);
         }
         self.entries.push(Entry {
             block,
@@ -103,7 +94,6 @@ impl MergeBuffer {
             .map(|(i, _)| i)
             .expect("non-empty");
         self.entries.swap_remove(oldest);
-        self.drained += 1;
         self.next_drain_ok = now + self.drain_interval;
     }
 
@@ -126,21 +116,6 @@ impl MergeBuffer {
         let block = addr / self.block_bytes;
         self.entries.iter().any(|e| e.block == block)
     }
-
-    /// Stores that coalesced into existing entries.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced
-    }
-
-    /// Entries written back to the cache.
-    pub fn drained(&self) -> u64 {
-        self.drained
-    }
-
-    /// Times `try_insert` failed for lack of space.
-    pub fn full_stalls(&self) -> u64 {
-        self.full_stalls
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +129,6 @@ mod tests {
         assert!(mb.try_insert(63, 0)); // same block
         assert!(mb.try_insert(64, 0)); // new block
         assert_eq!(mb.occupancy(), 2);
-        assert_eq!(mb.coalesced(), 1);
         assert!(mb.contains(32));
         assert!(!mb.contains(128));
     }
@@ -167,7 +141,6 @@ mod tests {
         // Full; insert at a later cycle should drain the oldest and accept.
         assert!(mb.try_insert(128, 10));
         assert_eq!(mb.occupancy(), 2);
-        assert_eq!(mb.drained(), 1);
     }
 
     #[test]
@@ -178,7 +151,6 @@ mod tests {
         assert!(mb.try_insert(128, 1)); // drains at cycle 1 (first drain free)
                                         // next_drain_ok is now 101; another insert at cycle 2 must stall.
         assert!(!mb.try_insert(192, 2));
-        assert_eq!(mb.full_stalls(), 1);
         // After bandwidth recovers, it succeeds.
         assert!(mb.try_insert(192, 200));
     }

@@ -19,8 +19,6 @@ pub struct MissTracker {
     inflight: Vec<(u64, u64)>,
     capacity: usize,
     block_bytes: u64,
-    merges: u64,
-    structural_delays: u64,
 }
 
 impl MissTracker {
@@ -40,8 +38,6 @@ impl MissTracker {
             inflight: Vec::with_capacity(capacity),
             capacity,
             block_bytes,
-            merges: 0,
-            structural_delays: 0,
         }
     }
 
@@ -72,12 +68,10 @@ impl MissTracker {
     pub fn start_fill(&mut self, addr: u64, now: u64, fill_latency: u64) -> u64 {
         self.expire(now);
         if let Some(ready) = self.pending_fill(addr, now) {
-            self.merges += 1;
             return ready;
         }
         let start = if self.inflight.len() >= self.capacity {
             // All entries busy: wait for the earliest to complete.
-            self.structural_delays += 1;
             let earliest = self
                 .inflight
                 .iter()
@@ -105,16 +99,6 @@ impl MissTracker {
         self.expire(now);
         self.inflight.len()
     }
-
-    /// How many accesses merged with an in-flight fill.
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
-    /// How many fills were delayed because all MSHRs were busy.
-    pub fn structural_delays(&self) -> u64 {
-        self.structural_delays
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +117,6 @@ mod tests {
         let r1 = m.start_fill(0x100, 10, 100);
         let r2 = m.start_fill(0x108, 20, 100); // same 64B block
         assert_eq!(r1, r2);
-        assert_eq!(m.merges(), 1);
     }
 
     #[test]
@@ -154,7 +137,6 @@ mod tests {
         assert_eq!(a, 100);
         assert_eq!(b, 100);
         assert_eq!(c, 200);
-        assert_eq!(m.structural_delays(), 1);
     }
 
     #[test]
@@ -165,7 +147,6 @@ mod tests {
         assert_eq!(m.outstanding(50), 0);
         // Slot free again -> no serialization.
         assert_eq!(m.start_fill(64, 60, 50), 110);
-        assert_eq!(m.structural_delays(), 0);
     }
 
     #[test]
@@ -174,7 +155,6 @@ mod tests {
         m.start_fill(0, 0, 10);
         // At cycle 20 the fill is done; a new access is a fresh fill.
         assert_eq!(m.start_fill(0, 20, 10), 30);
-        assert_eq!(m.merges(), 0);
     }
 
     #[test]

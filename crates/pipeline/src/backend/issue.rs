@@ -490,7 +490,7 @@ impl Core {
                     d.pred_next != pc + 4
                 };
                 let taken = actual_next != pc + 4;
-                self.branch_pred.train_direction(pc, pred_taken, taken);
+                self.branch_pred.train_direction(pc, taken);
                 if pred_taken != taken {
                     self.stats.inc(Event::BranchMispredicts);
                 }

@@ -2,11 +2,10 @@
 //! accessors, metric-registry export, predictor warmup, and event
 //! tracing.
 
-use crate::config::{CoreConfig, ThreadId, ThreadRole};
+use crate::config::{CoreConfig, ThreadId};
 use crate::core::{Core, IssueSlots, ThreadStats};
 use crate::trace::{TraceKind, Tracer};
-use rmt_predict::{BranchPredictor, LinePredictor};
-use rmt_stats::{CounterSet, Histogram, MetricsRegistry};
+use rmt_stats::{Histogram, MetricsRegistry};
 
 impl Core {
     /// The core's id within its device.
@@ -22,11 +21,6 @@ impl Core {
     /// Number of active threads.
     pub fn active_threads(&self) -> usize {
         self.threads.iter().filter(|t| t.active).count()
-    }
-
-    /// The role of thread `tid`.
-    pub fn thread_role(&self, tid: ThreadId) -> ThreadRole {
-        self.threads[tid].role
     }
 
     /// Whether every active thread has halted.
@@ -45,13 +39,8 @@ impl Core {
         }
     }
 
-    /// Core-wide event counters: every event that happened, by name.
-    pub fn stats(&self) -> CounterSet {
-        CounterSet::nonzero(self.stats.nonzero())
-    }
-
-    /// One core-wide event count, by its [`Core::stats`] name (0 if the
-    /// event never happened), read without building the counter set.
+    /// One core-wide event count, by the name it is exported under as
+    /// `<prefix>/events/<name>` (0 if the event never happened).
     pub fn stat(&self, name: &str) -> u64 {
         self.stats.get(name)
     }
@@ -107,26 +96,17 @@ impl Core {
         }
     }
 
-    /// The line predictor (misfetch-rate statistics).
-    pub fn line_predictor(&self) -> &LinePredictor {
-        &self.line_pred
-    }
-
-    /// The branch predictor (misprediction-rate statistics).
-    pub fn branch_predictor(&self) -> &BranchPredictor {
-        &self.branch_pred
-    }
-
     /// Functionally warms the direction predictor with a resolved branch
-    /// outcome (sampled-simulation warmup; no counters move).
+    /// outcome (sampled-simulation warmup): the same training a timed
+    /// branch resolution applies.
     pub fn warm_direction(&mut self, pc: u64, taken: bool) {
-        self.branch_pred.warm_direction(pc, taken);
+        self.branch_pred.train_direction(pc, taken);
     }
 
     /// Functionally warms the jump-target table (sampled-simulation
-    /// warmup; no counters move).
+    /// warmup): the same training a timed `jalr` resolution applies.
     pub fn warm_jump_target(&mut self, pc: u64, target: u64) {
-        self.branch_pred.warm_jump_target(pc, target);
+        self.branch_pred.train_jump_target(pc, target);
     }
 
     /// The store-lifetime histogram of thread `tid` (§7.1's store-queue
@@ -154,12 +134,6 @@ impl Core {
     /// The tracer, if tracing is enabled.
     pub fn tracer(&self) -> Option<&Tracer> {
         self.tracer.as_ref()
-    }
-
-    /// Mutable access to the tracer (e.g. [`Tracer::clear`] between
-    /// measurement windows).
-    pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        self.tracer.as_mut()
     }
 
     /// Records a trace event when tracing is enabled (internal hook).

@@ -112,7 +112,6 @@ impl Core {
             if line_next != scanned.next_pc {
                 // Misfetch: the line predictor disagreed with the (checked)
                 // branch predictors. Retrain and pay the redirect penalty.
-                self.line_pred.record_mispredict();
                 self.line_pred.train(pc, scanned.next_pc);
                 self.threads[tid].fetch_stalled_until = now + self.cfg.misfetch_penalty;
                 self.stats.inc(Event::Misfetches);

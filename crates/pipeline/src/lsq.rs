@@ -146,11 +146,6 @@ impl StoreQueue {
         }
     }
 
-    /// Marks the store as retired from the completion unit.
-    pub fn mark_retired(&mut self, seq: u64) {
-        self.mark_retired_at(seq, 0);
-    }
-
     /// Marks the store as verified by output comparison.
     pub fn mark_verified(&mut self, seq: u64) {
         if let Some(e) = self.find_mut(seq) {

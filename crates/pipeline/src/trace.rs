@@ -173,12 +173,6 @@ impl Tracer {
         self.events.dropped()
     }
 
-    /// Forgets all retained events and resets the dropped count, so one
-    /// tracer can be reused across measurement windows.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
     /// Renders the retained events as one line each. When older events were
     /// evicted by the capacity bound, a trailing `... N older events
     /// dropped` line says so.

@@ -144,7 +144,7 @@ fn membar_orders_retirement() {
     let (core, env, _) = run_to_halt(&p, MemImage::new(), 50_000);
     assert_eq!(env.image(0, 0).read_u64(0x20000), 1);
     assert_eq!(core.arch_reg(0, r(2)), 2);
-    assert!(core.stats().get("committed") >= 5);
+    assert!(core.stat("committed") >= 5);
 }
 
 #[test]
@@ -238,7 +238,7 @@ fn identical_cores_are_deterministic() {
         (
             core.thread_stats(0),
             env.image(0, 0).digest(),
-            core.stats().get("squashes"),
+            core.stat("squashes"),
         )
     };
     assert_eq!(run(), run());
@@ -315,7 +315,7 @@ fn store_queue_pressure_throttles_but_preserves_correctness() {
     for i in 0..200u64 {
         assert_eq!(env.image(0, 0).read_u64(0x20000 + i * 8), i);
     }
-    assert!(core.stats().get("stall_sq_full") > 0);
+    assert!(core.stat("stall_sq_full") > 0);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Diagnostics (run with `--ignored`): per-benchmark warm-window IPC and
-//! counter deltas on the base machine. Not a correctness test — a tool for
-//! recalibrating the synthetic workloads (DESIGN.md §9).
+//! exported event-count deltas on the base machine. Not a correctness
+//! test — a tool for recalibrating the synthetic workloads (DESIGN.md §9).
 //!
 //! ```text
 //! cargo test -p rmt-pipeline --release --test dbg_stats -- --ignored --nocapture
@@ -9,9 +9,16 @@
 use rmt_mem::{HierarchyConfig, MemoryHierarchy};
 use rmt_pipeline::env::IndependentEnv;
 use rmt_pipeline::{Core, CoreConfig};
+use rmt_stats::{MetricsRegistry, MetricsSnapshot};
 use rmt_workloads::profile::ALL_BENCHMARKS;
 use rmt_workloads::Workload;
 use std::rc::Rc;
+
+fn events(core: &Core) -> MetricsSnapshot {
+    let mut reg = MetricsRegistry::new();
+    core.export_metrics(&mut reg, "core");
+    reg.snapshot()
+}
 
 #[test]
 #[ignore = "diagnostic tool, not a correctness test"]
@@ -31,11 +38,7 @@ fn dump_stats() {
         }
         let c0 = cycle;
         let i0 = core.thread_stats(0).committed;
-        let snap: Vec<(String, u64)> = core
-            .stats()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
+        let before = events(&core);
         while core.thread_stats(0).committed < i0 + 50_000 {
             core.tick(cycle, &mut hier, &mut env);
             hier.tick(cycle);
@@ -46,13 +49,12 @@ fn dump_stats() {
             "==== {bench} ==== warm ipc={:.3} cycles={dc}",
             50_000.0 / dc as f64
         );
-        for (k, v) in core.stats().iter() {
-            let old = snap
-                .iter()
-                .find(|(k2, _)| k2 == k)
-                .map(|(_, v)| *v)
-                .unwrap_or(0);
-            let d = v - old;
+        let delta = events(&core).delta(&before);
+        for (name, _) in delta.iter() {
+            let Some(k) = name.strip_prefix("core/events/") else {
+                continue;
+            };
+            let d = delta.counter(name).expect("events are counters");
             if d > 0 {
                 println!("   {k:<28} {d:>8}  ({:.3}/instr)", d as f64 / 50_000.0);
             }

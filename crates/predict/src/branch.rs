@@ -8,8 +8,6 @@
 //! sizing (4K local, 4K global, 4K chooser 2-bit entries plus a 1K-entry
 //! jump table) is the same order of magnitude.
 
-use rmt_stats::CounterSet;
-
 /// Two-bit saturating counter helpers.
 fn bump(counter: &mut u8, taken: bool) {
     if taken {
@@ -64,8 +62,7 @@ impl Default for BranchPredictorConfig {
 /// // Train a strongly taken branch (long enough for the local history to
 /// // saturate and the counters behind it to strengthen).
 /// for _ in 0..32 {
-///     let p = bp.predict_direction(0x40);
-///     bp.train_direction(0x40, p, true);
+///     bp.train_direction(0x40, true);
 /// }
 /// assert!(bp.predict_direction(0x40));
 /// ```
@@ -78,10 +75,6 @@ pub struct BranchPredictor {
     chooser: Vec<u8>,
     global_history: u32,
     jump_targets: Vec<(u64, u64)>,
-    direction_predictions: u64,
-    direction_mispredictions: u64,
-    jump_predictions: u64,
-    jump_retrains: u64,
 }
 
 impl Default for BranchPredictor {
@@ -112,10 +105,6 @@ impl BranchPredictor {
             global_history: 0,
             jump_targets: vec![(u64::MAX, 0); cfg.jump_entries],
             cfg,
-            direction_predictions: 0,
-            direction_mispredictions: 0,
-            jump_predictions: 0,
-            jump_retrains: 0,
         }
     }
 
@@ -140,8 +129,7 @@ impl BranchPredictor {
     }
 
     /// Predicts the direction of the conditional branch at `pc`.
-    pub fn predict_direction(&mut self, pc: u64) -> bool {
-        self.direction_predictions += 1;
+    pub fn predict_direction(&self, pc: u64) -> bool {
         let local = predicts_taken(self.local_counters[self.local_index(pc)]);
         let global = predicts_taken(self.global_counters[self.global_index(pc)]);
         let use_global = predicts_taken(self.chooser[self.chooser_index(pc)]);
@@ -152,23 +140,9 @@ impl BranchPredictor {
         }
     }
 
-    /// Trains with the actual outcome; `predicted` is what
-    /// [`Self::predict_direction`] returned for this instance of the branch.
-    pub fn train_direction(&mut self, pc: u64, predicted: bool, taken: bool) {
-        if predicted != taken {
-            self.direction_mispredictions += 1;
-        }
-        self.update_direction_tables(pc, taken);
-    }
-
-    /// Functionally warms the direction tables with a resolved outcome —
-    /// identical table/history updates to [`Self::train_direction`], but no
-    /// prediction is scored so the misprediction counters stay untouched.
-    pub fn warm_direction(&mut self, pc: u64, taken: bool) {
-        self.update_direction_tables(pc, taken);
-    }
-
-    fn update_direction_tables(&mut self, pc: u64, taken: bool) {
+    /// Trains the direction tables and histories with the branch's actual
+    /// outcome (timed resolution and sampled warming alike).
+    pub fn train_direction(&mut self, pc: u64, taken: bool) {
         let li = self.local_index(pc);
         let gi = self.global_index(pc);
         let local_correct = predicts_taken(self.local_counters[li]) == taken;
@@ -189,8 +163,7 @@ impl BranchPredictor {
 
     /// Predicts the target of an indirect jump (`jalr`) at `pc`; `None` if
     /// untrained.
-    pub fn predict_jump_target(&mut self, pc: u64) -> Option<u64> {
-        self.jump_predictions += 1;
+    pub fn predict_jump_target(&self, pc: u64) -> Option<u64> {
         let idx = (Self::pc_hash(pc) % self.cfg.jump_entries as u64) as usize;
         let (tag, target) = self.jump_targets[idx];
         (tag == pc).then_some(target)
@@ -199,38 +172,7 @@ impl BranchPredictor {
     /// Trains the jump-target table.
     pub fn train_jump_target(&mut self, pc: u64, target: u64) {
         let idx = (Self::pc_hash(pc) % self.cfg.jump_entries as u64) as usize;
-        if self.jump_targets[idx] != (pc, target) {
-            self.jump_retrains += 1;
-        }
         self.jump_targets[idx] = (pc, target);
-    }
-
-    /// Functionally warms the jump-target table (no retrain counting).
-    pub fn warm_jump_target(&mut self, pc: u64, target: u64) {
-        let idx = (Self::pc_hash(pc) % self.cfg.jump_entries as u64) as usize;
-        self.jump_targets[idx] = (pc, target);
-    }
-
-    /// Counters: `direction_predictions`, `direction_mispredictions`,
-    /// `jump_predictions`, `jump_retrains` (those that happened at least
-    /// once).
-    pub fn stats(&self) -> CounterSet {
-        CounterSet::nonzero([
-            ("direction_predictions", self.direction_predictions),
-            ("direction_mispredictions", self.direction_mispredictions),
-            ("jump_predictions", self.jump_predictions),
-            ("jump_retrains", self.jump_retrains),
-        ])
-    }
-
-    /// Direction misprediction rate so far.
-    pub fn misprediction_rate(&self) -> f64 {
-        let p = self.direction_predictions as f64;
-        if p == 0.0 {
-            0.0
-        } else {
-            self.direction_mispredictions as f64 / p
-        }
     }
 }
 
@@ -300,24 +242,13 @@ mod tests {
     fn learns_strongly_biased_branch() {
         let mut bp = BranchPredictor::default();
         for _ in 0..16 {
-            let p = bp.predict_direction(0x100);
-            bp.train_direction(0x100, p, true);
+            bp.train_direction(0x100, true);
         }
         assert!(bp.predict_direction(0x100));
         for _ in 0..16 {
-            let p = bp.predict_direction(0x200);
-            bp.train_direction(0x200, p, false);
+            bp.train_direction(0x200, false);
         }
         assert!(!bp.predict_direction(0x200));
-    }
-
-    #[test]
-    fn mispredictions_counted() {
-        let mut bp = BranchPredictor::default();
-        let p = bp.predict_direction(0x40);
-        bp.train_direction(0x40, p, !p);
-        assert_eq!(bp.stats().get("direction_mispredictions"), 1);
-        assert!(bp.misprediction_rate() > 0.0);
     }
 
     #[test]
@@ -327,8 +258,7 @@ mod tests {
         let mut outcome = false;
         // Warm up.
         for _ in 0..200 {
-            let p = bp.predict_direction(0x300);
-            bp.train_direction(0x300, p, outcome);
+            bp.train_direction(0x300, outcome);
             outcome = !outcome;
         }
         // Measure.
@@ -338,7 +268,7 @@ mod tests {
             if p != outcome {
                 wrong += 1;
             }
-            bp.train_direction(0x300, p, outcome);
+            bp.train_direction(0x300, outcome);
             outcome = !outcome;
         }
         assert!(wrong < 20, "wrong = {wrong}");

@@ -6,7 +6,8 @@
 //!   the branch predictor only verifies them (§3.1). Line-predictor
 //!   misprediction rates of 14–28% are what made the paper's branch outcome
 //!   queue unusable as proposed and motivated the line prediction queue
-//!   (§4.4).
+//!   (§4.4). The predictors count nothing themselves: this reproduction's
+//!   line mispredictions are the core's exported `core<N>/events/misfetches`.
 //! * [`branch`] — a 21264-style tournament predictor (local + global with a
 //!   chooser), a jump-target table and a per-thread return-address stack.
 //! * [`storesets`] — the store-sets memory dependence predictor

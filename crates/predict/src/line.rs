@@ -8,8 +8,6 @@
 //! last-outcome predictor with aliasing), which reproduces the paper's
 //! observed 14–28% line misprediction rates on irregular control flow.
 
-use rmt_stats::CounterSet;
-
 /// A direct-mapped next-chunk predictor.
 ///
 /// # Examples
@@ -27,9 +25,6 @@ use rmt_stats::CounterSet;
 pub struct LinePredictor {
     /// `(tag, next_pc)` per entry; `u64::MAX` tag = empty.
     table: Vec<(u64, u64)>,
-    predictions: u64,
-    retrains: u64,
-    mispredictions: u64,
 }
 
 impl LinePredictor {
@@ -43,9 +38,6 @@ impl LinePredictor {
         assert!(entries > 0, "line predictor needs at least one entry");
         LinePredictor {
             table: vec![(u64::MAX, 0); entries],
-            predictions: 0,
-            retrains: 0,
-            mispredictions: 0,
         }
     }
 
@@ -61,10 +53,8 @@ impl LinePredictor {
     ///
     /// An untrained or aliased entry falls back to the fall-through address
     /// `chunk_pc + chunk_bytes`.
-    pub fn predict(&mut self, chunk_pc: u64, chunk_bytes: u64) -> u64 {
-        let idx = self.index(chunk_pc);
-        let (tag, next) = self.table[idx];
-        self.predictions += 1;
+    pub fn predict(&self, chunk_pc: u64, chunk_bytes: u64) -> u64 {
+        let (tag, next) = self.table[self.index(chunk_pc)];
         if tag == chunk_pc {
             next
         } else {
@@ -75,35 +65,7 @@ impl LinePredictor {
     /// Trains the entry for `chunk_pc` with the actual next chunk address.
     pub fn train(&mut self, chunk_pc: u64, actual_next: u64) {
         let idx = self.index(chunk_pc);
-        if self.table[idx] != (chunk_pc, actual_next) {
-            self.retrains += 1;
-        }
         self.table[idx] = (chunk_pc, actual_next);
-    }
-
-    /// Records a verified misprediction (for the misfetch-rate statistic).
-    pub fn record_mispredict(&mut self) {
-        self.mispredictions += 1;
-    }
-
-    /// Counters: `predictions`, `retrains`, `mispredictions` (those that
-    /// happened at least once).
-    pub fn stats(&self) -> CounterSet {
-        CounterSet::nonzero([
-            ("predictions", self.predictions),
-            ("retrains", self.retrains),
-            ("mispredictions", self.mispredictions),
-        ])
-    }
-
-    /// Fraction of predictions that were later found wrong.
-    pub fn misprediction_rate(&self) -> f64 {
-        let p = self.predictions as f64;
-        if p == 0.0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / p
-        }
     }
 }
 
@@ -113,7 +75,7 @@ mod tests {
 
     #[test]
     fn untrained_predicts_fall_through() {
-        let mut lp = LinePredictor::new(64);
+        let lp = LinePredictor::new(64);
         assert_eq!(lp.predict(0x40, 32), 0x60);
     }
 
@@ -130,7 +92,6 @@ mod tests {
         lp.train(0x40, 0x200);
         lp.train(0x40, 0x300);
         assert_eq!(lp.predict(0x40, 32), 0x300);
-        assert_eq!(lp.stats().get("retrains"), 2);
     }
 
     #[test]
@@ -140,24 +101,6 @@ mod tests {
         lp.train(0x40, 0x200);
         // A different chunk hits the same entry but fails the tag check.
         assert_eq!(lp.predict(0x80, 32), 0xa0);
-    }
-
-    #[test]
-    fn idempotent_training_counts_once() {
-        let mut lp = LinePredictor::new(64);
-        lp.train(0x40, 0x200);
-        lp.train(0x40, 0x200);
-        assert_eq!(lp.stats().get("retrains"), 1);
-    }
-
-    #[test]
-    fn misprediction_rate_computation() {
-        let mut lp = LinePredictor::new(64);
-        assert_eq!(lp.misprediction_rate(), 0.0);
-        lp.predict(0, 32);
-        lp.predict(0, 32);
-        lp.record_mispredict();
-        assert!((lp.misprediction_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! any in-flight older store of the same set, preventing the violation from
 //! recurring.
 
-use rmt_stats::CounterSet;
-
 /// Identifier of a store set.
 pub type StoreSetId = u32;
 
@@ -31,7 +29,6 @@ pub type StoreSetId = u32;
 pub struct StoreSets {
     ssit: Vec<Option<StoreSetId>>,
     next_id: StoreSetId,
-    violations: u64,
 }
 
 impl StoreSets {
@@ -45,7 +42,6 @@ impl StoreSets {
         StoreSets {
             ssit: vec![None; entries],
             next_id: 0,
-            violations: 0,
         }
     }
 
@@ -62,7 +58,6 @@ impl StoreSets {
     /// Records a memory-order violation between the load at `load_pc` and
     /// the store at `store_pc`: both are merged into one store set.
     pub fn record_violation(&mut self, load_pc: u64, store_pc: u64) {
-        self.violations += 1;
         let li = self.index(load_pc);
         let si = self.index(store_pc);
         match (self.ssit[li], self.ssit[si]) {
@@ -91,11 +86,6 @@ impl StoreSets {
             _ => false,
         }
     }
-
-    /// Counters: `violations` (once one happened).
-    pub fn stats(&self) -> CounterSet {
-        CounterSet::nonzero([("violations", self.violations)])
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +104,6 @@ mod tests {
         let mut ss = StoreSets::new(64);
         ss.record_violation(0x40, 0x80);
         assert!(ss.must_wait(0x40, 0x80));
-        assert_eq!(ss.stats().get("violations"), 1);
     }
 
     #[test]

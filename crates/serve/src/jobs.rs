@@ -3,7 +3,12 @@
 //! Connection threads [`JobTable::submit`] validated requests; worker
 //! threads block in [`JobTable::next_job`] until work arrives, and take
 //! the request payload with the job: a record keeps only what the status
-//! and listing documents report, because records are never removed. Two
+//! and listing documents report. A queued or running job's record stays
+//! until the job finishes; of the finished ones only the newest 1,024
+//! (`FINISHED_KEPT`) are kept, so the table does not grow with the
+//! daemon's age. A poller needs a finished record only between its last
+//! "running" poll and its "done" poll; an evicted id answers 404 like any
+//! unknown one, and a resubmission of its request is a cache hit. Two
 //! concurrent submissions of the same digest share one job (the second
 //! submitter gets the first job's id), so a thundering herd of identical
 //! requests costs one simulation. [`JobTable::drain`] stops intake and
@@ -12,6 +17,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
+
+/// Finished (done or failed) job records kept for status polls; the
+/// oldest finished record goes first.
+const FINISHED_KEPT: usize = 1024;
 
 /// Lifecycle of one submitted job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,6 +94,8 @@ struct Inner {
     queue: VecDeque<(String, String)>,
     /// digest -> job id for queued/running jobs (in-flight dedup).
     by_digest: HashMap<String, String>,
+    /// Finished job ids, oldest first, at most [`FINISHED_KEPT`].
+    finished: VecDeque<String>,
     next_id: u64,
     draining: bool,
 }
@@ -190,6 +201,11 @@ impl JobTable {
             rec.status = status;
             let digest = rec.digest.clone();
             inner.by_digest.remove(&digest);
+            inner.finished.push_back(id.to_string());
+            if inner.finished.len() > FINISHED_KEPT {
+                let oldest = inner.finished.pop_front().expect("over the bound");
+                inner.jobs.remove(&oldest);
+            }
         }
     }
 
@@ -316,6 +332,42 @@ mod tests {
         assert!(table.next_job().is_some());
         assert!(table.next_job().is_some());
         assert!(table.next_job().is_none());
+    }
+
+    #[test]
+    fn only_the_newest_finished_records_are_kept() {
+        let table = JobTable::new(FINISHED_KEPT + 2);
+        let mut ids = Vec::new();
+        for n in 0..=FINISHED_KEPT + 1 {
+            let Submit::New(id) = table.submit(&format!("d{n}"), "{}") else {
+                panic!("queue");
+            };
+            ids.push(id);
+        }
+        // The last job is taken but never finishes.
+        for id in &ids {
+            assert_eq!(&table.next_job().unwrap().id, id);
+        }
+        let running = ids.pop().unwrap();
+        for (n, id) in ids.iter().enumerate() {
+            if n % 2 == 0 {
+                table.complete(id);
+            } else {
+                table.fail(id, "budget exceeded".into());
+            }
+        }
+        assert_eq!(ids.len(), FINISHED_KEPT + 1);
+        assert!(table.status(&ids[0]).is_none(), "oldest finished evicted");
+        assert_eq!(table.status(&ids[1]).unwrap().status.name(), "failed");
+        let newest = table.status(ids.last().unwrap()).unwrap();
+        assert_eq!(newest.status, JobStatus::Done);
+        let rec = table.status(&running).expect("running record kept");
+        assert_eq!(rec.status, JobStatus::Running);
+        let (listed, live) = table.list(10);
+        assert_eq!(
+            (listed.len(), live, listed[0].id.as_str()),
+            (1, 1, running.as_str())
+        );
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //!   external property-testing crate).
 //! * [`cli`] — the command-line reader every binary parses with, and the
 //!   one exit-status rule for a bad command line.
-//! * [`counter`] — named event counters and counter groups.
 //! * [`histogram`] — fixed-bucket histograms used for store-lifetime and
 //!   occupancy distributions.
 //! * [`table`] — plain-text table rendering used by the figure/table
@@ -53,7 +52,6 @@
 
 pub mod check;
 pub mod cli;
-pub mod counter;
 pub mod digest;
 pub mod estimate;
 pub mod flight;
@@ -66,7 +64,6 @@ pub mod rng;
 pub mod table;
 pub mod timeseries;
 
-pub use counter::{Counter, CounterSet};
 pub use digest::{canonical, canonical_encode, digest};
 pub use estimate::{mean_ci95, Estimate};
 pub use flight::{FlightEvent, FlightRecorder};

@@ -175,9 +175,11 @@ serve_pid=""
 section "benchmark: build and test the out-of-workspace benchmark package"
 # `benchmark/` depends on the workspace crates by path but is its own
 # package, so neither tier-1 command above builds it; an API change in
-# the crates could otherwise break it unnoticed.
-cargo build --release --manifest-path benchmark/Cargo.toml
-cargo test -q --manifest-path benchmark/Cargo.toml
+# the crates could otherwise break it unnoticed. `--locked` fails the
+# build when the workspace crates' dependency edges no longer match
+# `benchmark/Cargo.lock`, which a change must then not rewrite silently.
+cargo build --release --locked --manifest-path benchmark/Cargo.toml
+cargo test -q --locked --manifest-path benchmark/Cargo.toml
 
 section "smoke: rmt-cluster 2-worker sweep is bitwise identical to one process"
 # The distributed-determinism contract, end to end over real processes:

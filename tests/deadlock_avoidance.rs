@@ -70,7 +70,7 @@ fn run_srt(b: ProgramBuilder, commits: u64) -> Machine<RmtScheme> {
 fn membar_in_chunk_does_not_deadlock_srt() {
     let dev = run_srt(membar_heavy_program(), 20_000);
     assert!(
-        dev.substrate().core(0).stats().get("membar_waits") > 0,
+        dev.substrate().core(0).stat("membar_waits") > 0,
         "barrier never waited"
     );
     assert_eq!(dev.scheme().env().pair(0).comparator.mismatches(), 0);
@@ -80,11 +80,7 @@ fn membar_in_chunk_does_not_deadlock_srt() {
 fn partial_forward_in_chunk_does_not_deadlock_srt() {
     let dev = run_srt(partial_forward_program(), 20_000);
     assert!(
-        dev.substrate()
-            .core(0)
-            .stats()
-            .get("partial_forward_stalls")
-            > 0,
+        dev.substrate().core(0).stat("partial_forward_stalls") > 0,
         "the pathological pattern never exercised partial forwarding"
     );
     assert_eq!(dev.scheme().env().pair(0).comparator.mismatches(), 0);
@@ -137,8 +133,8 @@ fn uncached_polling_does_not_deadlock_srt() {
     b.push(Inst::addi(r(2), r(3), 1));
     b.push_branch(Inst::j(0), "loop");
     let dev = run_srt(b, 5_000);
-    assert!(dev.substrate().core(0).stats().get("uncached_loads") > 100);
-    assert!(dev.substrate().core(0).stats().get("uncached_load_waits") > 0);
+    assert!(dev.substrate().core(0).stat("uncached_loads") > 100);
+    assert!(dev.substrate().core(0).stat("uncached_load_waits") > 0);
     assert_eq!(dev.scheme().env().pair(0).comparator.mismatches(), 0);
 }
 

@@ -44,7 +44,7 @@ fn srt_released_stores_equal_golden_prefix() {
         let w = Workload::generate(b, 21);
         let mut dev = srt(vec![LogicalThread::from(&w)]);
         assert!(dev.run_until_committed(20_000, 10_000_000), "{b} timed out");
-        let released = dev.substrate().core(0).stats().get("stores_released");
+        let released = dev.substrate().core(0).stat("stores_released");
         assert!(released > 100, "{b}: too few stores to be meaningful");
         assert_eq!(
             dev.image(0).digest(),
@@ -87,8 +87,8 @@ fn base_and_srt_memories_agree_at_equal_store_counts() {
     assert!(base.run_until_committed(15_000, 10_000_000));
     let mut srt = srt(vec![LogicalThread::from(&w)]);
     assert!(srt.run_until_committed(15_000, 10_000_000));
-    let base_released = base.substrate().core(0).stats().get("stores_released");
-    let srt_released = srt.substrate().core(0).stats().get("stores_released");
+    let base_released = base.substrate().core(0).stat("stores_released");
+    let srt_released = srt.substrate().core(0).stat("stores_released");
     let common = base_released.min(srt_released);
     assert_eq!(
         golden_digest_at_stores(&w, common),
@@ -141,7 +141,7 @@ fn lockstep_cores_stay_bit_identical() {
     assert!(dev.drain_detected_faults().is_empty());
     let (c0, c1) = (dev.substrate().core(0), dev.substrate().core(1));
     assert_eq!(c0.thread_stats(0).committed, c1.thread_stats(0).committed);
-    assert_eq!(c0.stats().get("squashes"), c1.stats().get("squashes"));
+    assert_eq!(c0.stat("squashes"), c1.stat("squashes"));
 }
 
 #[test]
