@@ -118,7 +118,7 @@ impl Worker {
 }
 
 /// Probes every worker's `/healthz` until `stop` flips, evicting after
-/// [`EVICT_AFTER_FAILURES`] consecutive failures and re-admitting on the
+/// `EVICT_AFTER_FAILURES` consecutive failures and re-admitting on the
 /// first success. Runs in its own thread; probe clients use short
 /// timeouts so one dead worker cannot slow the loop below `interval`
 /// pacing by much.

@@ -18,10 +18,10 @@
 //! every experiment of a figure grid.
 //!
 //! The codec is strict both ways: a missing key and an unknown key are
-//! both errors (see [`codec`]), so a committed `config` section can only
-//! drift loudly. The `chaos` fault-injection toggle is deliberately not
-//! part of the spec: it is a build-time validation hook, not a machine
-//! parameter.
+//! both errors (see [`MachineSpec::from_json`]), so a committed `config`
+//! section can only drift loudly. The `chaos` fault-injection toggle is
+//! deliberately not part of the spec: it is a build-time validation
+//! hook, not a machine parameter.
 
 use rmt_stats::Json;
 use std::fmt;

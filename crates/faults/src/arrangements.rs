@@ -4,11 +4,11 @@
 //! [`injection_forensic`] is a pure function of `(spec, workload, kind,
 //! config, index)` producing the injection's full [`FaultForensics`]
 //! record. Every arrangement runs the same steps in one generic routine,
-//! [`inject`]: seed the fault-site stream and the flight recorder, warm
+//! `inject`: seed the fault-site stream and the flight recorder, warm
 //! up, strike, then observe the window and classify it. The arrangements
 //! differ only in the parameters they pass: the machine, the struck
 //! thread (the leading thread of pair 0, the base machine's only thread,
-//! or core 1 of a lockstepped pair), the [`ObservePolicy`], the base
+//! or core 1 of a lockstepped pair), the `ObservePolicy`, the base
 //! machine's co-simulation oracle and SRT/CRT's LVQ strike.
 //! [`run_campaign`] is the sequential aggregator. The seeding contract
 //! (one RNG stream per index) makes every campaign order-independent and

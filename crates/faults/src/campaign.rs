@@ -1,7 +1,7 @@
 //! Injection campaigns: plant faults in running devices and classify the
 //! outcomes against the golden model.
 //!
-//! The per-cycle observation engine lives in [`crate::observe`] and the
+//! The per-cycle observation engine lives in `crate::observe` and the
 //! one injection routine in [`crate::arrangements`] (re-exported here);
 //! this module owns the campaign-level API — configuration and the
 //! aggregate [`CampaignReport`]. Every injection produces a full

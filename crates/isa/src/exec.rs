@@ -47,18 +47,6 @@ pub enum ExecOutcome {
     Halt,
 }
 
-impl ExecOutcome {
-    /// The register value produced by this outcome, if it is a simple value
-    /// or a link write.
-    pub fn reg_value(&self) -> Option<u64> {
-        match self {
-            ExecOutcome::Value(v) => Some(*v),
-            ExecOutcome::Control { link, .. } => *link,
-            _ => None,
-        }
-    }
-}
-
 /// "Floating point" stand-in arithmetic: deterministic 64-bit integer ops
 /// with FP latencies (see `rmt_isa::inst`). Mixed with a rotate so that
 /// fadd/fsub/fmul produce well-distributed bits, which keeps synthetic FP
@@ -338,21 +326,5 @@ mod tests {
         assert_eq!(execute(&Inst::membar(), 0, 0, 0), ExecOutcome::MemBar);
         assert_eq!(execute(&Inst::nop(), 0, 0, 0), ExecOutcome::Nop);
         assert_eq!(execute(&Inst::halt(), 0, 0, 0), ExecOutcome::Halt);
-    }
-
-    #[test]
-    fn reg_value_extraction() {
-        assert_eq!(ExecOutcome::Value(3).reg_value(), Some(3));
-        assert_eq!(
-            ExecOutcome::Control {
-                taken: true,
-                next_pc: 0,
-                link: Some(8)
-            }
-            .reg_value(),
-            Some(8)
-        );
-        assert_eq!(ExecOutcome::Nop.reg_value(), None);
-        assert_eq!(ExecOutcome::Load { addr: 0, bytes: 8 }.reg_value(), None);
     }
 }

@@ -188,15 +188,6 @@ impl Op {
     pub fn is_store(self) -> bool {
         matches!(self, Op::Sw | Op::Sb)
     }
-
-    /// Access size in bytes for loads/stores, zero otherwise.
-    pub fn access_bytes(self) -> u64 {
-        match self {
-            Op::Lw | Op::Sw => 8,
-            Op::Lb | Op::Sb => 1,
-            _ => 0,
-        }
-    }
 }
 
 /// One decoded instruction.
@@ -576,9 +567,6 @@ mod tests {
         assert!(Op::Jalr.is_control());
         assert!(Op::Lw.is_load());
         assert!(Op::Sb.is_store());
-        assert_eq!(Op::Lw.access_bytes(), 8);
-        assert_eq!(Op::Sb.access_bytes(), 1);
-        assert_eq!(Op::Add.access_bytes(), 0);
     }
 
     #[test]

@@ -71,18 +71,6 @@ impl ArchState {
         s.regs[0] = 0;
         s
     }
-
-    /// A digest of all registers, for cheap state comparison.
-    pub fn reg_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &v in &self.regs {
-            for i in 0..8 {
-                h ^= (v >> (8 * i)) & 0xff;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
 }
 
 /// Why the interpreter stopped.
@@ -386,13 +374,5 @@ mod tests {
         i.run(10).unwrap();
         assert_eq!(i.state().reg(Reg::ZERO), 0);
         assert_eq!(i.state().reg(r(1)), 0);
-    }
-
-    #[test]
-    fn reg_digest_changes_with_state() {
-        let mut s = ArchState::new();
-        let d0 = s.reg_digest();
-        s.set_reg(r(4), 1);
-        assert_ne!(s.reg_digest(), d0);
     }
 }

@@ -7,8 +7,16 @@
 //! does it take".
 //!
 //! All accesses are little-endian. Unwritten memory reads as zero.
+//!
+//! Pages are copy-on-write: cloning an image shares every page, and the
+//! first write to a shared page copies it. A sampled run's checkpoint
+//! ladder therefore holds a page again only where the fast-forward wrote
+//! it between two checkpoints, and installing a checkpoint's image into a
+//! machine copies nothing until the machine stores. The pages are
+//! reference-counted atomically because runner threads share ladders.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -26,10 +34,14 @@ const OFFSET_MASK: u64 = (PAGE_SIZE as u64) - 1;
 /// assert_eq!(m.read_u64(0x1000), 0xdead_beef);
 /// assert_eq!(m.read_u8(0x1000), 0xef); // little endian
 /// assert_eq!(m.read_u64(0x9999_0000), 0); // unwritten reads as zero
+///
+/// let snapshot = m.clone(); // shares every page
+/// m.write_u8(0x1000, 7); // copies the written page only
+/// assert_eq!(snapshot.read_u8(0x1000), 0xef);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemImage {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Arc<[u8; PAGE_SIZE]>>,
 }
 
 impl MemImage {
@@ -43,9 +55,11 @@ impl MemImage {
     }
 
     fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
-        self.pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+        Arc::make_mut(
+            self.pages
+                .entry(addr >> PAGE_SHIFT)
+                .or_insert_with(|| Arc::new([0u8; PAGE_SIZE])),
+        )
     }
 
     /// Reads one byte.
@@ -119,11 +133,6 @@ impl MemImage {
         }
     }
 
-    /// Number of materialized pages (for tests and memory accounting).
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Returns a canonical digest of the full image contents, used to compare
     /// architectural state between redundant executions. Zero pages and
     /// absent pages hash identically.
@@ -163,7 +172,7 @@ mod tests {
         let m = MemImage::new();
         assert_eq!(m.read_u8(123), 0);
         assert_eq!(m.read_u64(0xffff_ffff_ffff_0000), 0);
-        assert_eq!(m.page_count(), 0);
+        assert_eq!(m.pages.len(), 0);
     }
 
     #[test]
@@ -189,7 +198,7 @@ mod tests {
         let addr = (1 << PAGE_SHIFT) - 4;
         m.write_u64(addr, u64::MAX);
         assert_eq!(m.read_u64(addr), u64::MAX);
-        assert_eq!(m.page_count(), 2);
+        assert_eq!(m.pages.len(), 2);
     }
 
     #[test]
@@ -200,7 +209,7 @@ mod tests {
         for (addr, pages) in [(page - 8, 1), (page - 7, 2), (u64::MAX - 3, 2)] {
             let mut m = MemImage::new();
             m.write_u64(addr, 0x0102_0304_0506_0708);
-            assert_eq!(m.page_count(), pages, "{addr:#x}");
+            assert_eq!(m.pages.len(), pages, "{addr:#x}");
             assert_eq!(m.read_u64(addr), 0x0102_0304_0506_0708, "{addr:#x}");
             for i in 0..8u64 {
                 assert_eq!(
@@ -255,13 +264,50 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
     }
 
+    /// Whether `a` and `b` hold page `k` in one shared allocation.
+    fn shares(a: &MemImage, b: &MemImage, k: u64) -> bool {
+        Arc::ptr_eq(&a.pages[&k], &b.pages[&k])
+    }
+
     #[test]
     fn clone_is_independent() {
         let mut a = MemImage::new();
-        a.write_u8(0, 1);
+        for k in 0..4u64 {
+            a.write_u64(k << PAGE_SHIFT, k + 1);
+        }
         let mut b = a.clone();
-        b.write_u8(0, 2);
-        assert_eq!(a.read_u8(0), 1);
-        assert_eq!(b.read_u8(0), 2);
+        assert!((0..4).all(|k| shares(&a, &b, k)), "a clone copied a page");
+
+        // A write to the clone copies only the page it touches...
+        b.write_u8(0, 0xaa);
+        assert!(!shares(&a, &b, 0));
+        assert!((1..4).all(|k| shares(&a, &b, k)));
+        assert_eq!(a.read_u64(0), 1);
+        assert_eq!(b.read_u8(0), 0xaa);
+
+        // ...and so does a write to the original.
+        a.write_u64(2 << PAGE_SHIFT, 0x55);
+        assert!(!shares(&a, &b, 2));
+        assert!(shares(&a, &b, 1) && shares(&a, &b, 3));
+        assert_eq!(b.read_u64(2 << PAGE_SHIFT), 3);
+        assert_eq!(a.read_u64(2 << PAGE_SHIFT), 0x55);
+
+        // A page first written after the clone exists on one side only.
+        b.write_u8(9 << PAGE_SHIFT, 1);
+        assert_eq!(a.read_u8(9 << PAGE_SHIFT), 0);
+        assert_eq!((a.pages.len(), b.pages.len()), (4, 5));
+    }
+
+    #[test]
+    fn an_unshared_page_is_written_in_place() {
+        let mut a = MemImage::new();
+        a.write_u8(0, 1);
+        let before = Arc::as_ptr(&a.pages[&0]);
+        a.write_u8(1, 2);
+        assert_eq!(Arc::as_ptr(&a.pages[&0]), before);
+        // Once the only other holder is gone, writes stop copying too.
+        drop(a.clone());
+        a.write_u8(2, 3);
+        assert_eq!(Arc::as_ptr(&a.pages[&0]), before);
     }
 }

@@ -175,16 +175,6 @@ impl Cache {
         let (set_idx, tag) = self.index_tag(addr);
         self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
     }
-
-    /// Invalidates the block containing `addr` if present.
-    pub fn invalidate(&mut self, addr: u64) {
-        let (set_idx, tag) = self.index_tag(addr);
-        for l in &mut self.sets[set_idx] {
-            if l.valid && l.tag == tag {
-                l.valid = false;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -236,15 +226,6 @@ mod tests {
         assert!(!c.peek(0));
         assert!(!c.access(0).hit);
         assert!(c.peek(0));
-    }
-
-    #[test]
-    fn invalidate_removes_block() {
-        let mut c = tiny();
-        c.access(0);
-        c.invalidate(0);
-        assert!(!c.peek(0));
-        assert!(!c.access(0).hit);
     }
 
     #[test]

@@ -93,12 +93,6 @@ impl MissTracker {
         self.inflight.push((self.block(addr), ready));
         ready
     }
-
-    /// Number of fills currently in flight (after expiring at `now`).
-    pub fn outstanding(&mut self, now: u64) -> usize {
-        self.expire(now);
-        self.inflight.len()
-    }
 }
 
 #[cfg(test)]
@@ -143,8 +137,8 @@ mod tests {
     fn entries_expire() {
         let mut m = MissTracker::new(1, 64);
         m.start_fill(0, 0, 50);
-        assert_eq!(m.outstanding(10), 1);
-        assert_eq!(m.outstanding(50), 0);
+        assert_eq!(m.pending_fill(0, 10), Some(50));
+        assert_eq!(m.pending_fill(0, 50), None);
         // Slot free again -> no serialization.
         assert_eq!(m.start_fill(64, 60, 50), 110);
     }

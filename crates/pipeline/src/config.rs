@@ -187,14 +187,6 @@ impl CoreConfig {
         }
     }
 
-    /// Base configuration with the per-thread store queue optimization.
-    pub fn base_ptsq() -> Self {
-        CoreConfig {
-            per_thread_store_queues: true,
-            ..Self::base()
-        }
-    }
-
     /// Total functional units.
     pub fn total_fus(&self) -> usize {
         self.fu_int + self.fu_logic + self.fu_mem + self.fu_fp
@@ -259,9 +251,11 @@ mod tests {
 
     #[test]
     fn ptsq_gives_full_queue_per_thread() {
-        let c = CoreConfig::base_ptsq();
+        let c = CoreConfig {
+            per_thread_store_queues: true,
+            ..CoreConfig::base()
+        };
         assert_eq!(c.sq_per_thread(4), 64);
-        assert!(c.per_thread_store_queues);
     }
 
     #[test]

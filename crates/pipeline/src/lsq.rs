@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForwardResult {
     /// No older overlapping store with a known address; the load may read
-    /// the cache/memory (but see [`StoreQueue::oldest_unknown_addr`]).
+    /// the cache/memory (but see [`StoreQueue::unknown_addr_older`]).
     None,
     /// Fully covered by an older store: forward this value.
     Full(u64),
@@ -153,14 +153,6 @@ impl StoreQueue {
         }
     }
 
-    /// Marks the store with the given *tag* as verified (used by the store
-    /// comparator, which matches trailing stores by tag).
-    pub fn mark_verified_by_tag(&mut self, tag: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.tag == tag) {
-            e.verified = true;
-        }
-    }
-
     /// The oldest entry, if any.
     pub fn head(&self) -> Option<&SqEntry> {
         self.entries.front()
@@ -206,15 +198,6 @@ impl StoreQueue {
             return ForwardResult::Partial { store_seq: e.seq };
         }
         ForwardResult::None
-    }
-
-    /// The oldest store older than `load_seq` whose address is still
-    /// unknown, if any — a load issuing past it speculates on memory
-    /// independence.
-    pub fn oldest_unknown_addr(&self, load_seq: u64) -> Option<&SqEntry> {
-        self.entries
-            .iter()
-            .find(|e| e.seq < load_seq && !e.addr_known)
     }
 
     /// Iterates over all stores older than `load_seq` whose addresses are
@@ -420,12 +403,12 @@ mod tests {
     fn sq_unknown_addr_detection() {
         let mut q = sq();
         q.alloc(1, 0, 0x40, 0);
-        assert!(q.oldest_unknown_addr(2).is_some());
+        assert_eq!(q.unknown_addr_older(2).count(), 1);
         q.fill(1, 0x100, 0, 8);
-        assert!(q.oldest_unknown_addr(2).is_none());
+        assert_eq!(q.unknown_addr_older(2).count(), 0);
         // Younger unknown store is irrelevant to an older load.
         q.alloc(5, 1, 0x44, 0);
-        assert!(q.oldest_unknown_addr(3).is_none());
+        assert_eq!(q.unknown_addr_older(3).count(), 0);
     }
 
     #[test]
@@ -437,16 +420,6 @@ mod tests {
         q.squash_from(2);
         assert_eq!(q.len(), 1);
         assert_eq!(q.head().unwrap().seq, 1);
-    }
-
-    #[test]
-    fn sq_verify_by_tag() {
-        let mut q = sq();
-        q.alloc(1, 10, 0, 0);
-        q.alloc(2, 11, 0, 0);
-        q.mark_verified_by_tag(11);
-        assert!(!q.head().unwrap().verified);
-        assert!(q.iter().nth(1).unwrap().verified);
     }
 
     #[test]

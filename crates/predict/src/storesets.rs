@@ -77,25 +77,22 @@ impl StoreSets {
             }
         }
     }
-
-    /// Whether a load at `load_pc` must wait for a store at `store_pc`
-    /// according to current training.
-    pub fn must_wait(&self, load_pc: u64, store_pc: u64) -> bool {
-        match (self.set_of(load_pc), self.set_of(store_pc)) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Whether the load at `load_pc` waits for the store at `store_pc`:
+    /// both are in one store set.
+    fn must_wait(ss: &StoreSets, load_pc: u64, store_pc: u64) -> bool {
+        ss.set_of(load_pc).is_some() && ss.set_of(load_pc) == ss.set_of(store_pc)
+    }
+
     #[test]
     fn untrained_predicts_no_dependence() {
         let ss = StoreSets::new(64);
-        assert!(!ss.must_wait(0x40, 0x80));
+        assert!(!must_wait(&ss, 0x40, 0x80));
         assert_eq!(ss.set_of(0x40), None);
     }
 
@@ -103,15 +100,15 @@ mod tests {
     fn violation_creates_shared_set() {
         let mut ss = StoreSets::new(64);
         ss.record_violation(0x40, 0x80);
-        assert!(ss.must_wait(0x40, 0x80));
+        assert!(must_wait(&ss, 0x40, 0x80));
     }
 
     #[test]
     fn unrelated_pcs_do_not_wait() {
         let mut ss = StoreSets::new(4096);
         ss.record_violation(0x40, 0x80);
-        assert!(!ss.must_wait(0x40, 0x200));
-        assert!(!ss.must_wait(0x999, 0x80));
+        assert!(!must_wait(&ss, 0x40, 0x200));
+        assert!(!must_wait(&ss, 0x999, 0x80));
     }
 
     #[test]
@@ -120,7 +117,7 @@ mod tests {
         ss.record_violation(0x40, 0x80); // set A
         ss.record_violation(0x100, 0x140); // set B
         ss.record_violation(0x40, 0x140); // merge A and B
-        assert!(ss.must_wait(0x40, 0x140));
+        assert!(must_wait(&ss, 0x40, 0x140));
         assert_eq!(ss.set_of(0x40), ss.set_of(0x140));
     }
 
@@ -129,8 +126,8 @@ mod tests {
         let mut ss = StoreSets::new(4096);
         ss.record_violation(0x40, 0x80);
         ss.record_violation(0x40, 0x200);
-        assert!(ss.must_wait(0x40, 0x80));
-        assert!(ss.must_wait(0x40, 0x200));
+        assert!(must_wait(&ss, 0x40, 0x80));
+        assert!(must_wait(&ss, 0x40, 0x200));
     }
 
     #[test]

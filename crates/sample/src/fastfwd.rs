@@ -23,10 +23,12 @@ pub struct FastForward<'p> {
 impl<'p> FastForward<'p> {
     /// Starts fast-forwarding `program` from its entry point over
     /// `memory`, keeping the most recent `warm_window` warming events.
+    /// The log grows as events arrive, so a window longer than any gap
+    /// costs nothing up front.
     pub fn new(program: &'p Program, memory: MemImage, warm_window: usize) -> Self {
         FastForward {
             interp: Interpreter::new(program, memory),
-            warm: VecDeque::with_capacity(warm_window),
+            warm: VecDeque::new(),
             warm_window,
         }
     }
@@ -94,7 +96,9 @@ impl<'p> FastForward<'p> {
 
     /// Snapshots the current architectural state and drains the warming
     /// log: the checkpoint carries the events recorded since the previous
-    /// drain (bounded by `warm_window`) and the log restarts empty. A
+    /// drain (bounded by `warm_window`), packed, and the log restarts
+    /// empty. The checkpoint's image shares its pages with the
+    /// interpreter's until the interpreter next writes them. A
     /// sampled run taking consecutive draining checkpoints replays the
     /// whole fast-forward stream exactly once across its windows —
     /// cumulative warming without re-replaying shared history at every
@@ -157,7 +161,7 @@ mod tests {
         ff.run_to(1_000).unwrap();
         let cp = ff.take_checkpoint();
         assert_eq!(cp.warm.len(), 64);
-        let has = |f: fn(&WarmEvent) -> bool| cp.warm.iter().any(f);
+        let has = |f: fn(WarmEvent) -> bool| cp.warm.iter().any(f);
         assert!(has(|e| matches!(e, WarmEvent::IFetch { .. })));
         assert!(has(|e| matches!(e, WarmEvent::Load { .. })));
         assert!(has(|e| matches!(e, WarmEvent::Store { .. })));
@@ -165,6 +169,45 @@ mod tests {
         assert!(has(|e| matches!(e, WarmEvent::Jump { .. })));
         // The checkpoint drained the log.
         assert!(ff.take_checkpoint().warm.is_empty());
+    }
+
+    #[test]
+    fn an_unbounded_window_keeps_every_event() {
+        let p = busy_program();
+        let mut ff = FastForward::new(&p, MemImage::new(), usize::MAX);
+        ff.run_to(1_000).unwrap();
+        let all: Vec<WarmEvent> = ff.take_checkpoint().warm.iter().collect();
+        let fetches = all
+            .iter()
+            .filter(|e| matches!(e, WarmEvent::IFetch { .. }))
+            .count();
+        assert_eq!(fetches, 1_000);
+        assert_eq!(all[0], WarmEvent::IFetch { addr: 0 });
+        // A bounded window keeps the stream's tail, whatever event kind
+        // it starts at.
+        for window in 1..=8 {
+            let mut ff = FastForward::new(&p, MemImage::new(), window);
+            ff.run_to(1_000).unwrap();
+            let kept: Vec<WarmEvent> = ff.take_checkpoint().warm.iter().collect();
+            assert_eq!(kept, all[all.len() - window..], "window {window}");
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_image_is_frozen_while_the_fast_forward_writes() {
+        let p = busy_program();
+        let mut ff = FastForward::new(&p, MemImage::new(), 8);
+        ff.run_to(500).unwrap();
+        let cp = ff.take_checkpoint();
+        let digest = cp.memory.digest();
+        // Iteration 200 stores 1600 at 0x4000 + 1600, on the page the
+        // loop has been writing since iteration 0.
+        let addr = 0x4000 + 1_600;
+        ff.run_to(2_000).unwrap();
+        assert_eq!(ff.interp.mem().read_u64(addr), 1_600);
+        assert_eq!(cp.memory.read_u64(addr), 0);
+        assert_eq!(cp.memory.digest(), digest);
+        assert_ne!(ff.take_checkpoint().memory, cp.memory);
     }
 
     #[test]

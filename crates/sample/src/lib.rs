@@ -2,10 +2,12 @@
 //!
 //! Full cycle-accurate runs of every figure grow linearly with each new
 //! arrangement the fabric makes cheap to add. Classic sampled-simulation
-//! methodology (SMARTS; see PAPERS.md) cuts that cost by an order of
-//! magnitude: fast-forward the workload *functionally*, open a handful of
-//! short *detailed windows* at planned positions, and report the window
-//! mean with an explicit confidence interval.
+//! methodology (SMARTS: Wunderlich, Wenisch, Falsafi and Hoe, "SMARTS:
+//! Accelerating Microarchitecture Simulation via Rigorous Statistical
+//! Sampling", ISCA 2003) cuts that cost by an order of magnitude:
+//! fast-forward the workload *functionally*, open a handful of short
+//! *detailed windows* at planned positions, and report the window mean
+//! with an explicit confidence interval.
 //!
 //! This crate supplies the functional half of sampling; the experiment
 //! harness in `rmt-sim` composes it with the detailed `Machine` fabric:
@@ -14,7 +16,10 @@
 //!   PC + memory image + a bounded functional-warming log), so a workload
 //!   is fast-forwarded once and re-entered at any sample point by any
 //!   device kind. Checkpoints stay in memory: `rmt-sim` hands a run its
-//!   ladder of them directly.
+//!   ladder of them directly. As with live-points (Wenisch et al.,
+//!   ISPASS 2006), a checkpoint stores only what its window needs,
+//!   compactly: its image shares every page the fast-forward left
+//!   unchanged, and its log is a [`WarmLog`] of one tag byte per event.
 //! * [`fastfwd::FastForward`] — the functional fast-forward engine: it
 //!   drives the `rmt-isa` reference interpreter between detailed windows
 //!   while recording the recent instruction/data/branch activity that
@@ -53,7 +58,9 @@
 
 pub mod checkpoint;
 pub mod fastfwd;
+pub mod warm;
 
 pub use checkpoint::Checkpoint;
 pub use fastfwd::FastForward;
 pub use rmt_core::{SampleMode, SamplePlan};
+pub use warm::WarmLog;

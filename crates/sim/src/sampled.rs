@@ -61,6 +61,9 @@ pub struct SampledResult {
 /// re-enters. Any [`DeviceKind`] with the same `(benchmarks, seed,
 /// warmup, measure)` can consume the same ladder, so grid figures
 /// generate it once per benchmark and share it across device columns.
+/// Its checkpoints hold each byte once: their images share every page
+/// the fast-forward did not write between them, and their warming logs
+/// are packed ([`rmt_sample::WarmLog`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointLadder {
     /// `windows[w][t]`: the draining checkpoint thread `t` re-enters for
@@ -236,7 +239,7 @@ impl Experiment {
                         // interval start.
                         device.restore_arch(logical, &cp.regs, cp.pc);
                     }
-                    for &ev in &cp.warm {
+                    for ev in cp.warm.iter() {
                         device.warm(logical, ev);
                     }
                 }

@@ -19,17 +19,6 @@ pub struct Estimate {
     pub n: usize,
 }
 
-impl Estimate {
-    /// The half-width as a fraction of the mean (0.0 for a zero mean).
-    pub fn relative_error(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
-}
-
 /// Estimates the mean of `samples` with a 95% normal-approximation
 /// confidence interval.
 ///
@@ -72,7 +61,6 @@ mod tests {
         let e = mean_ci95(&[2.5]);
         assert_eq!(e.mean, 2.5);
         assert_eq!(e.half_width, 0.0);
-        assert_eq!(e.relative_error(), 0.0);
     }
 
     #[test]
@@ -89,7 +77,6 @@ mod tests {
         assert!((e.mean - 2.5).abs() < 1e-12);
         let expect = 1.96 * (5.0f64 / 3.0).sqrt() / 2.0;
         assert!((e.half_width - expect).abs() < 1e-12, "{}", e.half_width);
-        assert!((e.relative_error() - expect / 2.5).abs() < 1e-12);
     }
 
     #[test]

@@ -165,23 +165,6 @@ impl Histogram {
         Some(self.max)
     }
 
-    /// Fraction of samples at or below `value` (1.0 when empty).
-    pub fn fraction_at_or_below(&self, value: u64) -> f64 {
-        if self.count == 0 {
-            return 1.0;
-        }
-        // Count whole buckets that end at or below `value`; this is an
-        // approximation at bucket granularity, exact at bucket boundaries.
-        let mut below = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            let bucket_end = (i as u64 + 1) * self.bucket_width - 1;
-            if bucket_end <= value {
-                below += c;
-            }
-        }
-        below as f64 / self.count as f64
-    }
-
     /// Clears all recorded samples.
     pub fn reset(&mut self) {
         for b in &mut self.buckets {
@@ -268,7 +251,6 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-        assert_eq!(h.fraction_at_or_below(100), 1.0);
     }
 
     #[test]
@@ -280,19 +262,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.overflow(), 0);
         assert_eq!(h.bucket(0), 0);
-    }
-
-    #[test]
-    fn fraction_at_or_below_bucket_boundary() {
-        let mut h = Histogram::new("t", 10, 10);
-        for v in 0..10 {
-            h.record(v); // all in bucket 0
-        }
-        for v in 10..20 {
-            h.record(v); // all in bucket 1
-        }
-        assert!((h.fraction_at_or_below(9) - 0.5).abs() < 1e-12);
-        assert!((h.fraction_at_or_below(19) - 1.0).abs() < 1e-12);
     }
 
     #[test]

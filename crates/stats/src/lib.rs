@@ -23,9 +23,9 @@
 //!   machine-readable `results/*.json` outputs.
 //! * [`json`] — serde-free JSON value tree, encoder, and parser (the build
 //!   is offline, so no external JSON crate).
-//! * [`digest`] — canonical-JSON form and a 128-bit content digest, the
-//!   cache key of the `rmt-serve` result store (identical resolved specs
-//!   hash identically regardless of key order).
+//! * [`digest`](mod@digest) — canonical-JSON form and a 128-bit content
+//!   digest, the cache key of the `rmt-serve` result store (identical
+//!   resolved specs hash identically regardless of key order).
 //! * [`ring`] — the bounded event ring (evict-oldest with a drop count)
 //!   under both the pipeline tracer and the flight recorder.
 //! * [`flight`] — a bounded, deterministic flight recorder of structured

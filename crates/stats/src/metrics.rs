@@ -67,23 +67,6 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Geometric mean of a slice of positive values (0.0 when empty).
-///
-/// Non-positive entries are skipped.
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    let logs: Vec<f64> = values
-        .iter()
-        .copied()
-        .filter(|v| *v > 0.0)
-        .map(f64::ln)
-        .collect();
-    if logs.is_empty() {
-        0.0
-    } else {
-        (logs.iter().sum::<f64>() / logs.len() as f64).exp()
-    }
-}
-
 /// Percentage degradation of `new` relative to `baseline`
 /// (positive = slower than baseline).
 ///
@@ -142,13 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_geomean() {
+    fn arithmetic_mean() {
         assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(geometric_mean(&[]), 0.0);
-        // Non-positive skipped:
-        assert!((geometric_mean(&[0.0, 4.0]) - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -146,12 +146,6 @@ impl Xoshiro256 {
         weights.len() - 1
     }
 
-    /// Derives an independent child generator; useful for giving each
-    /// subsystem its own stream without coupling their consumption order.
-    pub fn fork(&mut self) -> Xoshiro256 {
-        Xoshiro256::seed_from(self.next_u64())
-    }
-
     /// Creates the generator for job `index` of a campaign keyed by
     /// `seed` — see [`split_seed`]. Parallel sweeps give every job its own
     /// stream this way so results do not depend on scheduling order.
@@ -315,14 +309,6 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = Xoshiro256::seed_from(1000);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Appends a row of displayable cells.
-    pub fn row_display<D: fmt::Display>(&mut self, cells: &[D]) {
-        self.row(cells.iter().map(|c| c.to_string()).collect());
-    }
-
     /// Number of data rows.
     pub fn num_rows(&self) -> usize {
         self.rows.len()
@@ -142,13 +137,6 @@ mod tests {
         assert_eq!(t.cell(0, 1), Some(""));
         assert_eq!(t.cell(1, 2), None);
         assert_eq!(t.num_rows(), 2);
-    }
-
-    #[test]
-    fn row_display_stringifies() {
-        let mut t = Table::with_columns(&["x", "y"]);
-        t.row_display(&[1.5, 2.25]);
-        assert_eq!(t.cell(0, 0), Some("1.5"));
     }
 
     #[test]

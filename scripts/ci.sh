@@ -29,6 +29,9 @@ cargo fmt --check
 section "lint: clippy (every workspace crate, tests included)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+section "lint: rustdoc (no broken, private or ambiguous links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 section "lint: file size (src/*.rs <= 700 lines)"
 # Monoliths like the old 1257-line figures.rs must not silently regrow.
 # No allowlist: every source file obeys the gate; split before exceeding.
