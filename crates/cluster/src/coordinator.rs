@@ -172,11 +172,14 @@ fn take_next(ctl: &Ctl, worker: &Worker) -> Take {
             }
             // Queue is dry but cells are still in flight elsewhere:
             // steal the least-attempted straggler (first wins, the
-            // duplicate is free).
+            // duplicate is free). A unit that has already won stays in
+            // flight until its other attempts wake, and is never taken.
             let victim = state
                 .inflight
                 .iter()
-                .filter(|(_, n)| **n > 0 && **n < MAX_INFLIGHT_PER_UNIT)
+                .filter(|(i, n)| {
+                    **n > 0 && **n < MAX_INFLIGHT_PER_UNIT && !state.done.contains_key(i)
+                })
                 .min_by_key(|(i, n)| (**n, **i))
                 .map(|(i, _)| *i);
             if let Some(index) = victim {
@@ -573,4 +576,36 @@ pub fn run_cluster(
         cluster: cluster_section(&workers, &totals),
         workers: workers.len(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_won_unit_still_in_flight_is_never_stolen() {
+        // Unit 0 has won but one attempt still sleeps on it; unit 1 is
+        // still running twice. Unit 0 has the fewer attempts, so only
+        // its result keeps it from being stolen.
+        let state = State {
+            inflight: HashMap::from([(0, 1), (1, 2)]),
+            done: HashMap::from([(0, (Json::Null, UnitMeta::default()))]),
+            remaining: 1,
+            ..State::default()
+        };
+        let ctl = Ctl {
+            state: Mutex::new(state),
+            wake: Condvar::new(),
+        };
+        let worker = Worker::new(0, "127.0.0.1:1");
+        assert!(matches!(
+            take_next(&ctl, &worker),
+            Take::Unit {
+                index: 1,
+                stolen: true
+            }
+        ));
+        let state = ctl.state.lock().unwrap();
+        assert_eq!(state.inflight, HashMap::from([(0, 1), (1, 3)]));
+    }
 }

@@ -56,5 +56,5 @@ pub mod program;
 
 pub use exec::{execute, ExecOutcome};
 pub use inst::{FuClass, Inst, Op, Reg};
-pub use mem_image::MemImage;
+pub use mem_image::{MemDelta, MemImage};
 pub use program::{Program, ProgramBuilder};

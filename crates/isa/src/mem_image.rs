@@ -9,11 +9,15 @@
 //! All accesses are little-endian. Unwritten memory reads as zero.
 //!
 //! Pages are copy-on-write: cloning an image shares every page, and the
-//! first write to a shared page copies it. A sampled run's checkpoint
-//! ladder therefore holds a page again only where the fast-forward wrote
-//! it between two checkpoints, and installing a checkpoint's image into a
-//! machine copies nothing until the machine stores. The pages are
-//! reference-counted atomically because runner threads share ladders.
+//! first write to a shared page copies it. Installing an image into a
+//! machine therefore copies nothing until the machine stores. The pages
+//! are reference-counted atomically because runner threads share
+//! checkpoint ladders.
+//!
+//! A sampled run's checkpoint ladder keeps its first image whole and
+//! every later one as a [`MemDelta`]: [`MemImage::delta_since`] records
+//! the words a descendant image changed in the pages it no longer
+//! shares, and [`MemImage::patch`] moves the older image forward to it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -107,6 +111,121 @@ impl MemImage {
         }
     }
 
+    /// Writes `words` as consecutive little-endian 64-bit words from
+    /// `addr` on, looking each page up once.
+    ///
+    /// ```
+    /// use rmt_isa::MemImage;
+    ///
+    /// let mut m = MemImage::new();
+    /// m.write_words(0xff8, &[1, 2, 3]); // crosses into the next page
+    /// assert_eq!(m.read_u64(0x1008), 3);
+    /// ```
+    pub fn write_words(&mut self, mut addr: u64, mut words: &[u64]) {
+        while let Some((&first, rest)) = words.split_first() {
+            let off = (addr & OFFSET_MASK) as usize;
+            let n = ((PAGE_SIZE - off) / 8).min(words.len());
+            if n == 0 {
+                // The next word straddles two pages.
+                self.write_u64(addr, first);
+                (addr, words) = (addr.wrapping_add(8), rest);
+                continue;
+            }
+            let page = self.page_mut(addr);
+            for (dst, w) in page[off..].chunks_exact_mut(8).zip(&words[..n]) {
+                dst.copy_from_slice(&w.to_le_bytes());
+            }
+            (addr, words) = (addr.wrapping_add(8 * n as u64), &words[n..]);
+        }
+    }
+
+    /// What this image changed since `older`, the image it descends
+    /// from: for each page it no longer shares with `older` (it wrote
+    /// the page since, or first wrote it), the 8-byte words that differ.
+    ///
+    /// Only unshared pages are compared, so the cost is that of the
+    /// pages written since. A page `older` does not hold is recorded
+    /// even if every word of it is zero, so [`patch`](Self::patch)
+    /// reproduces the page set too; a rewritten page whose bytes came
+    /// back unchanged is not recorded.
+    ///
+    /// ```
+    /// use rmt_isa::MemImage;
+    ///
+    /// let mut m = MemImage::new();
+    /// m.write_u64(0x1000, 1);
+    /// let older = m.clone();
+    /// m.write_u64(0x1008, 2);
+    /// m.write_u8(0x9000, 0);
+    ///
+    /// let mut forward = older.clone();
+    /// forward.patch(&m.delta_since(&older));
+    /// assert_eq!(forward, m);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if `older` holds a page this image does not:
+    /// images never drop pages, so it is not this image's ancestor.
+    pub fn delta_since(&self, older: &MemImage) -> MemDelta {
+        debug_assert!(
+            older.pages.keys().all(|k| self.pages.contains_key(k)),
+            "delta_since: `older` holds a page this image dropped"
+        );
+        let mut keys: Vec<u64> = self
+            .pages
+            .iter()
+            .filter(|(k, p)| older.pages.get(k).is_none_or(|o| !Arc::ptr_eq(o, p)))
+            .map(|(k, _)| *k)
+            .collect();
+        keys.sort_unstable();
+        let zero = [0u8; PAGE_SIZE];
+        let mut delta = MemDelta::default();
+        for k in keys {
+            let old = older.pages.get(&k);
+            let start = delta.words.len();
+            let words = self.pages[&k].chunks_exact(8);
+            for (i, (n, o)) in words
+                .zip(old.map_or(&zero, |o| &**o).chunks_exact(8))
+                .enumerate()
+            {
+                if n != o {
+                    delta.offsets.push(i as u16);
+                    delta
+                        .words
+                        .push(u64::from_le_bytes(n.try_into().expect("an 8-byte chunk")));
+                }
+            }
+            if old.is_none() || delta.words.len() > start {
+                delta.pages.push((k, delta.words.len() as u32));
+            }
+        }
+        delta.pages.shrink_to_fit();
+        delta.offsets.shrink_to_fit();
+        delta.words.shrink_to_fit();
+        delta
+    }
+
+    /// Moves this image forward by `delta`: applied to the `older` image
+    /// of [`delta_since`](Self::delta_since), it yields the image the
+    /// delta was taken from. Each page the delta touches is looked up
+    /// once, and copied only if this image shares it.
+    pub fn patch(&mut self, delta: &MemDelta) {
+        let mut start = 0;
+        for &(k, end) in &delta.pages {
+            let end = end as usize;
+            let page = self.page_mut(k << PAGE_SHIFT);
+            for (&i, w) in delta.offsets[start..end]
+                .iter()
+                .zip(&delta.words[start..end])
+            {
+                let off = usize::from(i) * 8;
+                page[off..off + 8].copy_from_slice(&w.to_le_bytes());
+            }
+            start = end;
+        }
+    }
+
     /// Reads `bytes` bytes (1 or 8) as a zero-extended value.
     ///
     /// # Panics
@@ -161,6 +280,20 @@ impl MemImage {
         }
         h
     }
+}
+
+/// The words one [`MemImage`] changed since an older one it descends
+/// from, page by page (see [`MemImage::delta_since`] and
+/// [`MemImage::patch`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MemDelta {
+    /// Changed pages in ascending order, each with the end of its words
+    /// in `offsets` and `words`.
+    pages: Vec<(u64, u32)>,
+    /// Each changed word's index within its page.
+    offsets: Vec<u16>,
+    /// Each changed word's new value.
+    words: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -296,6 +429,78 @@ mod tests {
         b.write_u8(9 << PAGE_SHIFT, 1);
         assert_eq!(a.read_u8(9 << PAGE_SHIFT), 0);
         assert_eq!((a.pages.len(), b.pages.len()), (4, 5));
+    }
+
+    #[test]
+    fn write_words_matches_word_by_word_writes() {
+        let page = 1u64 << PAGE_SHIFT;
+        let words: Vec<u64> = (1..=1_100).map(|i| i * 0x0101_0101).collect();
+        // Page-aligned, mid-page, unaligned (every page edge straddled),
+        // and wrapping from the top of the address space to page 0.
+        for addr in [page, page + 8, 3 * page - 16, page + 3, u64::MAX - 999] {
+            for n in [0, 1, 511, 512, 513, words.len()] {
+                let mut each = MemImage::new();
+                for (i, &w) in words[..n].iter().enumerate() {
+                    each.write_u64(addr.wrapping_add(8 * i as u64), w);
+                }
+                let mut at_once = MemImage::new();
+                at_once.write_words(addr, &words[..n]);
+                assert_eq!(at_once, each, "{addr:#x} x{n}");
+            }
+        }
+    }
+
+    /// Checks that patching `older` by `new`'s delta gives `new`, and
+    /// returns the delta.
+    fn patched(older: &MemImage, new: &MemImage) -> MemDelta {
+        let delta = new.delta_since(older);
+        let mut forward = older.clone();
+        forward.patch(&delta);
+        assert_eq!(&forward, new);
+        assert_eq!(forward.digest(), new.digest());
+        delta
+    }
+
+    #[test]
+    fn a_delta_holds_only_the_changed_words_of_unshared_pages() {
+        let mut a = MemImage::new();
+        a.write_words(0, &[7; 1024]); // pages 0 and 1
+        let older = a.clone();
+        a.write_u64(8, 9); // one word of page 0
+        a.write_u64(PAGE_SIZE as u64, 7); // page 1 rewritten, unchanged
+        a.write_u8(5 << PAGE_SHIFT, 0); // page 5 first written, all zero
+        let d = patched(&older, &a);
+        assert_eq!(d.pages, [(0, 1), (5, 1)]);
+        assert_eq!((d.offsets, d.words), (vec![1], vec![9]));
+        // Nothing written since: an empty delta.
+        assert_eq!(patched(&a, &a.clone()), MemDelta::default());
+    }
+
+    #[test]
+    fn patching_forward_reproduces_every_generation() {
+        use rmt_stats::Xoshiro256;
+        for seed in 0..16 {
+            let mut rng = Xoshiro256::seed_from(seed);
+            let mut m = MemImage::new();
+            let mut older = m.clone();
+            let mut cursor = MemImage::new();
+            for _ in 0..12 {
+                for _ in 0..rng.below(200) {
+                    // Few pages, so pages are rewritten and sometimes
+                    // restored; some words straddle pages.
+                    let addr = rng.below(8 << PAGE_SHIFT);
+                    let v = if rng.chance(0.3) { 0 } else { rng.next_u64() };
+                    match rng.below(3) {
+                        0 => m.write_u8(addr, v as u8),
+                        1 => m.write_u64(addr, v),
+                        _ => m.write_u64(addr & !7, older.read_u64(addr & !7)),
+                    }
+                }
+                cursor.patch(&patched(&older, &m));
+                assert_eq!(cursor, m);
+                older = m.clone();
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! any point re-enters the workload with warm-ish caches and predictors
 //! instead of pathologically cold ones.
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, Memory};
 use rmt_core::WarmEvent;
 use rmt_isa::interp::{Interpreter, StopReason};
 use rmt_isa::{MemImage, Op, Program};
@@ -18,6 +18,9 @@ pub struct FastForward<'p> {
     interp: Interpreter<'p>,
     warm: VecDeque<WarmEvent>,
     warm_window: usize,
+    /// The image at the last checkpoint, which the next one is taken
+    /// relative to.
+    last: Option<MemImage>,
 }
 
 impl<'p> FastForward<'p> {
@@ -30,6 +33,7 @@ impl<'p> FastForward<'p> {
             interp: Interpreter::new(program, memory),
             warm: VecDeque::new(),
             warm_window,
+            last: None,
         }
     }
 
@@ -97,18 +101,25 @@ impl<'p> FastForward<'p> {
     /// Snapshots the current architectural state and drains the warming
     /// log: the checkpoint carries the events recorded since the previous
     /// drain (bounded by `warm_window`), packed, and the log restarts
-    /// empty. The checkpoint's image shares its pages with the
-    /// interpreter's until the interpreter next writes them. A
-    /// sampled run taking consecutive draining checkpoints replays the
-    /// whole fast-forward stream exactly once across its windows —
-    /// cumulative warming without re-replaying shared history at every
-    /// window.
+    /// empty. The first checkpoint holds the whole memory image, sharing
+    /// its pages with the interpreter's until the interpreter next writes
+    /// them; each later one holds only the words written since the one
+    /// before it (see [`Checkpoint::advance`]). A sampled run taking
+    /// consecutive draining checkpoints replays the whole fast-forward
+    /// stream exactly once across its windows — cumulative warming
+    /// without re-replaying shared history at every window.
     pub fn take_checkpoint(&mut self) -> Checkpoint {
+        let now = self.interp.mem();
+        let memory = match &self.last {
+            None => Memory::Image(now.clone()),
+            Some(last) => Memory::Delta(now.delta_since(last)),
+        };
+        self.last = Some(now.clone());
         Checkpoint {
             regs: *self.interp.state().regs(),
             pc: self.interp.state().pc(),
             committed: self.interp.committed(),
-            memory: self.interp.mem().clone(),
+            memory,
             warm: self.warm.drain(..).collect(),
         }
     }
@@ -199,15 +210,44 @@ mod tests {
         let mut ff = FastForward::new(&p, MemImage::new(), 8);
         ff.run_to(500).unwrap();
         let cp = ff.take_checkpoint();
-        let digest = cp.memory.digest();
+        let Memory::Image(image) = &cp.memory else {
+            panic!("a first checkpoint holds its image whole");
+        };
+        let digest = image.digest();
         // Iteration 200 stores 1600 at 0x4000 + 1600, on the page the
         // loop has been writing since iteration 0.
         let addr = 0x4000 + 1_600;
         ff.run_to(2_000).unwrap();
         assert_eq!(ff.interp.mem().read_u64(addr), 1_600);
-        assert_eq!(cp.memory.read_u64(addr), 0);
-        assert_eq!(cp.memory.digest(), digest);
-        assert_ne!(ff.take_checkpoint().memory, cp.memory);
+        assert_eq!(image.read_u64(addr), 0);
+        assert_eq!(image.digest(), digest);
+        // The next checkpoint holds the change, which moves a copy of
+        // the image forward and leaves the image itself alone.
+        let mut forward = image.clone();
+        ff.take_checkpoint().advance(&mut forward);
+        assert_eq!(&forward, ff.interp.mem());
+        assert_eq!(forward.read_u64(addr), 1_600);
+        assert_eq!(image.digest(), digest);
+    }
+
+    #[test]
+    fn patching_forward_reproduces_every_checkpoint_image() {
+        use rmt_stats::Xoshiro256;
+        let p = busy_program();
+        for seed in 0..8 {
+            let mut rng = Xoshiro256::seed_from(seed);
+            let mut ff = FastForward::new(&p, MemImage::new(), 16);
+            let mut image = MemImage::new();
+            let mut target = 0;
+            for _ in 0..10 {
+                // Gaps of every length, empty ones included.
+                target += rng.below(3_000);
+                ff.run_to(target).unwrap();
+                ff.take_checkpoint().advance(&mut image);
+                assert_eq!(&image, ff.interp.mem(), "seed {seed} at {target}");
+                assert_eq!(image.digest(), ff.interp.mem().digest());
+            }
+        }
     }
 
     #[test]

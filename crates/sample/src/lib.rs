@@ -13,13 +13,17 @@
 //! harness in `rmt-sim` composes it with the detailed `Machine` fabric:
 //!
 //! * [`checkpoint::Checkpoint`] — an architectural snapshot (registers +
-//!   PC + memory image + a bounded functional-warming log), so a workload
-//!   is fast-forwarded once and re-entered at any sample point by any
+//!   PC + memory + a bounded functional-warming log), so a workload is
+//!   fast-forwarded once and re-entered at any sample point by any
 //!   device kind. Checkpoints stay in memory: `rmt-sim` hands a run its
 //!   ladder of them directly. As with live-points (Wenisch et al.,
 //!   ISPASS 2006), a checkpoint stores only what its window needs,
-//!   compactly: its image shares every page the fast-forward left
-//!   unchanged, and its log is a [`WarmLog`] of one tag byte per event.
+//!   compactly. A ladder's first checkpoint holds its memory image whole;
+//!   every later one holds only the words the fast-forward changed since
+//!   the one before it ([`rmt_isa::MemDelta`]), and a run walks the
+//!   ladder in order with [`Checkpoint::advance`]. Each log is a
+//!   [`WarmLog`]: straight-line fetches folded into the next event's
+//!   tag byte, and addresses stored as varint deltas.
 //! * [`fastfwd::FastForward`] — the functional fast-forward engine: it
 //!   drives the `rmt-isa` reference interpreter between detailed windows
 //!   while recording the recent instruction/data/branch activity that

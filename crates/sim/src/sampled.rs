@@ -30,7 +30,7 @@ use crate::experiment::{
     cycle_budget, run_windows, unverified, DeviceKind, Experiment, SimError, VerifyError,
 };
 use rmt_core::device::LogicalThread;
-use rmt_isa::Program;
+use rmt_isa::{MemImage, Program};
 use rmt_sample::{Checkpoint, FastForward, SamplePlan};
 use rmt_stats::{mean_ci95, Estimate};
 use rmt_workloads::Workload;
@@ -61,14 +61,15 @@ pub struct SampledResult {
 /// re-enters. Any [`DeviceKind`] with the same `(benchmarks, seed,
 /// warmup, measure)` can consume the same ladder, so grid figures
 /// generate it once per benchmark and share it across device columns.
-/// Its checkpoints hold each byte once: their images share every page
-/// the fast-forward did not write between them, and their warming logs
-/// are packed ([`rmt_sample::WarmLog`]).
+/// Its checkpoints keep what each gap changed, not copies: each thread's
+/// first checkpoint holds its memory image whole and every later one
+/// only the words written since the one before it, and their warming
+/// logs are packed ([`rmt_sample::WarmLog`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointLadder {
     /// `windows[w][t]`: the draining checkpoint thread `t` re-enters for
-    /// window `w` (its warm log covers the fast-forward gap since the
-    /// previous checkpoint).
+    /// window `w` (its warm log and memory cover the fast-forward gap
+    /// since the previous checkpoint, so windows are entered in order).
     pub windows: Vec<Vec<Checkpoint>>,
     /// The per-thread programs (so consumers skip regenerating the whole
     /// workload — the memory images live in the checkpoints).
@@ -203,32 +204,41 @@ impl Experiment {
         assert_eq!(cps.len(), positions.len(), "ladder does not match plan");
         let n = self.benchmarks.len();
         let copies = self.kind().copies();
+        // Each thread's memory at the current window: the first checkpoint
+        // holds it whole, and each later one moves it forward.
+        let mut images = vec![MemImage::new(); n];
+        for (cp, image) in cps[0].iter().zip(&mut images) {
+            cp.advance(image);
+        }
         // One machine serves every window (SMARTS-style): between windows
         // only the architectural state moves to the next checkpoint, so
         // caches and predictors accumulate warmth across the whole run
         // instead of restarting cold each window.
-        let threads = cps[0]
+        let threads = images
             .iter()
             .zip(&ladder.programs)
-            .map(|(cp, p)| LogicalThread::new(Rc::new(p.clone()), cp.memory.clone()))
+            .map(|(image, p)| LogicalThread::new(Rc::new(p.clone()), image.clone()))
             .collect();
         let (mut device, mut oracle) = self.device_and_oracle(threads, verify);
         let mut window_ipc: Vec<Vec<f64>> = vec![Vec::with_capacity(positions.len()); n];
         for (wi, (cps_w, &position)) in cps.iter().zip(&positions).enumerate() {
-            for (t, cp) in cps_w.iter().enumerate() {
+            for (t, (cp, image)) in cps_w.iter().zip(&mut images).enumerate() {
+                if wi > 0 {
+                    cp.advance(image);
+                }
                 for logical in t * copies..(t + 1) * copies {
                     if let Some(o) = oracle.as_mut() {
                         // The reference lane moves to the same checkpoint
                         // the device re-enters (at window 0 this is the
                         // state the device was just built from, so the
                         // reseed is the identity there).
-                        o.reseed(logical, cp.memory.clone(), &cp.regs, cp.pc, cp.committed);
+                        o.reseed(logical, image.clone(), &cp.regs, cp.pc, cp.committed);
                     }
                     if wi > 0 {
                         // Move this copy to the window's checkpoint: new
                         // memory (sphere-crossing queues dropped), then
                         // registers and PC.
-                        device.install_image(logical, &cp.memory);
+                        device.install_image(logical, image);
                         device.restore_arch(logical, &cp.regs, cp.pc);
                     } else if cp.committed > 0 {
                         // An entry-state checkpoint (committed 0) is
@@ -292,6 +302,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmt_isa::interp::Interpreter;
     use rmt_sample::SampleMode;
     use rmt_workloads::Benchmark;
 
@@ -377,6 +388,41 @@ mod tests {
                 own.window_ipc[0].iter().all(|&ipc| ipc > 0.0),
                 "{kind}: a re-entered window made no progress"
             );
+        }
+    }
+
+    #[test]
+    fn real_ladders_patch_forward_to_the_interpreters_images() {
+        // Walking a ladder in order must rebuild, at every checkpoint,
+        // exactly the image the reference interpreter holds there: the
+        // same pages with the same bytes, and the same digest.
+        let scale = crate::SimScale::full();
+        for b in [Benchmark::M88ksim, Benchmark::Swim] {
+            for windows in [8, 32] {
+                let plan = SamplePlan {
+                    windows,
+                    ..SamplePlan::default()
+                };
+                let ladder = Experiment::new(DeviceKind::Base)
+                    .benchmark(b)
+                    .seed(scale.seed)
+                    .warmup(scale.warmup)
+                    .measure(scale.measure)
+                    .sample_checkpoints(&plan)
+                    .unwrap();
+                let w = Workload::generate(b, scale.seed);
+                let mut interp = Interpreter::new(&w.program, w.memory);
+                let mut image = MemImage::new();
+                for cps in &ladder.windows {
+                    let cp = &cps[0];
+                    while interp.committed() < cp.committed {
+                        interp.step().unwrap();
+                    }
+                    cp.advance(&mut image);
+                    assert!(&image == interp.mem(), "{b} x{windows} at {}", cp.committed);
+                    assert_eq!(image.digest(), interp.mem().digest());
+                }
+            }
         }
     }
 

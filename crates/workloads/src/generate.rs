@@ -81,7 +81,11 @@ impl Workload {
 }
 
 /// Initializes the working-set region: a data half with parity-biased
-/// values (branch predictability knob) and a pointer-chase ring.
+/// values (branch predictability knob) and a pointer-chase ring. Each
+/// region is built as words and written a page at a time, and generation
+/// holds no more region-sized buffers at once than writing word by word
+/// did: the data is freed before the ring is built, and the ring is built
+/// in the permutation's own buffer.
 fn build_memory(profile: &Profile, benchmark: Benchmark, seed: u64) -> MemImage {
     let mut rng = Xoshiro256::seed_from(seed ^ 0xda7a ^ benchmark.id());
     let mut mem = MemImage::new();
@@ -89,34 +93,44 @@ fn build_memory(profile: &Profile, benchmark: Benchmark, seed: u64) -> MemImage 
     let data_slots = data_bytes / 8;
     // Data region: values whose low bit is biased toward 0 with probability
     // `branch_bias` — `branchy` kernels branch on that bit.
-    for i in 0..data_slots {
-        let mut v = rng.next_u64();
-        if rng.chance(profile.branch_bias) {
-            v &= !1;
-        } else {
-            v |= 1;
-        }
-        mem.write_u64(DATA_BASE + i * 8, v);
-    }
-    // Chase ring: a single permutation cycle (Sattolo's algorithm) over the
-    // ring region above the data region, stored as *relative* slot indices
-    // so the chase kernel can mask every loaded index back in-bounds.
-    let n = data_slots.max(2);
-    let ring_base = DATA_BASE + data_bytes;
-    let mut perm: Vec<u64> = (0..n).collect();
-    let mut i = n as usize - 1;
-    while i > 0 {
-        let j = rng.below(i as u64) as usize;
-        perm.swap(i, j);
-        i -= 1;
-    }
-    // next[perm[k]] = perm[k+1] forms one cycle.
-    for k in 0..n as usize {
-        let from = perm[k];
-        let to = perm[(k + 1) % n as usize];
-        mem.write_u64(ring_base + from * 8, to);
-    }
+    let data: Vec<u64> = (0..data_slots)
+        .map(|_| {
+            let v = rng.next_u64();
+            if rng.chance(profile.branch_bias) {
+                v & !1
+            } else {
+                v | 1
+            }
+        })
+        .collect();
+    mem.write_words(DATA_BASE, &data);
+    drop(data);
+    let ring = chase_ring(&mut rng, data_slots.max(2) as usize);
+    mem.write_words(DATA_BASE + data_bytes, &ring);
     mem
+}
+
+/// A single permutation cycle over `n` slots (Sattolo's algorithm), as
+/// each slot's successor: *relative* slot indices, so the chase kernel
+/// can mask every loaded index back in-bounds.
+fn chase_ring(rng: &mut Xoshiro256, n: usize) -> Vec<u64> {
+    assert!(n as u64 <= 1 << 32, "a chase ring of {n} slots");
+    let mut slots: Vec<u64> = (0..n as u64).collect();
+    for i in (1..n).rev() {
+        let j = rng.below(i as u64) as usize;
+        slots.swap(i, j);
+    }
+    // next[perm[k]] = perm[k+1] forms one cycle. The permutation stays in
+    // the low halves while the successors gather in the high halves.
+    for k in 0..n {
+        let from = slots[k] as u32 as usize;
+        let to = slots[(k + 1) % n] as u32;
+        slots[from] |= u64::from(to) << 32;
+    }
+    for s in &mut slots {
+        *s >>= 32;
+    }
+    slots
 }
 
 struct Generator<'a> {
@@ -487,6 +501,50 @@ mod tests {
     use crate::profile::ALL_BENCHMARKS;
     use rmt_isa::interp::Interpreter;
     use rmt_isa::Op;
+
+    /// `build_memory` as it was written word by word: every word through
+    /// `write_u64`, the ring in permutation order.
+    fn memory_word_by_word(profile: &Profile, benchmark: Benchmark, seed: u64) -> MemImage {
+        let mut rng = Xoshiro256::seed_from(seed ^ 0xda7a ^ benchmark.id());
+        let mut mem = MemImage::new();
+        let data_bytes = data_region_bytes(profile.working_set);
+        let data_slots = data_bytes / 8;
+        for i in 0..data_slots {
+            let mut v = rng.next_u64();
+            if rng.chance(profile.branch_bias) {
+                v &= !1;
+            } else {
+                v |= 1;
+            }
+            mem.write_u64(DATA_BASE + i * 8, v);
+        }
+        let n = data_slots.max(2);
+        let ring_base = DATA_BASE + data_bytes;
+        let mut perm: Vec<u64> = (0..n).collect();
+        let mut i = n as usize - 1;
+        while i > 0 {
+            let j = rng.below(i as u64) as usize;
+            perm.swap(i, j);
+            i -= 1;
+        }
+        for k in 0..n as usize {
+            mem.write_u64(ring_base + perm[k] * 8, perm[(k + 1) % n as usize]);
+        }
+        mem
+    }
+
+    #[test]
+    fn memory_written_a_page_at_a_time_equals_word_by_word() {
+        for &b in ALL_BENCHMARKS.iter() {
+            for seed in [1, 2] {
+                let m = build_memory(&b.profile(), b, seed);
+                assert!(
+                    m == memory_word_by_word(&b.profile(), b, seed),
+                    "{b} seed {seed}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -87,9 +87,15 @@ section "smoke: sampled figure run (quick scale, 2 workers), bitwise"
 # The sampled path exercises checkpointing, functional fast-forward and
 # warm replay end to end; a blow-up in any of them shows first as runtime,
 # and any change to a sampled window shows in the committed document.
+# The 32-window run pins the case whose checkpoint ladder keeps the most
+# deltas (each checkpoint after a ladder's first is its change from the
+# one before it).
 sample_start=$SECONDS
 cargo run --release -p rmt-bench --bin figure -- fig6_srt_single \
     --quick --jobs 2 --sample --json "$tmpdir/fig6_sampled.json"
+cargo run --release -p rmt-bench --bin figure -- fig6_srt_single \
+    --quick --jobs 2 --sample --set sample.windows=32 \
+    --json "$tmpdir/fig6_sampled_w32.json" > /dev/null
 sample_elapsed=$((SECONDS - sample_start))
 echo "  [sampled smoke took ${sample_elapsed}s; budget 120s]"
 if [ "$sample_elapsed" -gt 120 ]; then
@@ -98,6 +104,8 @@ if [ "$sample_elapsed" -gt 120 ]; then
 fi
 cargo run --release -p rmt-bench --bin check_json -- \
     --compare results/fig6_sampled_quick.json "$tmpdir/fig6_sampled.json"
+cargo run --release -p rmt-bench --bin check_json -- \
+    --compare results/fig6_sampled_quick_w32.json "$tmpdir/fig6_sampled_w32.json"
 
 section "smoke: machine-readable results (--json round trip)"
 cargo run --release -p rmt-bench --bin figure -- fig6_srt_single \
@@ -224,7 +232,7 @@ section "schema: every committed figure document carries a valid config"
 # sections, no unknown keys) on every committed golden.
 cargo run --release -p rmt-bench --bin check_json -- \
     results/fig6_srt_single.json results/fig6_epoch.json \
-    results/fig6_sampled_quick.json \
+    results/fig6_sampled_quick.json results/fig6_sampled_quick_w32.json \
     results/fault_forensics.json results/sampling_validation.json \
     results/sensitivity_slack_sq.json results/serve_roundtrip.json \
     results/aggregate.json
