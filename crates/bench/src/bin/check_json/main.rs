@@ -13,8 +13,9 @@
 //!   the required `config` section (strict [`rmt_core::MachineSpec`]
 //!   round-trip) and the issue-slot conservation invariant inside every
 //!   embedded metric snapshot (each core's attributed slots must total
-//!   exactly `8 × cycles`);
-//! * `rmt-serve/v1` — an `rmt-serve` response envelope: well-formed
+//!   exactly `issue_width × cycles`, the width taken from that `config`);
+//! * `rmt-serve/v1` — an `rmt-serve` response envelope (its exact key
+//!   set, like every service and cluster document): well-formed
 //!   digest that **recomputes** from the echoed canonical request, a
 //!   coherent `cache_hit`/`job`/`status` combination, and (for cache
 //!   hits) a valid embedded run or sweep result document;
@@ -44,7 +45,9 @@ mod cluster;
 mod service;
 
 use cluster::check_cluster_envelope;
+use rmt_core::MachineSpec;
 use rmt_stats::cli::{self, Args};
+use rmt_stats::fields::Fields;
 use rmt_stats::json::parse;
 use rmt_stats::Json;
 use service::{check_envelope, check_service_result};
@@ -64,168 +67,122 @@ const SLOT_COUNTERS: [&str; 7] = [
     "sphere_wait",
 ];
 
-fn check_snapshot(key: &str, snap: &Json) -> Result<(), String> {
-    let members = snap
-        .members()
-        .ok_or_else(|| format!("metrics[{key}] is not an object"))?;
-    let mut cores = 0;
-    for (name, _) in members {
-        let Some(prefix) = name.strip_suffix("/slots/issued") else {
-            continue;
-        };
-        cores += 1;
-        let cycles = snap
-            .get(&format!("{prefix}/cycles"))
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("metrics[{key}]: missing `{prefix}/cycles`"))?;
+/// Issue-slot conservation inside the metric snapshot `snap` of `cell`:
+/// each core's attributed slots total exactly `width × cycles`, `width`
+/// being the `core.issue_width` of the document's `config`.
+fn check_snapshot(snap: &mut Fields, cell: &str, width: u64) -> Result<(), String> {
+    let cores: Vec<&str> = snap
+        .keys()
+        .into_iter()
+        .filter_map(|name| name.strip_suffix("/slots/issued"))
+        .collect();
+    if cores.is_empty() {
+        return Err(format!(
+            "metrics[{cell}]: no per-core slot accounting found"
+        ));
+    }
+    for prefix in cores {
+        let cycles = snap.u64(&format!("{prefix}/cycles"))?;
         let mut total = 0u64;
         for slot in SLOT_COUNTERS {
-            total += snap
-                .get(&format!("{prefix}/slots/{slot}"))
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("metrics[{key}]: missing `{prefix}/slots/{slot}`"))?;
+            total += snap.u64(&format!("{prefix}/slots/{slot}"))?;
         }
-        if total != 8 * cycles {
+        if total != width * cycles {
             return Err(format!(
-                "metrics[{key}]: `{prefix}` slot conservation violated: \
+                "metrics[{cell}]: `{prefix}` slot conservation violated: \
                  {total} attributed slots over {cycles} cycles (want {})",
-                8 * cycles
+                width * cycles
             ));
         }
-    }
-    if cores == 0 {
-        return Err(format!("metrics[{key}]: no per-core slot accounting found"));
     }
     Ok(())
 }
 
-/// A time series is `{"every": u64 >= 1, "epochs": [snapshot, ...]}`.
-/// Each epoch delta is a snapshot object whose members are numbers
-/// (counters, gauges) or histogram-summary objects; every epoch must
-/// cover exactly `every` device cycles — the cycle alignment that makes
-/// the series `--jobs`-invariant.
-fn check_timeseries(key: &str, series: &Json) -> Result<(), String> {
-    let every = series
-        .get("every")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("timeseries[{key}]: missing `every`"))?;
-    if every == 0 {
-        return Err(format!("timeseries[{key}]: `every` must be >= 1"));
+/// A time series is `{"every": u64, "epochs": [snapshot, ...]}`, `every`
+/// at least 1 unless `may_be_off` (a run that did not sample writes 0 and
+/// no epochs). Each epoch delta is a snapshot object whose members are
+/// numbers (counters, gauges) or histogram-summary objects; every epoch
+/// must cover exactly `every` device cycles — the cycle alignment that
+/// makes the series `--jobs`-invariant.
+fn check_timeseries(mut series: Fields, may_be_off: bool) -> Result<(), String> {
+    let every = series.u64("every")?;
+    if every == 0 && !may_be_off {
+        return Err(series.invalid("every", "must be at least 1").into());
     }
-    let epochs = series
-        .get("epochs")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("timeseries[{key}]: `epochs` is not an array"))?;
-    for (i, epoch) in epochs.iter().enumerate() {
-        let members = epoch
-            .members()
-            .ok_or_else(|| format!("timeseries[{key}]: epoch {i} is not an object"))?;
-        for (metric, v) in members {
+    series.objects("epochs", |mut epoch| {
+        for metric in epoch.keys() {
+            let v = epoch.value(metric)?;
             if v.as_f64().is_none() && v.members().is_none() {
-                return Err(format!(
-                    "timeseries[{key}]: epoch {i} metric `{metric}` is neither \
-                     a number nor a histogram summary"
-                ));
+                let rule = "is neither a number nor a histogram summary";
+                return Err(epoch.invalid(metric, rule));
             }
         }
-        let cycles = epoch.get("device/cycles").and_then(Json::as_u64);
-        if cycles != Some(every) {
-            return Err(format!(
-                "timeseries[{key}]: epoch {i} covers {cycles:?} device cycles, want {every}"
-            ));
+        let cycles = epoch.u64("device/cycles")?;
+        if cycles != every {
+            let rule = format!("covers {cycles} device cycles, want {every}");
+            return Err(epoch.invalid("device/cycles", rule));
         }
-    }
-    Ok(())
+        Ok(())
+    })?;
+    Ok(series.finish()?)
+}
+
+/// The `config` section `key` of `f`, strictly decoded.
+fn check_config(f: &mut Fields, key: &str) -> Result<MachineSpec, String> {
+    MachineSpec::from_json(f.value(key)?).map_err(|e| format!("invalid `{}`: {e}", f.path(key)))
 }
 
 fn check_file(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    match doc.get("schema").and_then(Json::as_str) {
+    let doc = load(path)?;
+    let mut f = Fields::new(&doc)?;
+    match f.opt("schema", Fields::str)? {
         // Untagged documents are either figure documents or bare service
         // results (what `/v1/results/<digest>` serves) — the latter carry
         // a `type` discriminant, figures never do.
-        None => match doc.get("type").and_then(Json::as_str) {
-            Some("run" | "sweep") => check_service_result(&doc),
-            _ => check_figure(&doc),
-        },
-        Some("rmt-serve/v1") => check_envelope(&doc),
-        Some("rmt-cluster/v1") => check_cluster_envelope(&doc),
+        None if f.has("type") => check_service_result(f),
+        None => check_figure(f),
+        Some("rmt-serve/v1") => check_envelope(f),
+        Some("rmt-cluster/v1") => check_cluster_envelope(f),
         Some(other) => Err(format!("unknown document schema `{other}`")),
     }
 }
 
-fn check_figure(doc: &Json) -> Result<(), String> {
-    for key in [
-        "title",
-        "paper",
-        "scale",
-        "benches",
-        "config",
-        "table",
-        "summary",
-        "metrics",
-        "timeseries",
-        "host",
-    ] {
-        doc.get(key).ok_or_else(|| format!("missing `{key}`"))?;
+/// A figure document. It may carry extra top-level sections (a figure's
+/// own, such as fault forensics), so unknown keys are not refused here.
+fn check_figure(mut f: Fields) -> Result<(), String> {
+    for key in ["title", "paper", "scale", "benches"] {
+        f.value(key)?;
     }
     // The resolved machine spec must strictly round-trip through the
     // config codec: every section present, no unknown keys, every value
     // well-typed. This is the gate that keeps committed results
     // self-describing.
-    rmt_core::MachineSpec::from_json(doc.get("config").expect("checked"))
-        .map_err(|e| format!("invalid `config`: {e}"))?;
-    let table = doc.get("table").expect("checked");
-    let cols = table
-        .get("columns")
-        .and_then(Json::as_array)
-        .ok_or("`table.columns` is not an array")?;
-    let rows = table
-        .get("rows")
-        .and_then(Json::as_array)
-        .ok_or("`table.rows` is not an array")?;
-    for (i, row) in rows.iter().enumerate() {
-        let cells = row
-            .as_array()
-            .ok_or_else(|| format!("`table.rows[{i}]` is not an array"))?;
-        if cells.len() != cols.len() {
-            return Err(format!(
-                "`table.rows[{i}]` has {} cells for {} columns",
-                cells.len(),
-                cols.len()
-            ));
+    let width = check_config(&mut f, "config")?.core.issue_width as u64;
+    let mut table = f.object("table")?;
+    let columns = table.array("columns")?.len();
+    for (i, row) in table.array("rows")?.iter().enumerate() {
+        match row.as_array() {
+            Some(cells) if cells.len() == columns => {}
+            Some(cells) => {
+                return Err(format!(
+                    "`table.rows[{i}]` has {} cells for {columns} columns",
+                    cells.len()
+                ))
+            }
+            None => return Err(format!("`table.rows[{i}]` is not an array")),
         }
     }
-    for (k, v) in doc
-        .get("summary")
-        .and_then(Json::members)
-        .ok_or("`summary` is not an object")?
-    {
-        v.as_f64()
-            .ok_or_else(|| format!("`summary.{k}` is not a number"))?;
-    }
-    for (k, snap) in doc
-        .get("metrics")
-        .and_then(Json::members)
-        .ok_or("`metrics` is not an object")?
-    {
-        check_snapshot(k, snap)?;
-    }
-    for (k, series) in doc
-        .get("timeseries")
-        .and_then(Json::members)
-        .ok_or("`timeseries` is not an object")?
-    {
-        check_timeseries(k, series)?;
-    }
-    let host = doc.get("host").expect("checked");
-    host.get("wall_seconds")
-        .and_then(Json::as_f64)
-        .ok_or("`host.wall_seconds` is not a number")?;
-    host.get("sim_cycles")
-        .and_then(Json::as_u64)
-        .ok_or("`host.sim_cycles` is not a u64")?;
+    table.finish()?;
+    f.members("summary", Fields::f64)?;
+    f.members("metrics", |m, cell| {
+        check_snapshot(&mut m.object(cell)?, cell, width)
+    })?;
+    f.members("timeseries", |m, key| {
+        check_timeseries(m.object(key)?, false)
+    })?;
+    let mut host = f.object("host")?;
+    host.f64("wall_seconds")?;
+    host.u64("sim_cycles")?;
     Ok(())
 }
 
@@ -300,21 +257,18 @@ fn compare_serve_cell(
     served_path: &str,
 ) -> Result<Vec<String>, String> {
     let figure = load(figure_path)?;
-    let expected = figure
-        .get("metrics")
-        .and_then(|m| m.get(cell))
-        .ok_or_else(|| format!("{figure_path} has no metrics cell `{cell}`"))?;
+    let expected = Fields::new(&figure)?
+        .object("metrics")?
+        .value(cell)
+        .map_err(|_| format!("{figure_path} has no metrics cell `{cell}`"))?;
     let served = load(served_path)?;
-    let result = if served.get("schema").is_some() {
-        served
-            .get("result")
-            .ok_or_else(|| format!("{served_path} is an envelope without an embedded result"))?
+    let mut envelope = Fields::new(&served)?;
+    let result = if envelope.has("schema") {
+        envelope.value("result")?
     } else {
         &served
     };
-    let got = result
-        .get("metrics")
-        .ok_or_else(|| format!("{served_path} result lacks `metrics`"))?;
+    let got = Fields::new(result)?.value("metrics")?;
     let mut drifts = Vec::new();
     diff_value(&format!("metrics[{cell}]"), expected, got, &mut drifts);
     Ok(drifts)
@@ -424,6 +378,55 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<Mode, String> {
         parse_args(Args::new(args.iter().copied()))
+    }
+
+    /// A figure document of one 10-cycle core on a `width`-wide machine
+    /// that attributed `slots` issue slots, written to a file.
+    fn figure_file(width: u64, slots: u64) -> String {
+        let mut spec = MachineSpec::default();
+        spec.set("core.issue_width", Json::U64(width)).unwrap();
+        let mut snap = Json::obj().with("core0/cycles", Json::U64(10));
+        for slot in SLOT_COUNTERS {
+            let n = if slot == "issued" { slots } else { 0 };
+            snap.set(&format!("core0/slots/{slot}"), Json::U64(n));
+        }
+        let table = Json::obj()
+            .with("columns", Json::Arr(vec![]))
+            .with("rows", Json::Arr(vec![]));
+        let host = Json::obj()
+            .with("wall_seconds", Json::F64(1.0))
+            .with("sim_cycles", Json::U64(10));
+        let doc = Json::obj()
+            .with("title", Json::Str("t".into()))
+            .with("paper", Json::Str("p".into()))
+            .with("scale", Json::Str("quick".into()))
+            .with("benches", Json::Arr(vec![]))
+            .with("table", table)
+            .with("summary", Json::obj())
+            .with("metrics", Json::obj().with("m88ksim/Base", snap))
+            .with("timeseries", Json::obj())
+            .with("config", spec.to_json())
+            .with("host", host);
+        let path = std::env::temp_dir().join(format!(
+            "check_json_w{width}_s{slots}_{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, doc.encode_pretty()).unwrap();
+        path.to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn slot_conservation_takes_the_width_from_the_config() {
+        for (width, slots, ok) in [(4, 40, true), (4, 80, false), (8, 80, true), (8, 40, false)] {
+            let path = figure_file(width, slots);
+            let checked = check_file(&path);
+            std::fs::remove_file(&path).unwrap();
+            assert_eq!(
+                checked.is_ok(),
+                ok,
+                "{width} wide, {slots} slots: {checked:?}"
+            );
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@ use crate::metrics::{cluster_section, ClusterTotals};
 use crate::pool::{probe_loop, Worker};
 use rmt_serve::client::{Client, Response};
 use rmt_sim::service::{ClusterPlan, ServiceRequest};
+use rmt_stats::fields::Fields;
 use rmt_stats::json::parse;
 use rmt_stats::Json;
 use std::collections::{HashMap, VecDeque};
@@ -218,20 +219,10 @@ enum Attempt {
     Abandoned,
 }
 
-fn attempt_err(message: impl Into<String>) -> Attempt {
-    Attempt::Err {
-        message: message.into(),
-        timeout: false,
-    }
-}
-
 /// Verifies the echoed request reproduces the unit digest — the
 /// acceptance gate every result passes before it can win a cell.
-fn verify_echo(envelope: &Json, digest: &str) -> Result<(), String> {
-    let echoed = envelope
-        .get("request")
-        .ok_or("worker response lacks the echoed request")?;
-    let recomputed = ServiceRequest::from_json(echoed)
+fn verify_echo(envelope: &mut Fields, digest: &str) -> Result<(), String> {
+    let recomputed = ServiceRequest::from_json(envelope.value("request")?)
         .map_err(|e| format!("echoed request is invalid: {e}"))?
         .digest();
     if recomputed != digest {
@@ -249,54 +240,36 @@ fn parse_body(resp: &Response) -> Result<Json, String> {
 /// Runs one unit on one worker: submit, (poll, fetch) on a queue miss,
 /// verify the echoed digest either way. `abandon` is polled between
 /// status checks so a straggler attempt stops once another worker's
-/// result already won the cell.
+/// result already won the cell. Every failure but a timeout is an error.
 fn run_attempt(
     client: &mut Client,
     unit: &Unit,
     deadline: Instant,
     abandon: &dyn Fn() -> bool,
-) -> Attempt {
-    let resp = match client.post("/v1/run", unit.payload.as_bytes()) {
-        Ok(r) => r,
-        Err(e) => return attempt_err(format!("submit failed: {e}")),
-    };
+) -> Result<Attempt, String> {
+    let resp = client
+        .post("/v1/run", unit.payload.as_bytes())
+        .map_err(|e| format!("submit failed: {e}"))?;
     match resp.status {
-        200 => {
-            let envelope = match parse_body(&resp) {
-                Ok(d) => d,
-                Err(e) => return attempt_err(e),
-            };
-            if let Err(e) = verify_echo(&envelope, &unit.digest) {
-                return attempt_err(e);
-            }
-            match envelope.get("result") {
-                Some(result) => Attempt::Ok {
-                    result: result.clone(),
-                    cache_hit: true,
-                },
-                None => attempt_err("cache-hit envelope lacks a result"),
-            }
-        }
-        202 => {
-            let envelope = match parse_body(&resp) {
-                Ok(d) => d,
-                Err(e) => return attempt_err(e),
-            };
-            if let Err(e) = verify_echo(&envelope, &unit.digest) {
-                return attempt_err(e);
-            }
-            let Some(job) = envelope.get("job").and_then(Json::as_str) else {
-                return attempt_err("queued envelope lacks a job id");
-            };
-            let hint = resp
-                .retry_after_ms
-                .or_else(|| envelope.get("retry_after_ms").and_then(Json::as_u64))
-                .unwrap_or(100);
-            poll_and_fetch(client, unit, job, hint, deadline, abandon)
-        }
-        503 => attempt_err("worker refused intake (queue full or draining)"),
-        s => attempt_err(format!("submit answered {s}: {}", resp.text())),
+        200 | 202 => {}
+        503 => return Err("worker refused intake (queue full or draining)".into()),
+        s => return Err(format!("submit answered {s}: {}", resp.text())),
     }
+    let envelope = parse_body(&resp)?;
+    let mut f = Fields::new(&envelope)?;
+    verify_echo(&mut f, &unit.digest)?;
+    if resp.status == 200 {
+        let result = f.value("result")?.clone();
+        return Ok(Attempt::Ok {
+            result,
+            cache_hit: true,
+        });
+    }
+    let hint = match resp.retry_after_ms {
+        Some(ms) => ms,
+        None => f.u64("retry_after_ms")?,
+    };
+    poll_and_fetch(client, unit, f.str("job")?, hint, deadline, abandon)
 }
 
 fn poll_and_fetch(
@@ -306,55 +279,45 @@ fn poll_and_fetch(
     retry_after_ms: u64,
     deadline: Instant,
     abandon: &dyn Fn() -> bool,
-) -> Attempt {
+) -> Result<Attempt, String> {
     let pause = Duration::from_millis(retry_after_ms.clamp(20, 1_000));
     loop {
         if abandon() {
-            return Attempt::Abandoned;
+            return Ok(Attempt::Abandoned);
         }
         if Instant::now() >= deadline {
-            return Attempt::Err {
+            return Ok(Attempt::Err {
                 message: "attempt deadline exceeded while polling".into(),
                 timeout: true,
-            };
+            });
         }
-        let resp = match client.get(&format!("/v1/jobs/{job}")) {
-            Ok(r) => r,
-            Err(e) => return attempt_err(format!("poll failed: {e}")),
-        };
+        let resp = client
+            .get(&format!("/v1/jobs/{job}"))
+            .map_err(|e| format!("poll failed: {e}"))?;
         if resp.status != 200 {
-            return attempt_err(format!("job vanished mid-poll ({})", resp.status));
+            return Err(format!("job vanished mid-poll ({})", resp.status));
         }
-        let doc = match parse_body(&resp) {
-            Ok(d) => d,
-            Err(e) => return attempt_err(e),
-        };
-        match doc.get("status").and_then(Json::as_str) {
-            Some("done") => break,
-            Some("failed") => {
-                let why = doc
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown error");
-                return attempt_err(format!("simulation failed on worker: {why}"));
+        let doc = parse_body(&resp)?;
+        let mut status = Fields::new(&doc)?;
+        match status.str("status")? {
+            "done" => break,
+            "failed" => {
+                let why = status.str("error")?;
+                return Err(format!("simulation failed on worker: {why}"));
             }
             _ => std::thread::sleep(pause),
         }
     }
-    let resp = match client.get(&format!("/v1/results/{}", unit.digest)) {
-        Ok(r) => r,
-        Err(e) => return attempt_err(format!("result fetch failed: {e}")),
-    };
+    let resp = client
+        .get(&format!("/v1/results/{}", unit.digest))
+        .map_err(|e| format!("result fetch failed: {e}"))?;
     if resp.status != 200 {
-        return attempt_err(format!("result fetch answered {}", resp.status));
+        return Err(format!("result fetch answered {}", resp.status));
     }
-    match parse_body(&resp) {
-        Ok(result) => Attempt::Ok {
-            result,
-            cache_hit: false,
-        },
-        Err(e) => attempt_err(e),
-    }
+    Ok(Attempt::Ok {
+        result: parse_body(&resp)?,
+        cache_hit: false,
+    })
 }
 
 /// One driver slot: pull-execute-report until the run finishes.
@@ -375,12 +338,14 @@ fn driver_loop(ctl: &Ctl, worker: &Worker, units: &[Unit], opts: &ClusterOptions
             let state = ctl.state.lock().expect("cluster state poisoned");
             state.fatal.is_some() || state.done.contains_key(&index)
         };
-        let outcome = run_attempt(
-            &mut client,
-            &units[index],
-            started + opts.attempt_timeout,
-            &abandon,
-        );
+        let deadline = started + opts.attempt_timeout;
+        let outcome =
+            run_attempt(&mut client, &units[index], deadline, &abandon).unwrap_or_else(|message| {
+                Attempt::Err {
+                    message,
+                    timeout: false,
+                }
+            });
         let mut state = ctl.state.lock().expect("cluster state poisoned");
         if let Some(n) = state.inflight.get_mut(&index) {
             *n = n.saturating_sub(1);

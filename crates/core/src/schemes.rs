@@ -47,7 +47,7 @@ impl Machine<IndependentScheme> {
     /// Panics if more threads are supplied than hardware contexts exist.
     pub fn independent(spec: &MachineSpec, threads: Vec<LogicalThread>) -> Self {
         assert!(
-            threads.len() <= spec.core.max_threads,
+            threads.len() <= spec.max_programs() * spec.kind().copies(),
             "too many logical threads for one core"
         );
         let mut env = IndependentEnv::new(threads.iter().map(|t| t.memory.clone()).collect());
@@ -190,25 +190,14 @@ impl RmtScheme {
         topo: Topology,
     ) -> (Vec<Core>, RmtScheme) {
         let n = threads.len();
+        assert!(
+            n <= spec.max_programs(),
+            "each redundant pair needs two hardware contexts"
+        );
         match topo {
-            Topology::Smt => assert!(
-                2 * n <= spec.core.max_threads,
-                "each redundant pair needs two hardware contexts"
-            ),
-            Topology::CrossCoupled => {
-                assert!(n >= 1, "need at least one logical thread");
-                assert!(
-                    2 * n <= 2 * spec.core.max_threads,
-                    "threads do not fit two cores"
-                );
-            }
-            Topology::Ring(k) => {
-                assert!(k >= 2, "a ring needs at least two cores");
-                assert!(
-                    2 * n <= k * spec.core.max_threads,
-                    "threads do not fit the ring's cores"
-                );
-            }
+            Topology::Smt => {}
+            Topology::CrossCoupled => assert!(n >= 1, "need at least one logical thread"),
+            Topology::Ring(k) => assert!(k >= 2, "a ring needs at least two cores"),
         }
         let mut env = RmtEnv::new(spec.env, threads.iter().map(|t| t.memory.clone()).collect());
         let mut cores: Vec<Core> = (0..topo.num_cores())
@@ -469,7 +458,7 @@ impl Machine<LockstepScheme> {
     /// Panics if more threads are supplied than one core's contexts.
     pub fn lockstep(spec: &MachineSpec, threads: Vec<LogicalThread>) -> Self {
         assert!(
-            threads.len() <= spec.core.max_threads,
+            threads.len() <= spec.max_programs(),
             "too many logical threads for one core"
         );
         let checker_latency = spec.scheme.checker_latency;

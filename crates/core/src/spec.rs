@@ -256,6 +256,26 @@ impl MachineSpec {
         self.scheme.kind
     }
 
+    /// The most programs (one logical thread each, a run's benchmarks)
+    /// a machine built from this spec runs at once: its hardware contexts
+    /// over the contexts each program takes. Base2 runs two copies of a
+    /// program and SRT a pair of threads on one core; CRT spreads its
+    /// pairs over two cores and the CRT ring over `scheme.ring` cores;
+    /// each lockstepped core runs every program once.
+    pub fn max_programs(&self) -> usize {
+        let (cores, per_program) = match self.kind() {
+            DeviceKind::Base => (1, 1),
+            DeviceKind::Base2
+            | DeviceKind::Srt
+            | DeviceKind::SrtPtsq
+            | DeviceKind::SrtNosc
+            | DeviceKind::SrtNoPsr => (1, 2),
+            DeviceKind::Lock0 | DeviceKind::Lock8 | DeviceKind::Crt => (2, 2),
+            DeviceKind::CrtRing4 => (self.scheme.ring, 2),
+        };
+        cores.saturating_mul(self.core.max_threads) / per_program
+    }
+
     /// Serializes to the six-section JSON document (strictly invertible
     /// by [`MachineSpec::from_json`]).
     pub fn to_json(&self) -> Json {
@@ -312,17 +332,6 @@ impl MachineSpec {
     pub fn set_str(&mut self, path: &str, text: &str) -> Result<(), SpecError> {
         let value = rmt_stats::json::parse(text).unwrap_or_else(|_| Json::Str(text.to_string()));
         self.set(path, value)
-    }
-
-    /// Reads one leaf by dotted key path (`None` if the path names no
-    /// config key).
-    pub fn get(&self, path: &str) -> Option<Json> {
-        let doc = self.to_json();
-        let mut cur = &doc;
-        for p in path.split('.') {
-            cur = cur.get(p)?;
-        }
-        Some(cur.clone())
     }
 
     /// The dotted key paths (and this spec's values) on which `self`
@@ -396,6 +405,24 @@ mod tests {
     }
 
     #[test]
+    fn max_programs_counts_the_contexts_each_program_takes() {
+        let programs = |kind, max_threads, ring| {
+            let mut s = MachineSpec::for_kind(kind);
+            s.core.max_threads = max_threads;
+            s.scheme.ring = ring;
+            s.max_programs()
+        };
+        assert_eq!(programs(DeviceKind::Base, 4, 4), 4);
+        assert_eq!(programs(DeviceKind::Base2, 4, 4), 2);
+        assert_eq!(programs(DeviceKind::Srt, 4, 4), 2);
+        assert_eq!(programs(DeviceKind::SrtNoPsr, 1, 4), 0);
+        assert_eq!(programs(DeviceKind::Lock8, 4, 4), 4);
+        assert_eq!(programs(DeviceKind::Crt, 3, 4), 3);
+        assert_eq!(programs(DeviceKind::CrtRing4, 4, 4), 8);
+        assert_eq!(programs(DeviceKind::CrtRing4, 3, 3), 4);
+    }
+
+    #[test]
     fn kind_names_roundtrip() {
         for &k in DeviceKind::ALL {
             assert_eq!(DeviceKind::from_name(k.name()), Some(k));
@@ -450,15 +477,6 @@ mod tests {
         }
         s.set("sample.warmup", Json::U64(u64::MAX - s.sample.measure))
             .unwrap();
-    }
-
-    #[test]
-    fn get_reads_leaves_and_sections() {
-        let s = MachineSpec::default();
-        assert_eq!(s.get("core.sq_entries"), Some(Json::U64(64)));
-        assert_eq!(s.get("scheme.kind"), Some(Json::Str("Base".into())));
-        assert!(s.get("hierarchy.l1i").is_some());
-        assert_eq!(s.get("core.missing"), None);
     }
 
     #[test]

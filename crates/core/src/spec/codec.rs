@@ -1,506 +1,348 @@
 //! The strict JSON codec behind [`MachineSpec`]: every field of every
 //! section is serialized, and deserialization demands exactly that set of
-//! keys — a missing key, an unknown key, or a type mismatch is an error
-//! naming the dotted path. Strictness is what lets `check_json` treat an
-//! embedded `config` section as self-validating and lets
-//! [`MachineSpec::set`] type-check overrides by round-tripping.
+//! keys — a missing key, an unknown key, a type mismatch or a value the
+//! machine cannot be built with is an error naming the dotted path.
+//! Strictness is what lets `check_json` treat an embedded `config`
+//! section as self-validating and lets [`MachineSpec::set`] type-check
+//! overrides by round-tripping.
+//!
+//! Each section's keys are listed once, in document order, with the
+//! values a machine can be built with, by [`walk`]: encoding and decoding
+//! are two [`Walk`]s over it, and only the decoder checks.
 
 use super::{DeviceKind, MachineSpec, SampleMode, SamplePlan, SchemeSpec, SpecError};
 use crate::rmt_env::RmtEnvConfig;
 use rmt_mem::{CacheConfig, HierarchyConfig};
 use rmt_pipeline::CoreConfig;
 use rmt_predict::BranchPredictorConfig;
+use rmt_stats::fields::{FieldError, Fields, OBJECT};
 use rmt_stats::Json;
+use std::fmt;
+use std::ops::{Bound, RangeBounds};
 
-/// A section reader that tracks which keys were consumed, so `finish`
-/// can reject unknown keys with their full dotted path.
-struct Fields<'a> {
-    path: String,
-    entries: &'a [(String, Json)],
-    used: Vec<bool>,
+// Upper bounds on the counts that size a buffer when a machine is built,
+// so that no spec asks for more memory than a host has: a spec at every
+// bound at once (an 8-core ring of 16-context cores) allocates about
+// 420 MB.
+const MAX_THREADS: usize = 16;
+/// Queue, buffer and port entries.
+const MAX_QUEUE: usize = 4_096;
+/// Units in each functional-unit pool.
+const MAX_FUS: usize = 64;
+/// Predictor and store-set table entries.
+const MAX_TABLE: usize = 1 << 18;
+const MAX_CACHE_BYTES: u64 = 1 << 24;
+const MAX_CACHE_BLOCKS: u64 = 1 << 17;
+const MAX_ASSOC: usize = 256;
+const MAX_RING: usize = 8;
+const MAX_WINDOWS: usize = 4_096;
+
+impl From<FieldError> for SpecError {
+    fn from(e: FieldError) -> SpecError {
+        SpecError::new(match e {
+            FieldError::Missing(path) => format!("missing config key `{path}`"),
+            FieldError::Unknown(path) => format!("unknown config key `{path}`"),
+            FieldError::Type { path, want: OBJECT } => {
+                format!("config section `{path}` must be a JSON object")
+            }
+            other => other.to_string(),
+        })
+    }
 }
 
-impl<'a> Fields<'a> {
-    fn new(v: &'a Json, path: &str) -> Result<Fields<'a>, SpecError> {
-        match v.members() {
-            Some(entries) => Ok(Fields {
-                path: path.to_string(),
-                entries,
-                used: vec![false; entries.len()],
-            }),
-            None => Err(SpecError::new(format!(
-                "config section `{path}` must be a JSON object"
-            ))),
-        }
-    }
+/// The unsigned integer types spec leaves hold, each read by the
+/// reader's getter of the same name.
+trait Int: Copy + PartialOrd + fmt::Display {
+    fn read(f: &mut Fields, key: &str) -> Result<Self, FieldError>;
+    fn to_u64(self) -> u64;
+}
 
-    fn key_path(&self, key: &str) -> String {
-        if self.path.is_empty() {
-            key.to_string()
-        } else {
-            format!("{}.{key}", self.path)
-        }
-    }
-
-    fn take(&mut self, key: &str) -> Result<&'a Json, SpecError> {
-        for (i, (k, v)) in self.entries.iter().enumerate() {
-            if k == key {
-                self.used[i] = true;
-                return Ok(v);
+macro_rules! int {
+    ($($t:ident),*) => {$(
+        impl Int for $t {
+            fn read(f: &mut Fields, key: &str) -> Result<$t, FieldError> {
+                f.$t(key)
+            }
+            fn to_u64(self) -> u64 {
+                self as u64
             }
         }
-        Err(SpecError::new(format!(
-            "missing config key `{}`",
-            self.key_path(key)
-        )))
-    }
+    )*};
+}
 
-    fn u64(&mut self, key: &str) -> Result<u64, SpecError> {
-        let path = self.key_path(key);
-        self.take(key)?
-            .as_u64()
-            .ok_or_else(|| SpecError::new(format!("`{path}` must be a non-negative integer")))
-    }
+int!(u64, u32, usize);
 
-    fn usize(&mut self, key: &str) -> Result<usize, SpecError> {
-        let path = self.key_path(key);
-        usize::try_from(self.u64(key)?)
-            .map_err(|_| SpecError::new(format!("`{path}` is out of range")))
+/// What a value outside `ok` must be instead.
+fn bounds_rule<T: fmt::Display>(ok: &impl RangeBounds<T>) -> String {
+    match (ok.start_bound(), ok.end_bound()) {
+        (Bound::Included(lo), Bound::Included(hi)) => format!("must be in {lo}..={hi}"),
+        (Bound::Included(lo), _) => format!("must be at least {lo}"),
+        (_, Bound::Included(hi)) => format!("must be at most {hi}"),
+        _ => unreachable!("every value lies in an unbounded range"),
     }
+}
 
-    fn u32(&mut self, key: &str) -> Result<u32, SpecError> {
-        let path = self.key_path(key);
-        u32::try_from(self.u64(key)?)
-            .map_err(|_| SpecError::new(format!("`{path}` is out of range")))
-    }
+type Step = Result<(), FieldError>;
 
-    fn bool(&mut self, key: &str) -> Result<bool, SpecError> {
-        let path = self.key_path(key);
-        self.take(key)?
-            .as_bool()
-            .ok_or_else(|| SpecError::new(format!("`{path}` must be true or false")))
-    }
+/// One pass over a spec's leaves in document order: the encoder writes
+/// each into a document, the decoder reads each through the strict
+/// reader and checks it.
+enum Walk<'a> {
+    Encode(Vec<(String, Json)>),
+    Decode(Fields<'a>),
+}
 
-    fn str(&mut self, key: &str) -> Result<&'a str, SpecError> {
-        let path = self.key_path(key);
-        self.take(key)?
-            .as_str()
-            .ok_or_else(|| SpecError::new(format!("`{path}` must be a string")))
-    }
-
-    fn finish(self) -> Result<(), SpecError> {
-        for (i, (k, _)) in self.entries.iter().enumerate() {
-            if !self.used[i] {
-                return Err(SpecError::new(format!(
-                    "unknown config key `{}`",
-                    self.key_path(k)
-                )));
+impl<'a> Walk<'a> {
+    /// An integer leaf the decoder refuses outside `ok`.
+    fn within<T: Int>(&mut self, key: &str, v: &mut T, ok: impl RangeBounds<T>) -> Step {
+        match self {
+            Walk::Encode(doc) => doc.push((key.to_string(), Json::U64(v.to_u64()))),
+            Walk::Decode(f) => {
+                let n = T::read(f, key)?;
+                if !ok.contains(&n) {
+                    return Err(f.invalid(key, bounds_rule(&ok)));
+                }
+                *v = n;
             }
+        }
+        Ok(())
+    }
+
+    /// An integer leaf that takes any value.
+    fn int<T: Int>(&mut self, key: &str, v: &mut T) -> Step {
+        self.within(key, v, ..)
+    }
+
+    fn bool(&mut self, key: &str, v: &mut bool) -> Step {
+        match self {
+            Walk::Encode(doc) => doc.push((key.to_string(), Json::Bool(*v))),
+            Walk::Decode(f) => *v = f.bool(key)?,
+        }
+        Ok(())
+    }
+
+    /// A leaf written as `name_of(*v)`, one of the names of `all`.
+    fn name<T: Copy>(
+        &mut self,
+        key: &str,
+        v: &mut T,
+        what: &str,
+        all: &[T],
+        name_of: fn(T) -> &'static str,
+    ) -> Step {
+        match self {
+            Walk::Encode(doc) => doc.push((key.to_string(), Json::Str(name_of(*v).to_string()))),
+            Walk::Decode(f) => {
+                let got = f.str(key)?;
+                let Some(&t) = all.iter().find(|&&t| name_of(t) == got) else {
+                    let names: Vec<&str> = all.iter().map(|&t| name_of(t)).collect();
+                    let names = names.join(", ");
+                    let rule = format!("names an unknown {what} `{got}` (one of: {names})");
+                    return Err(f.invalid(key, rule));
+                };
+                *v = t;
+            }
+        }
+        Ok(())
+    }
+
+    /// A rule over leaves already walked, which the decoder checks.
+    fn rule(&mut self, key: &str, holds: impl FnOnce() -> bool, rule: impl fmt::Display) -> Step {
+        match self {
+            Walk::Decode(f) if !holds() => Err(f.invalid(key, rule.to_string())),
+            _ => Ok(()),
+        }
+    }
+
+    fn section(&mut self, key: &str, body: impl FnOnce(&mut Walk<'a>) -> Step) -> Step {
+        let mut inner = match self {
+            Walk::Encode(_) => Walk::Encode(Vec::new()),
+            Walk::Decode(f) => Walk::Decode(f.object(key)?),
+        };
+        body(&mut inner)?;
+        match (self, inner) {
+            (Walk::Encode(doc), Walk::Encode(fields)) => {
+                doc.push((key.to_string(), Json::Obj(fields)));
+            }
+            (_, Walk::Decode(fields)) => fields.finish()?,
+            _ => unreachable!("a section is walked the way its document is"),
         }
         Ok(())
     }
 }
 
-// ====================================================================
-// core
-// ====================================================================
-
-fn core_to_json(c: &CoreConfig) -> Json {
-    Json::obj()
-        .with("max_threads", Json::U64(c.max_threads as u64))
-        .with("fetch_chunks", Json::U64(c.fetch_chunks as u64))
-        .with("chunk_size", Json::U64(c.chunk_size as u64))
-        .with("ibox_latency", Json::U64(c.ibox_latency))
-        .with("pbox_latency", Json::U64(c.pbox_latency))
-        .with("qbox_latency", Json::U64(c.qbox_latency))
-        .with("rbox_latency", Json::U64(c.rbox_latency))
-        .with("mbox_latency", Json::U64(c.mbox_latency))
-        .with("misfetch_penalty", Json::U64(c.misfetch_penalty))
-        .with("iq_size", Json::U64(c.iq_size as u64))
-        .with("issue_width", Json::U64(c.issue_width as u64))
-        .with("retire_width", Json::U64(c.retire_width as u64))
-        .with("phys_regs", Json::U64(c.phys_regs as u64))
-        .with("rob_per_thread", Json::U64(c.rob_per_thread as u64))
-        .with("rmb_chunks", Json::U64(c.rmb_chunks as u64))
-        .with("lq_entries", Json::U64(c.lq_entries as u64))
-        .with("sq_entries", Json::U64(c.sq_entries as u64))
-        .with(
-            "per_thread_store_queues",
-            Json::Bool(c.per_thread_store_queues),
-        )
-        .with("fu_int", Json::U64(c.fu_int as u64))
-        .with("fu_logic", Json::U64(c.fu_logic as u64))
-        .with("fu_mem", Json::U64(c.fu_mem as u64))
-        .with("fu_fp", Json::U64(c.fu_fp as u64))
-        .with(
-            "max_loads_per_cycle",
-            Json::U64(c.max_loads_per_cycle as u64),
-        )
-        .with(
-            "max_stores_per_cycle",
-            Json::U64(c.max_stores_per_cycle as u64),
-        )
-        .with(
-            "line_predictor_entries",
-            Json::U64(c.line_predictor_entries as u64),
-        )
-        .with("store_sets_entries", Json::U64(c.store_sets_entries as u64))
-        .with("ras_entries", Json::U64(c.ras_entries as u64))
-        .with(
-            "iq_reserve_per_thread",
-            Json::U64(c.iq_reserve_per_thread as u64),
-        )
-        .with(
-            "preferential_space_redundancy",
-            Json::Bool(c.preferential_space_redundancy),
-        )
-        .with(
-            "trailing_fetch_priority",
-            Json::Bool(c.trailing_fetch_priority),
-        )
-        .with("store_release_delay", Json::U64(c.store_release_delay))
-        .with("uncached_below", Json::U64(c.uncached_below))
-        .with("trailing_uses_lpq", Json::Bool(c.trailing_uses_lpq))
+/// The six sections of the document, in order. The branch predictor
+/// lives on the core but is a section of its own.
+fn walk(w: &mut Walk, s: &mut MachineSpec) -> Step {
+    w.section("core", |w| core(w, &mut s.core))?;
+    w.section("hierarchy", |w| hierarchy(w, &mut s.hierarchy))?;
+    w.section("predictor", |w| predictor(w, &mut s.core.predictor))?;
+    w.section("env", |w| env(w, &mut s.env))?;
+    w.section("scheme", |w| scheme(w, &mut s.scheme))?;
+    w.section("sample", |w| sample(w, &mut s.sample))
 }
 
-fn core_from_json(v: &Json, path: &str) -> Result<CoreConfig, SpecError> {
-    let mut f = Fields::new(v, path)?;
-    // Start from the paper machine so build-time-only fields (the `chaos`
-    // validation hook) keep their defaults without being spec keys.
-    let mut c = CoreConfig::base();
-    c.max_threads = f.usize("max_threads")?;
-    c.fetch_chunks = f.usize("fetch_chunks")?;
-    c.chunk_size = f.usize("chunk_size")?;
-    c.ibox_latency = f.u64("ibox_latency")?;
-    c.pbox_latency = f.u64("pbox_latency")?;
-    c.qbox_latency = f.u64("qbox_latency")?;
-    c.rbox_latency = f.u64("rbox_latency")?;
-    c.mbox_latency = f.u64("mbox_latency")?;
-    c.misfetch_penalty = f.u64("misfetch_penalty")?;
-    c.iq_size = f.usize("iq_size")?;
-    c.issue_width = f.usize("issue_width")?;
-    c.retire_width = f.usize("retire_width")?;
-    c.phys_regs = f.usize("phys_regs")?;
-    c.rob_per_thread = f.usize("rob_per_thread")?;
-    c.rmb_chunks = f.usize("rmb_chunks")?;
-    c.lq_entries = f.usize("lq_entries")?;
-    c.sq_entries = f.usize("sq_entries")?;
-    c.per_thread_store_queues = f.bool("per_thread_store_queues")?;
-    c.fu_int = f.usize("fu_int")?;
-    c.fu_logic = f.usize("fu_logic")?;
-    c.fu_mem = f.usize("fu_mem")?;
-    c.fu_fp = f.usize("fu_fp")?;
-    c.max_loads_per_cycle = f.usize("max_loads_per_cycle")?;
-    c.max_stores_per_cycle = f.usize("max_stores_per_cycle")?;
-    c.line_predictor_entries = f.usize("line_predictor_entries")?;
-    c.store_sets_entries = f.usize("store_sets_entries")?;
-    c.ras_entries = f.usize("ras_entries")?;
-    c.iq_reserve_per_thread = f.usize("iq_reserve_per_thread")?;
-    c.preferential_space_redundancy = f.bool("preferential_space_redundancy")?;
-    c.trailing_fetch_priority = f.bool("trailing_fetch_priority")?;
-    c.store_release_delay = f.u64("store_release_delay")?;
-    c.uncached_below = f.u64("uncached_below")?;
-    c.trailing_uses_lpq = f.bool("trailing_uses_lpq")?;
-    f.finish()?;
-    check_core_shape(&c, path)?;
-    Ok(c)
-}
-
-/// Rejects core shapes the pipeline cannot run, naming the key: an empty
-/// structure or port deadlocks the machine or fails a constructor, and
-/// the queue, the issue width and every functional-unit pool are split
-/// evenly between the two queue halves, so each half needs a share.
-fn check_core_shape(c: &CoreConfig, path: &str) -> Result<(), SpecError> {
-    let reject = |key: &str, rule: &str| Err(SpecError::new(format!("`{path}.{key}` must {rule}")));
+/// An empty structure or port deadlocks the machine or fails a
+/// constructor, and the queue, the issue width and every functional-unit
+/// pool are split evenly between the two queue halves, so each half needs
+/// a share.
+fn core(w: &mut Walk, c: &mut CoreConfig) -> Step {
+    w.within("max_threads", &mut c.max_threads, 1..=MAX_THREADS)?;
+    w.within("fetch_chunks", &mut c.fetch_chunks, 1..)?;
+    w.within("chunk_size", &mut c.chunk_size, 1..=8)?;
+    w.int("ibox_latency", &mut c.ibox_latency)?;
+    w.int("pbox_latency", &mut c.pbox_latency)?;
+    w.int("qbox_latency", &mut c.qbox_latency)?;
+    w.int("rbox_latency", &mut c.rbox_latency)?;
+    w.int("mbox_latency", &mut c.mbox_latency)?;
+    w.int("misfetch_penalty", &mut c.misfetch_penalty)?;
+    w.within("iq_size", &mut c.iq_size, 2..=MAX_QUEUE)?;
+    w.within("issue_width", &mut c.issue_width, 2..)?;
+    w.within("retire_width", &mut c.retire_width, 1..)?;
+    w.within("phys_regs", &mut c.phys_regs, 2..=65_535)?;
+    w.within("rob_per_thread", &mut c.rob_per_thread, 1..=MAX_QUEUE)?;
+    w.within("rmb_chunks", &mut c.rmb_chunks, 1..=MAX_QUEUE)?;
+    w.within("lq_entries", &mut c.lq_entries, 1..=MAX_QUEUE)?;
+    w.within("sq_entries", &mut c.sq_entries, 1..=MAX_QUEUE)?;
+    w.bool("per_thread_store_queues", &mut c.per_thread_store_queues)?;
     for (key, n) in [
-        ("max_threads", c.max_threads),
-        ("fetch_chunks", c.fetch_chunks),
-        ("retire_width", c.retire_width),
-        ("rob_per_thread", c.rob_per_thread),
-        ("rmb_chunks", c.rmb_chunks),
-        ("lq_entries", c.lq_entries),
-        ("sq_entries", c.sq_entries),
-        ("max_loads_per_cycle", c.max_loads_per_cycle),
-        ("max_stores_per_cycle", c.max_stores_per_cycle),
+        ("fu_int", &mut c.fu_int),
+        ("fu_logic", &mut c.fu_logic),
+        ("fu_mem", &mut c.fu_mem),
+        ("fu_fp", &mut c.fu_fp),
     ] {
-        if n == 0 {
-            return reject(key, "be at least 1");
-        }
+        w.within(key, n, 2..=MAX_FUS)?;
+        w.rule(key, || *n % 2 == 0, "must be even, one unit per queue half")?;
     }
-    for (key, n) in [("iq_size", c.iq_size), ("issue_width", c.issue_width)] {
-        if n < 2 {
-            return reject(key, "be at least 2, one per queue half");
-        }
-    }
-    if !(1..=8).contains(&c.chunk_size) {
-        return reject("chunk_size", "be in 1..=8");
-    }
-    if !(2..=65_535).contains(&c.phys_regs) {
-        return reject("phys_regs", "be in 2..=65535");
-    }
-    for (key, n) in [
-        ("fu_int", c.fu_int),
-        ("fu_logic", c.fu_logic),
-        ("fu_mem", c.fu_mem),
-        ("fu_fp", c.fu_fp),
-    ] {
-        if n < 2 || n % 2 != 0 {
-            return reject(key, "be even and at least 2, one unit per queue half");
-        }
-    }
-    Ok(())
+    w.within("max_loads_per_cycle", &mut c.max_loads_per_cycle, 1..)?;
+    w.within("max_stores_per_cycle", &mut c.max_stores_per_cycle, 1..)?;
+    let table = 1..=MAX_TABLE;
+    w.within(
+        "line_predictor_entries",
+        &mut c.line_predictor_entries,
+        table.clone(),
+    )?;
+    w.within("store_sets_entries", &mut c.store_sets_entries, table)?;
+    w.within("ras_entries", &mut c.ras_entries, ..=MAX_QUEUE)?;
+    w.int("iq_reserve_per_thread", &mut c.iq_reserve_per_thread)?;
+    w.bool(
+        "preferential_space_redundancy",
+        &mut c.preferential_space_redundancy,
+    )?;
+    w.bool("trailing_fetch_priority", &mut c.trailing_fetch_priority)?;
+    w.int("store_release_delay", &mut c.store_release_delay)?;
+    w.int("uncached_below", &mut c.uncached_below)?;
+    w.bool("trailing_uses_lpq", &mut c.trailing_uses_lpq)
 }
 
-// ====================================================================
-// hierarchy
-// ====================================================================
-
-fn cache_to_json(c: &CacheConfig) -> Json {
-    Json::obj()
-        .with("size_bytes", Json::U64(c.size_bytes))
-        .with("assoc", Json::U64(c.assoc as u64))
-        .with("block_bytes", Json::U64(c.block_bytes))
-        .with("way_prediction", Json::Bool(c.way_prediction))
+fn hierarchy(w: &mut Walk, h: &mut HierarchyConfig) -> Step {
+    w.section("l1i", |w| cache(w, &mut h.l1i))?;
+    w.section("l1d", |w| cache(w, &mut h.l1d))?;
+    w.section("l2", |w| cache(w, &mut h.l2))?;
+    w.int("l2_latency", &mut h.l2_latency)?;
+    w.int("mem_latency", &mut h.mem_latency)?;
+    w.within("mshrs", &mut h.mshrs, 1..=MAX_QUEUE)?;
+    w.within("merge_entries", &mut h.merge_entries, 1..=MAX_QUEUE)?;
+    w.int("merge_drain_interval", &mut h.merge_drain_interval)?;
+    w.int("checker_penalty", &mut h.checker_penalty)?;
+    w.bool("l1d_next_line_prefetch", &mut h.l1d_next_line_prefetch)
 }
 
-fn cache_from_json(v: &Json, path: &str) -> Result<CacheConfig, SpecError> {
-    let mut f = Fields::new(v, path)?;
-    let c = CacheConfig {
-        size_bytes: f.u64("size_bytes")?,
-        assoc: f.usize("assoc")?,
-        block_bytes: f.u64("block_bytes")?,
-        way_prediction: f.bool("way_prediction")?,
-    };
-    f.finish()?;
-    Ok(c)
+/// [`rmt_mem::Cache::new`]'s geometry: power-of-two blocks, at least one
+/// set of `assoc` of them, and a bounded number of them.
+fn cache(w: &mut Walk, c: &mut CacheConfig) -> Step {
+    w.within("size_bytes", &mut c.size_bytes, 1..=MAX_CACHE_BYTES)?;
+    w.within("assoc", &mut c.assoc, 1..=MAX_ASSOC)?;
+    w.int("block_bytes", &mut c.block_bytes)?;
+    w.bool("way_prediction", &mut c.way_prediction)?;
+    let power = || c.block_bytes.is_power_of_two();
+    w.rule("block_bytes", power, "must be a power of two")?;
+    let blocks = || c.size_bytes / c.block_bytes;
+    let one_set = || blocks() >= c.assoc as u64;
+    w.rule("size_bytes", one_set, "must hold a set of `assoc` blocks")?;
+    let fits = || blocks() <= MAX_CACHE_BLOCKS;
+    let most = format_args!("must hold at most {MAX_CACHE_BLOCKS} blocks");
+    w.rule("size_bytes", fits, most)
 }
 
-fn hierarchy_to_json(h: &HierarchyConfig) -> Json {
-    Json::obj()
-        .with("l1i", cache_to_json(&h.l1i))
-        .with("l1d", cache_to_json(&h.l1d))
-        .with("l2", cache_to_json(&h.l2))
-        .with("l2_latency", Json::U64(h.l2_latency))
-        .with("mem_latency", Json::U64(h.mem_latency))
-        .with("mshrs", Json::U64(h.mshrs as u64))
-        .with("merge_entries", Json::U64(h.merge_entries as u64))
-        .with("merge_drain_interval", Json::U64(h.merge_drain_interval))
-        .with("checker_penalty", Json::U64(h.checker_penalty))
-        .with(
-            "l1d_next_line_prefetch",
-            Json::Bool(h.l1d_next_line_prefetch),
-        )
+/// A history register is a `u32`, so at most 31 bits index a table.
+fn predictor(w: &mut Walk, p: &mut BranchPredictorConfig) -> Step {
+    let table = 1..=MAX_TABLE;
+    w.within("local_entries", &mut p.local_entries, table.clone())?;
+    w.within("local_history_bits", &mut p.local_history_bits, ..=31)?;
+    w.within("global_entries", &mut p.global_entries, table.clone())?;
+    w.within("global_history_bits", &mut p.global_history_bits, ..=31)?;
+    w.within("chooser_entries", &mut p.chooser_entries, table.clone())?;
+    w.within("jump_entries", &mut p.jump_entries, table)
 }
 
-fn hierarchy_from_json(v: &Json, path: &str) -> Result<HierarchyConfig, SpecError> {
-    let mut f = Fields::new(v, path)?;
-    let h = HierarchyConfig {
-        l1i: cache_from_json(f.take("l1i")?, &f.key_path("l1i"))?,
-        l1d: cache_from_json(f.take("l1d")?, &f.key_path("l1d"))?,
-        l2: cache_from_json(f.take("l2")?, &f.key_path("l2"))?,
-        l2_latency: f.u64("l2_latency")?,
-        mem_latency: f.u64("mem_latency")?,
-        mshrs: f.usize("mshrs")?,
-        merge_entries: f.usize("merge_entries")?,
-        merge_drain_interval: f.u64("merge_drain_interval")?,
-        checker_penalty: f.u64("checker_penalty")?,
-        l1d_next_line_prefetch: f.bool("l1d_next_line_prefetch")?,
-    };
-    f.finish()?;
-    Ok(h)
+fn env(w: &mut Walk, e: &mut RmtEnvConfig) -> Step {
+    w.within("lvq_entries", &mut e.lvq_entries, 1..=MAX_QUEUE)?;
+    w.within("lpq_chunks", &mut e.lpq_chunks, 1..=MAX_QUEUE)?;
+    w.int("lpq_delay", &mut e.lpq_delay)?;
+    w.int("lvq_delay", &mut e.lvq_delay)?;
+    w.int("comparator_delay", &mut e.comparator_delay)?;
+    w.int("cross_core_delay", &mut e.cross_core_delay)?;
+    w.bool("store_comparison", &mut e.store_comparison)?;
+    w.bool("compare_at_retire", &mut e.compare_at_retire)?;
+    w.bool("lvq_ecc", &mut e.lvq_ecc)?;
+    w.bool("lpq_enabled", &mut e.lpq_enabled)
 }
 
-// ====================================================================
-// predictor
-// ====================================================================
-
-fn predictor_to_json(p: &BranchPredictorConfig) -> Json {
-    Json::obj()
-        .with("local_entries", Json::U64(p.local_entries as u64))
-        .with(
-            "local_history_bits",
-            Json::U64(u64::from(p.local_history_bits)),
-        )
-        .with("global_entries", Json::U64(p.global_entries as u64))
-        .with(
-            "global_history_bits",
-            Json::U64(u64::from(p.global_history_bits)),
-        )
-        .with("chooser_entries", Json::U64(p.chooser_entries as u64))
-        .with("jump_entries", Json::U64(p.jump_entries as u64))
+fn scheme(w: &mut Walk, s: &mut SchemeSpec) -> Step {
+    let kinds = DeviceKind::ALL;
+    w.name("kind", &mut s.kind, "device kind", kinds, DeviceKind::name)?;
+    w.int("checker_latency", &mut s.checker_latency)?;
+    w.int("desync_window", &mut s.desync_window)?;
+    w.within("ring", &mut s.ring, 2..=MAX_RING)
 }
 
-fn predictor_from_json(v: &Json, path: &str) -> Result<BranchPredictorConfig, SpecError> {
-    let mut f = Fields::new(v, path)?;
-    let p = BranchPredictorConfig {
-        local_entries: f.usize("local_entries")?,
-        local_history_bits: f.u32("local_history_bits")?,
-        global_entries: f.usize("global_entries")?,
-        global_history_bits: f.u32("global_history_bits")?,
-        chooser_entries: f.usize("chooser_entries")?,
-        jump_entries: f.usize("jump_entries")?,
-    };
-    f.finish()?;
-    Ok(p)
-}
-
-// ====================================================================
-// env
-// ====================================================================
-
-fn env_to_json(e: &RmtEnvConfig) -> Json {
-    Json::obj()
-        .with("lvq_entries", Json::U64(e.lvq_entries as u64))
-        .with("lpq_chunks", Json::U64(e.lpq_chunks as u64))
-        .with("lpq_delay", Json::U64(e.lpq_delay))
-        .with("lvq_delay", Json::U64(e.lvq_delay))
-        .with("comparator_delay", Json::U64(e.comparator_delay))
-        .with("cross_core_delay", Json::U64(e.cross_core_delay))
-        .with("store_comparison", Json::Bool(e.store_comparison))
-        .with("compare_at_retire", Json::Bool(e.compare_at_retire))
-        .with("lvq_ecc", Json::Bool(e.lvq_ecc))
-        .with("lpq_enabled", Json::Bool(e.lpq_enabled))
-}
-
-fn env_from_json(v: &Json, path: &str) -> Result<RmtEnvConfig, SpecError> {
-    let mut f = Fields::new(v, path)?;
-    let e = RmtEnvConfig {
-        lvq_entries: f.usize("lvq_entries")?,
-        lpq_chunks: f.usize("lpq_chunks")?,
-        lpq_delay: f.u64("lpq_delay")?,
-        lvq_delay: f.u64("lvq_delay")?,
-        comparator_delay: f.u64("comparator_delay")?,
-        cross_core_delay: f.u64("cross_core_delay")?,
-        store_comparison: f.bool("store_comparison")?,
-        compare_at_retire: f.bool("compare_at_retire")?,
-        lvq_ecc: f.bool("lvq_ecc")?,
-        lpq_enabled: f.bool("lpq_enabled")?,
-    };
-    f.finish()?;
-    Ok(e)
-}
-
-// ====================================================================
-// scheme & sample
-// ====================================================================
-
-fn scheme_to_json(s: &SchemeSpec) -> Json {
-    Json::obj()
-        .with("kind", Json::Str(s.kind.name().to_string()))
-        .with("checker_latency", Json::U64(s.checker_latency))
-        .with("desync_window", Json::U64(s.desync_window))
-        .with("ring", Json::U64(s.ring as u64))
-}
-
-fn scheme_from_json(v: &Json, path: &str) -> Result<SchemeSpec, SpecError> {
-    let mut f = Fields::new(v, path)?;
-    let kind_name = f.str("kind")?;
-    let kind = DeviceKind::from_name(kind_name).ok_or_else(|| {
-        SpecError::new(format!(
-            "`{path}.kind`: unknown device kind `{kind_name}` (one of: {})",
-            DeviceKind::ALL
-                .iter()
-                .map(|k| k.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ))
-    })?;
-    let s = SchemeSpec {
-        kind,
-        checker_latency: f.u64("checker_latency")?,
-        desync_window: f.u64("desync_window")?,
-        ring: f.usize("ring")?,
-    };
-    f.finish()?;
-    Ok(s)
-}
-
-fn sample_to_json(s: &SamplePlan) -> Json {
-    let (mode, seed) = match s.mode {
-        SampleMode::Periodic => ("periodic", 0),
-        SampleMode::Random { seed } => ("random", seed),
-    };
-    Json::obj()
-        .with("windows", Json::U64(s.windows as u64))
-        .with("warmup", Json::U64(s.warmup))
-        .with("measure", Json::U64(s.measure))
-        .with("warm_window", Json::U64(s.warm_window as u64))
-        .with("mode", Json::Str(mode.to_string()))
-        .with("mode_seed", Json::U64(seed))
-}
-
-fn sample_from_json(v: &Json, path: &str) -> Result<SamplePlan, SpecError> {
-    let mut f = Fields::new(v, path)?;
-    let windows = f.usize("windows")?;
-    let warmup = f.u64("warmup")?;
-    let measure = f.u64("measure")?;
-    let warm_window = f.usize("warm_window")?;
+fn sample(w: &mut Walk, p: &mut SamplePlan) -> Step {
     // A plan needs at least one window of at least one measured
     // instruction: zero windows has no positions to sample, and a zero
     // measure divides by zero in every efficiency.
-    for (key, n) in [("windows", windows as u64), ("measure", measure)] {
-        if n == 0 {
-            return Err(SpecError::new(format!("`{path}.{key}` must be at least 1")));
-        }
-    }
+    w.within("windows", &mut p.windows, 1..=MAX_WINDOWS)?;
+    w.int("warmup", &mut p.warmup)?;
+    w.within("measure", &mut p.measure, 1..)?;
     // A window runs `warmup + measure` detailed instructions; its cycle
     // budget is computed from that sum.
-    if warmup.checked_add(measure).is_none() {
-        return Err(SpecError::new(format!(
-            "`{path}.warmup` + `{path}.measure` must fit in a u64"
-        )));
-    }
-    let mode_name = f.str("mode")?;
-    let seed = f.u64("mode_seed")?;
-    let mode = match mode_name {
-        "periodic" => SampleMode::Periodic,
-        "random" => SampleMode::Random { seed },
-        other => {
-            return Err(SpecError::new(format!(
-                "`{path}.mode`: unknown sampling mode `{other}` (periodic or random)"
-            )))
-        }
+    let sum = || p.warmup.checked_add(p.measure).is_some();
+    w.rule("warmup", sum, "+ `sample.measure` must fit in a u64")?;
+    w.int("warm_window", &mut p.warm_window)?;
+    let (mut random, mut seed) = match p.mode {
+        SampleMode::Periodic => (false, 0),
+        SampleMode::Random { seed } => (true, seed),
     };
-    f.finish()?;
-    Ok(SamplePlan {
-        windows,
-        warmup,
-        measure,
-        warm_window,
-        mode,
-    })
+    let name = |random| if random { "random" } else { "periodic" };
+    w.name("mode", &mut random, "sampling mode", &[false, true], name)?;
+    w.int("mode_seed", &mut seed)?;
+    p.mode = if random {
+        SampleMode::Random { seed }
+    } else {
+        SampleMode::Periodic
+    };
+    Ok(())
 }
 
-// ====================================================================
-// the document
-// ====================================================================
-
 pub(super) fn to_json(spec: &MachineSpec) -> Json {
-    Json::obj()
-        .with("core", core_to_json(&spec.core))
-        .with("hierarchy", hierarchy_to_json(&spec.hierarchy))
-        .with("predictor", predictor_to_json(&spec.core.predictor))
-        .with("env", env_to_json(&spec.env))
-        .with("scheme", scheme_to_json(&spec.scheme))
-        .with("sample", sample_to_json(&spec.sample))
+    let mut encoder = Walk::Encode(Vec::new());
+    walk(&mut encoder, &mut spec.clone()).expect("the encoder refuses nothing");
+    match encoder {
+        Walk::Encode(fields) => Json::Obj(fields),
+        Walk::Decode(_) => unreachable!("the encoder stays one"),
+    }
 }
 
 pub(super) fn from_json(doc: &Json) -> Result<MachineSpec, SpecError> {
-    let mut f = Fields::new(doc, "")?;
-    let mut core = core_from_json(f.take("core")?, "core")?;
-    let hierarchy = hierarchy_from_json(f.take("hierarchy")?, "hierarchy")?;
-    core.predictor = predictor_from_json(f.take("predictor")?, "predictor")?;
-    let env = env_from_json(f.take("env")?, "env")?;
-    let scheme = scheme_from_json(f.take("scheme")?, "scheme")?;
-    let sample = sample_from_json(f.take("sample")?, "sample")?;
-    f.finish()?;
-    Ok(MachineSpec {
-        core,
-        hierarchy,
-        env,
-        scheme,
-        sample,
-    })
+    // Start from the paper machine so build-time-only fields (the `chaos`
+    // validation hook) keep their defaults without being spec keys.
+    let mut spec = MachineSpec::default();
+    let mut decoder = Walk::Decode(Fields::new(doc)?);
+    walk(&mut decoder, &mut spec)?;
+    if let Walk::Decode(fields) = decoder {
+        fields.finish()?;
+    }
+    Ok(spec)
 }
 
 #[cfg(test)]
@@ -600,6 +442,55 @@ mod tests {
             assert!(
                 e.message.contains(&format!("`core.{key}` must")),
                 "{key} = {bad}: {e}"
+            );
+        }
+        // Every count that sizes a buffer when the machine is built has an
+        // upper bound, and the cache geometry and the ring are ones their
+        // constructors accept.
+        for (path, bad) in [
+            ("core.max_threads", 17),
+            ("core.iq_size", 4_097),
+            ("core.rob_per_thread", 4_097),
+            ("core.rmb_chunks", 4_097),
+            ("core.lq_entries", 4_097),
+            ("core.sq_entries", 1_000_000_000_000),
+            ("core.fu_int", 66),
+            ("core.fu_logic", 66),
+            ("core.fu_mem", 66),
+            ("core.fu_fp", 66),
+            ("core.line_predictor_entries", 0),
+            ("core.line_predictor_entries", (1 << 18) + 1),
+            ("core.store_sets_entries", 0),
+            ("core.store_sets_entries", (1 << 18) + 1),
+            ("core.ras_entries", 4_097),
+            ("hierarchy.mshrs", 0),
+            ("hierarchy.mshrs", 4_097),
+            ("hierarchy.merge_entries", 0),
+            ("hierarchy.merge_entries", 4_097),
+            ("hierarchy.l1i.size_bytes", (1 << 24) + 64),
+            ("hierarchy.l1d.assoc", 0),
+            ("hierarchy.l1d.assoc", 257),
+            ("hierarchy.l1d.block_bytes", 48),
+            ("hierarchy.l1d.size_bytes", 64),
+            ("hierarchy.l2.size_bytes", 12 << 20),
+            ("predictor.local_entries", 0),
+            ("predictor.local_history_bits", 32),
+            ("predictor.global_history_bits", 64),
+            ("predictor.global_entries", (1 << 18) + 1),
+            ("predictor.chooser_entries", (1 << 18) + 1),
+            ("predictor.jump_entries", 0),
+            ("env.lvq_entries", 0),
+            ("env.lvq_entries", 4_097),
+            ("env.lpq_chunks", 0),
+            ("env.lpq_chunks", 4_097),
+            ("scheme.ring", 1),
+            ("scheme.ring", 9),
+            ("sample.windows", 4_097),
+        ] {
+            let e = s.clone().set(path, Json::U64(bad)).unwrap_err();
+            assert!(
+                e.message.contains(&format!("`{path}` must")),
+                "{path} = {bad}: {e}"
             );
         }
     }

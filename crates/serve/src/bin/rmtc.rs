@@ -22,6 +22,7 @@
 
 use rmt_serve::client::{Client, Response};
 use rmt_stats::cli::{self, Args};
+use rmt_stats::fields::{FieldError, Fields};
 use rmt_stats::json::parse;
 use rmt_stats::Json;
 use std::time::Duration;
@@ -39,6 +40,11 @@ fn refuse(msg: &str) -> ! {
 
 fn body_json(resp: &Response) -> Json {
     parse(&resp.text()).unwrap_or_else(|e| fail(&format!("server sent invalid JSON: {e}")))
+}
+
+/// What the server's document holds at a key, or a usage-style exit.
+fn read<T>(got: Result<T, FieldError>) -> T {
+    got.unwrap_or_else(|e| fail(&format!("unexpected server document: {e}")))
 }
 
 fn expect_2xx(resp: &Response, what: &str) {
@@ -173,8 +179,8 @@ fn submit(client: &mut Client, opts: SubmitOpts) {
     let text = std::fs::read_to_string(&opts.file)
         .unwrap_or_else(|e| fail(&format!("{}: {e}", opts.file)));
     let doc = parse(&text).unwrap_or_else(|e| fail(&format!("{}: invalid JSON: {e}", opts.file)));
-    let endpoint = match doc.get("type").and_then(Json::as_str) {
-        Some("sweep") => "/v1/sweep",
+    let endpoint = match Fields::new(&doc).and_then(|mut f| f.opt("type", Fields::str)) {
+        Ok(Some("sweep")) => "/v1/sweep",
         _ => "/v1/run",
     };
     let resp = post(client, endpoint, text.as_bytes());
@@ -183,12 +189,9 @@ fn submit(client: &mut Client, opts: SubmitOpts) {
         write_out(path, &resp.body);
     }
     let envelope = body_json(&resp);
-    let digest = envelope
-        .get("digest")
-        .and_then(Json::as_str)
-        .unwrap_or_else(|| fail("envelope lacks a digest"))
-        .to_string();
-    let hit = envelope.get("cache_hit").and_then(Json::as_bool) == Some(true);
+    let mut f = read(Fields::new(&envelope));
+    let digest = read(f.str("digest")).to_string();
+    let hit = read(f.bool("cache_hit"));
     match opts.expect {
         Some(true) if !hit => refuse("expected a cache hit but the request missed"),
         Some(false) if hit => refuse("expected a cache miss but the request hit"),
@@ -201,31 +204,18 @@ fn submit(client: &mut Client, opts: SubmitOpts) {
     );
 
     if !hit && opts.wait {
-        let job = envelope
-            .get("job")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| fail("miss envelope lacks a job id"))
-            .to_string();
+        let job = read(f.str("job"));
         loop {
             std::thread::sleep(Duration::from_millis(opts.poll_ms));
             let status_doc = body_json(&get(client, &format!("/v1/jobs/{job}")));
-            match status_doc.get("status").and_then(Json::as_str) {
-                Some("done") => break,
-                Some("failed") => {
-                    let why = status_doc
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("unknown");
-                    refuse(&format!("job {job} failed: {why}"));
-                }
-                Some(state) => {
-                    let pm = status_doc
-                        .get("progress_permille")
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0);
+            let mut status = read(Fields::new(&status_doc));
+            match read(status.str("status")) {
+                "done" => break,
+                "failed" => refuse(&format!("job {job} failed: {}", read(status.str("error")))),
+                state => {
+                    let pm = read(status.u64("progress_permille"));
                     eprintln!("  {job}: {state} ({}.{}%)", pm / 10, pm % 10);
                 }
-                None => fail("status document lacks a `status`"),
             }
         }
     }

@@ -466,3 +466,52 @@ fn a_flipped_byte_in_a_disk_entry_is_recomputed_not_served() {
     handle.stop();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A sweep and its axes are read as strictly as a run: a key misplaced
+/// into the sweep or misspelled in an axis is refused by name, never
+/// dropped into a different request's digest.
+#[test]
+fn sweeps_and_their_axes_are_as_strict_as_runs() {
+    let (handle, mut client, dir) = start("strict-sweep");
+    let misplaced = r#"{"type": "sweep",
+        "sweep": {"name": "e2e", "base": "SRT", "benches": ["m88ksim"],
+                  "max_cycle_factor": 10,
+                  "axes": [{"path": "core.sq_entries", "values": [16]}]}}"#;
+    let misspelled = r#"{"type": "sweep",
+        "sweep": {"name": "e2e", "base": "SRT", "benches": ["m88ksim"],
+                  "axes": [{"path": "core.sq_entries", "values": [16], "valeus": [32]}]}}"#;
+    for (doc, path) in [
+        (misplaced, "sweep.max_cycle_factor"),
+        (misspelled, "sweep.axes[0].valeus"),
+    ] {
+        let err = ServiceRequest::from_json(&parse(doc).unwrap()).unwrap_err();
+        assert_eq!(err, format!("unknown key `{path}`"));
+        let resp = client.post("/v1/sweep", doc.as_bytes()).expect("submit");
+        assert_eq!(resp.status, 422, "{}", resp.text());
+        assert!(resp.text().contains(path), "{}", resp.text());
+    }
+    handle.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A spec whose queues would not fit in memory is refused before it is
+/// queued: a queued one would take the daemon down with it, because an
+/// allocation failure aborts the process instead of unwinding.
+#[test]
+fn an_oversized_spec_is_refused_and_the_daemon_answers_on() {
+    let (handle, mut client, dir) = start("oversized");
+    let mut spec = rmt_core::MachineSpec::for_kind(rmt_core::DeviceKind::Srt).to_json();
+    spec.get_mut("core")
+        .unwrap()
+        .set("sq_entries", Json::U64(1_000_000_000_000));
+    let doc = parse(RUN_DOC).unwrap().with("spec", spec).encode();
+    let resp = client.post("/v1/run", doc.as_bytes()).expect("submit");
+    assert_eq!(resp.status, 422, "{}", resp.text());
+    assert!(resp.text().contains("`core.sq_entries`"), "{}", resp.text());
+    let health = client.get("/healthz").expect("healthz");
+    assert_eq!(health.status, 200, "{}", health.text());
+    let metrics = parse(&client.get("/metrics").unwrap().text()).unwrap();
+    assert_eq!(counter(&metrics, "serve/jobs/completed"), 0);
+    handle.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -62,7 +62,7 @@ impl Experiment {
             seed: 1,
             warmup: 20_000,
             measure: 100_000,
-            max_cycle_factor: 60,
+            max_cycle_factor: crate::service::RUN_MAX_CYCLE_FACTOR,
             epoch: 0,
             progress: None,
         }

@@ -13,6 +13,7 @@
 //! full standard-scale cell of every kind commits divergence-free.
 
 use crate::experiment::{DeviceKind, Experiment, VerifyError};
+use rmt_stats::fields::{FieldError, Fields};
 use rmt_stats::Json;
 use rmt_workloads::Benchmark;
 
@@ -201,52 +202,20 @@ pub fn golden_to_json_at(records: &[GuardRecord], warmup: u64, measure: u64) -> 
 ///
 /// Returns a message describing the first malformed field.
 pub fn parse_golden(doc: &Json) -> Result<Vec<GuardRecord>, String> {
-    let entries = doc
-        .get("entries")
-        .and_then(Json::as_array)
-        .ok_or("missing `entries` array")?;
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let field = |k: &str| e.get(k).ok_or(format!("entries[{i}]: missing `{k}`"));
-            let name = field("name")?
-                .as_str()
-                .ok_or(format!("entries[{i}]: `name` not a string"))?
-                .to_string();
-            let cycles = field("cycles")?
-                .as_u64()
-                .ok_or(format!("entries[{i}]: `cycles` not a u64"))?;
-            let faults = field("faults")?
-                .as_u64()
-                .ok_or(format!("entries[{i}]: `faults` not a u64"))?;
-            let per_thread = field("per_thread")?
-                .as_array()
-                .ok_or(format!("entries[{i}]: `per_thread` not an array"))?
-                .iter()
-                .map(|t| {
-                    let c = t.get("committed").and_then(Json::as_u64);
-                    let cy = t.get("cycles").and_then(Json::as_u64);
-                    match (c, cy) {
-                        (Some(c), Some(cy)) => Ok((c, cy)),
-                        _ => Err(format!("entries[{i}]: malformed `per_thread`")),
-                    }
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let fnv_text = field("metrics_fnv")?
-                .as_str()
-                .ok_or(format!("entries[{i}]: `metrics_fnv` not a string"))?;
-            let metrics_fnv = u64::from_str_radix(fnv_text.trim_start_matches("0x"), 16)
-                .map_err(|e| format!("entries[{i}]: bad `metrics_fnv`: {e}"))?;
-            Ok(GuardRecord {
-                name,
-                cycles,
-                faults,
-                per_thread,
-                metrics_fnv,
-            })
+    let pair = |mut t: Fields| Ok::<_, FieldError>((t.u64("committed")?, t.u64("cycles")?));
+    let record = |mut e: Fields| {
+        let fnv_text = e.str("metrics_fnv")?;
+        let metrics_fnv = u64::from_str_radix(fnv_text.trim_start_matches("0x"), 16)
+            .map_err(|err| e.invalid("metrics_fnv", format!("is not a hex digest: {err}")))?;
+        Ok::<_, FieldError>(GuardRecord {
+            name: e.str("name")?.to_string(),
+            cycles: e.u64("cycles")?,
+            faults: e.u64("faults")?,
+            per_thread: e.objects("per_thread", pair)?,
+            metrics_fnv,
         })
-        .collect()
+    };
+    Ok(Fields::new(doc)?.objects("entries", record)?)
 }
 
 #[cfg(test)]

@@ -46,12 +46,13 @@ use crate::experiment::{cycle_budget, Experiment, RunResult, SimError};
 use crate::figures::SimScale;
 use crate::runner::{ProgressSink, Runner};
 use rmt_core::spec::{DeviceKind, MachineSpec};
+use rmt_stats::fields::{FieldError, Fields};
 use rmt_stats::Json;
 use rmt_workloads::Benchmark;
 
-/// Default cycle-budget multiplier for service runs — the same default an
-/// [`Experiment`] carries, so a served run is bitwise identical to the
-/// figure binaries' cells.
+/// Default cycle-budget multiplier of an [`Experiment`] and of a service
+/// run, so a served run is bitwise identical to the figure binaries'
+/// cells.
 pub const RUN_MAX_CYCLE_FACTOR: u64 = 60;
 
 /// Default cycle-budget multiplier for the grid cells of service sweeps:
@@ -93,67 +94,69 @@ pub enum ServiceRequest {
     Sweep(SweepRequest),
 }
 
-fn parse_benches(doc: &Json) -> Result<Vec<Benchmark>, String> {
-    let list = doc
-        .get("benches")
-        .and_then(Json::as_array)
-        .ok_or("request needs a `benches` array")?;
-    if list.is_empty() {
-        return Err("`benches` must not be empty".into());
+/// `benches`: a non-empty list of benchmark names.
+fn parse_benches(f: &mut Fields) -> Result<Vec<Benchmark>, String> {
+    let names = f.strs("benches")?;
+    let path = f.path("benches");
+    if names.is_empty() {
+        return Err(format!("`{path}` must not be empty"));
     }
-    list.iter()
-        .map(|v| {
-            let n = v.as_str().ok_or("`benches` entries must be strings")?;
-            Benchmark::from_name(n).ok_or_else(|| format!("unknown benchmark `{n}` in `benches`"))
-        })
-        .collect()
+    let bench = |n: &str| {
+        Benchmark::from_name(n).ok_or_else(|| format!("unknown benchmark `{n}` in `{path}`"))
+    };
+    names.into_iter().map(bench).collect()
+}
+
+/// Refuses `programs` programs on `spec` when they do not all fit its
+/// hardware contexts ([`MachineSpec::max_programs`]); `path` is where the
+/// programs or the machine edit were given.
+fn fits(spec: &MachineSpec, programs: usize, path: String) -> Result<(), FieldError> {
+    let most = spec.max_programs();
+    if programs <= most {
+        return Ok(());
+    }
+    let (kind, contexts) = (spec.kind(), spec.core.max_threads);
+    Err(FieldError::Invalid {
+        path,
+        rule: format!(
+            "runs {programs} program(s), but {kind} with `core.max_threads` = {contexts} \
+             runs at most {most}"
+        ),
+    })
 }
 
 /// `"scale"`: a name (`"quick"`/`"standard"`/`"full"`), an explicit
 /// `{"warmup", "measure", "seed"?}` object (seed defaults to 1), or
 /// absent (quick — the serving default keeps accidental unbounded
 /// submissions cheap).
-fn parse_scale(doc: &Json) -> Result<SimScale, String> {
-    match doc.get("scale") {
-        None => Ok(SimScale::quick()),
-        Some(Json::Str(name)) => {
-            SimScale::named(name).ok_or_else(|| format!("unknown scale name `{name}`"))
-        }
-        Some(obj) => {
-            let members = obj.members().ok_or("`scale` must be a name or object")?;
-            for (k, _) in members {
-                if !matches!(k.as_str(), "warmup" | "measure" | "seed") {
-                    return Err(format!("unknown key `scale.{k}`"));
-                }
-            }
-            let field = |k: &str| obj.get(k).and_then(Json::as_u64);
-            Ok(SimScale {
-                warmup: field("warmup").ok_or("`scale.warmup` must be a u64")?,
-                measure: field("measure")
-                    .filter(|&n| n >= 1)
-                    .ok_or("`scale.measure` must be a u64 >= 1")?,
-                seed: match obj.get("seed") {
-                    None => 1,
-                    Some(_) => field("seed").ok_or("`scale.seed` must be a u64")?,
-                },
-            })
-        }
+fn parse_scale(f: &mut Fields) -> Result<SimScale, String> {
+    let Some(v) = f.opt("scale", Fields::value)? else {
+        return Ok(SimScale::quick());
+    };
+    if let Some(name) = v.as_str() {
+        return SimScale::named(name).ok_or_else(|| format!("unknown scale name `{name}`"));
     }
-}
-
-fn parse_u64_or(doc: &Json, key: &str, default: u64) -> Result<u64, String> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_u64().ok_or_else(|| format!("`{key}` must be a u64")),
+    let mut s = Fields::at(v, f.path("scale"))?;
+    let scale = SimScale {
+        warmup: s.u64("warmup")?,
+        measure: s.u64("measure")?,
+        seed: s.opt("seed", Fields::u64)?.unwrap_or(1),
+    };
+    if scale.measure == 0 {
+        return Err(s.invalid("measure", "must be at least 1").into());
     }
+    s.finish()?;
+    Ok(scale)
 }
 
 /// `"scale"` and `"max_cycle_factor"` (default `default_factor`),
 /// rejecting a cycle budget that overflows a `u64` at that factor or at
 /// the run default (a sweep's denominators run at it).
-fn parse_budget(doc: &Json, default_factor: u64) -> Result<(SimScale, u64), String> {
-    let scale = parse_scale(doc)?;
-    let factor = parse_u64_or(doc, "max_cycle_factor", default_factor)?;
+fn parse_budget(f: &mut Fields, default_factor: u64) -> Result<(SimScale, u64), String> {
+    let scale = parse_scale(f)?;
+    let factor = f
+        .opt("max_cycle_factor", Fields::u64)?
+        .unwrap_or(default_factor);
     let worst = factor.max(RUN_MAX_CYCLE_FACTOR);
     match cycle_budget(scale.warmup, scale.measure, worst) {
         Some(_) => Ok((scale, factor)),
@@ -166,24 +169,14 @@ fn parse_budget(doc: &Json, default_factor: u64) -> Result<(SimScale, u64), Stri
 
 /// The `key` (`"spec"` or `"base"`) machine field: a kind name or a full
 /// document.
-fn parse_spec(v: &Json, key: &str) -> Result<MachineSpec, String> {
-    match v {
-        Json::Str(kind_name) => {
-            let kind = DeviceKind::from_name(kind_name)
-                .ok_or_else(|| format!("unknown device kind `{kind_name}` in `{key}`"))?;
-            Ok(MachineSpec::for_kind(kind))
-        }
-        spec_doc => MachineSpec::from_json(spec_doc).map_err(|e| e.to_string()),
+fn parse_spec(f: &mut Fields, key: &str) -> Result<MachineSpec, String> {
+    let v = f.value(key)?;
+    match v.as_str() {
+        Some(name) => DeviceKind::from_name(name)
+            .map(MachineSpec::for_kind)
+            .ok_or_else(|| format!("unknown device kind `{name}` in `{}`", f.path(key))),
+        None => MachineSpec::from_json(v).map_err(|e| e.to_string()),
     }
-}
-
-fn reject_unknown_keys(doc: &Json, allowed: &[&str]) -> Result<(), String> {
-    for (k, _) in doc.members().ok_or("request must be a JSON object")? {
-        if !allowed.contains(&k.as_str()) {
-            return Err(format!("unknown request key `{k}`"));
-        }
-    }
-    Ok(())
 }
 
 fn scale_json(scale: SimScale) -> Json {
@@ -212,53 +205,47 @@ impl ServiceRequest {
     ///  "max_cycle_factor": 150}
     /// ```
     ///
-    /// Unknown keys are rejected (a typo must not silently drop a knob and
-    /// collide with a different request's digest), and so is a scale whose
-    /// cycle budget overflows a `u64`.
+    /// Unknown keys are rejected, in the sweep and its axes too (a typo
+    /// must not silently drop a knob and collide with a different
+    /// request's digest), and so are programs that do not fit the machine
+    /// and a scale whose cycle budget overflows a `u64`.
     ///
     /// # Errors
     ///
-    /// A message naming the offending key.
+    /// A message naming the dotted path of the offending value.
     pub fn from_json(doc: &Json) -> Result<ServiceRequest, String> {
-        match doc.get("type").and_then(Json::as_str) {
-            Some("run") => {
-                reject_unknown_keys(
-                    doc,
-                    &[
-                        "type",
-                        "spec",
-                        "benches",
-                        "scale",
-                        "epoch",
-                        "max_cycle_factor",
-                    ],
-                )?;
-                let spec =
-                    parse_spec(doc.get("spec").ok_or("run request needs a `spec`")?, "spec")?;
-                let (scale, max_cycle_factor) = parse_budget(doc, RUN_MAX_CYCLE_FACTOR)?;
-                Ok(ServiceRequest::Run(RunRequest {
+        let mut f = Fields::new(doc)?;
+        let request = match f.str("type")? {
+            "run" => {
+                let spec = parse_spec(&mut f, "spec")?;
+                let benches = parse_benches(&mut f)?;
+                fits(&spec, benches.len(), f.path("benches"))?;
+                let (scale, max_cycle_factor) = parse_budget(&mut f, RUN_MAX_CYCLE_FACTOR)?;
+                ServiceRequest::Run(RunRequest {
                     spec,
-                    benches: parse_benches(doc)?,
+                    benches,
                     scale,
-                    epoch: parse_u64_or(doc, "epoch", 0)?,
+                    epoch: f.opt("epoch", Fields::u64)?.unwrap_or(0),
                     max_cycle_factor,
-                }))
+                })
             }
-            Some("sweep") => {
-                reject_unknown_keys(doc, &["type", "sweep", "scale", "max_cycle_factor"])?;
-                let cfg = SweepConfig::from_json(
-                    doc.get("sweep").ok_or("sweep request needs a `sweep`")?,
-                )?;
-                let (scale, max_cycle_factor) = parse_budget(doc, SWEEP_MAX_CYCLE_FACTOR)?;
-                Ok(ServiceRequest::Sweep(SweepRequest {
+            "sweep" => {
+                let cfg = SweepConfig::read(f.object("sweep")?)?;
+                let (scale, max_cycle_factor) = parse_budget(&mut f, SWEEP_MAX_CYCLE_FACTOR)?;
+                ServiceRequest::Sweep(SweepRequest {
                     cfg,
                     scale,
                     max_cycle_factor,
-                }))
+                })
             }
-            Some(other) => Err(format!("unknown request `type` `{other}`")),
-            None => Err("request needs a string `type` (`run` or `sweep`)".into()),
-        }
+            other => {
+                return Err(format!(
+                    "unknown request `type` `{other}` (`run` or `sweep`)"
+                ))
+            }
+        };
+        f.finish()?;
+        Ok(request)
     }
 
     /// The fully resolved request document: every shorthand expanded, every
@@ -516,6 +503,19 @@ mod tests {
                           "axes": [{"path": "core.sq_entries", "values": [16]}]},
                 "scale": {"warmup": 1000000000000000000, "measure": 1}}"#,
             "max_cycle_factor",
+        );
+        // Programs that do not fit the machine's hardware contexts: three
+        // SRT pairs on four contexts, and a sweep cell whose edit leaves
+        // SRT one context, too few for its one program's pair.
+        reject(
+            r#"{"type": "run", "spec": "SRT", "benches": ["gcc", "go", "swim"]}"#,
+            "`benches` runs 3 program(s)",
+        );
+        reject(
+            r#"{"type": "sweep",
+                "sweep": {"name": "x", "base": "SRT", "benches": ["gcc"],
+                          "axes": [{"path": "core.max_threads", "values": [2, 1]}]}}"#,
+            "`sweep.axes[0].values[1]`",
         );
     }
 

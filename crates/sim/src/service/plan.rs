@@ -23,6 +23,7 @@ use crate::figures::SimScale;
 use crate::outcome::RunResult;
 use crate::runner::Runner;
 use rmt_core::spec::{DeviceKind, MachineSpec};
+use rmt_stats::fields::{FieldError, Fields};
 use rmt_stats::metrics::{mean, smt_efficiency};
 use rmt_stats::{Json, MetricsSnapshot, TimeSeries};
 use rmt_workloads::Benchmark;
@@ -139,25 +140,21 @@ fn fold(ipcs: &[f64], base: &[f64]) -> f64 {
 /// division [`ThreadOutcome::ipc`](crate::outcome::ThreadOutcome::ipc)
 /// performs, so the values are bitwise identical to an in-process run.
 fn ipcs_of(result: &Json, digest: &str) -> Result<Vec<f64>, String> {
-    let threads = result
-        .get("per_thread")
-        .and_then(Json::as_array)
-        .filter(|t| !t.is_empty())
-        .ok_or_else(|| format!("cell {digest}: result lacks `per_thread[0]`"))?;
-    let ipc = |(i, t): (usize, &Json)| {
-        let field = |k: &str| {
-            t.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("cell {digest}: `per_thread[{i}].{k}` is not a u64"))
-        };
-        let (committed, cycles) = (field("committed")?, field("cycles")?);
-        Ok(if cycles == 0 {
+    let ipc = |mut t: Fields| {
+        let (committed, cycles) = (t.u64("committed")?, t.u64("cycles")?);
+        Ok::<_, FieldError>(if cycles == 0 {
             0.0
         } else {
             committed as f64 / cycles as f64
         })
     };
-    threads.iter().enumerate().map(ipc).collect()
+    let ipcs = Fields::new(result)
+        .and_then(|mut f| f.objects("per_thread", ipc))
+        .map_err(|e| format!("cell {digest}: {e}"))?;
+    if ipcs.is_empty() {
+        return Err(format!("cell {digest}: result lacks `per_thread[0]`"));
+    }
+    Ok(ipcs)
 }
 
 impl ClusterPlan {

@@ -9,8 +9,9 @@
 //! self-describing. [`ClusterPlan`](super::ClusterPlan) expands a sweep
 //! into its cells and folds their results into that document.
 
-use super::{parse_benches, parse_spec};
+use super::{fits, parse_benches, parse_spec};
 use rmt_core::spec::MachineSpec;
+use rmt_stats::fields::Fields;
 use rmt_stats::Json;
 use rmt_workloads::Benchmark;
 
@@ -37,7 +38,7 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
-    /// Parses a sweep document:
+    /// Reads a sweep document:
     ///
     /// ```json
     /// {
@@ -52,52 +53,38 @@ impl SweepConfig {
     ///
     /// `base` is either a [`DeviceKind`](rmt_core::spec::DeviceKind) name
     /// (the kind's default spec) or a full six-section spec document.
-    /// Every axis path/value pair is validated against the base spec up
-    /// front, so a bad sweep file fails before any simulation runs.
+    /// Unknown keys are refused, in the axes too. Every axis path/value
+    /// pair is validated against the base spec up front, and so is that
+    /// the resulting machine runs one program, so a bad sweep file fails
+    /// before any simulation runs.
     ///
     /// # Errors
     ///
-    /// A message naming the offending key.
-    pub fn from_json(doc: &Json) -> Result<SweepConfig, String> {
-        let name = doc
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("sweep file needs a string `name`")?
-            .to_string();
-        let base = parse_spec(
-            doc.get("base")
-                .ok_or("sweep file needs a `base` (kind name or spec document)")?,
-            "base",
-        )?;
-        let benches = parse_benches(doc)?;
-        let axes = match doc.get("axes").and_then(Json::as_array) {
-            Some(list) if !list.is_empty() => list
-                .iter()
-                .map(|a| {
-                    let path = a
-                        .get("path")
-                        .and_then(Json::as_str)
-                        .ok_or("each axis needs a string `path`")?
-                        .to_string();
-                    let values = a
-                        .get("values")
-                        .and_then(Json::as_array)
-                        .ok_or("each axis needs a `values` array")?
-                        .to_vec();
-                    if values.is_empty() {
-                        return Err(format!("axis `{path}` has no values"));
-                    }
-                    // Validate every cell's override against the base spec
-                    // now, not in a worker thread mid-sweep.
-                    for v in &values {
-                        let mut probe = base.clone();
-                        probe.set(&path, v.clone()).map_err(|e| e.to_string())?;
-                    }
-                    Ok(SweepAxis { path, values })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("sweep file needs a non-empty `axes` array".into()),
-        };
+    /// A message naming the dotted path of the offending value.
+    pub fn read(mut f: Fields<'_>) -> Result<SweepConfig, String> {
+        let name = f.str("name")?.to_string();
+        let base = parse_spec(&mut f, "base")?;
+        let benches = parse_benches(&mut f)?;
+        let axes = f.objects("axes", |mut a| {
+            let path = a.str("path")?.to_string();
+            let values = a.array("values")?.to_vec();
+            if values.is_empty() {
+                return Err(a.invalid("values", "must not be empty").into());
+            }
+            // Validate every cell's override against the base spec now,
+            // not in a worker thread mid-sweep.
+            for (i, v) in values.iter().enumerate() {
+                let mut probe = base.clone();
+                probe.set(&path, v.clone()).map_err(|e| e.to_string())?;
+                fits(&probe, 1, format!("{}[{i}]", a.path("values")))?;
+            }
+            a.finish()?;
+            Ok::<_, String>(SweepAxis { path, values })
+        })?;
+        if axes.is_empty() {
+            return Err(format!("`{}` must not be empty", f.path("axes")));
+        }
+        f.finish()?;
         Ok(SweepConfig {
             name,
             base,
@@ -111,6 +98,10 @@ impl SweepConfig {
 mod tests {
     use super::*;
     use rmt_core::spec::DeviceKind;
+
+    fn parse(doc: &Json) -> Result<SweepConfig, String> {
+        SweepConfig::read(Fields::new(doc)?)
+    }
 
     fn sweep_doc() -> Json {
         rmt_stats::json::parse(
@@ -126,7 +117,7 @@ mod tests {
 
     #[test]
     fn parses_and_validates_a_sweep_file() {
-        let cfg = SweepConfig::from_json(&sweep_doc()).unwrap();
+        let cfg = parse(&sweep_doc()).unwrap();
         assert_eq!(cfg.name, "tiny");
         assert_eq!(cfg.base.kind(), DeviceKind::Srt);
         assert_eq!(cfg.benches, vec![Benchmark::M88ksim]);
@@ -138,25 +129,21 @@ mod tests {
     fn rejects_bad_paths_kinds_and_benchmarks() {
         let mut doc = sweep_doc();
         doc.set("base", Json::Str("NotAKind".into()));
-        assert!(SweepConfig::from_json(&doc)
-            .unwrap_err()
-            .contains("NotAKind"));
+        assert!(parse(&doc).unwrap_err().contains("NotAKind"));
 
         let doc = rmt_stats::json::parse(
             r#"{"name": "x", "base": "SRT", "benches": ["m88ksim"],
                 "axes": [{"path": "core.nope", "values": [1]}]}"#,
         )
         .unwrap();
-        assert!(SweepConfig::from_json(&doc)
-            .unwrap_err()
-            .contains("core.nope"));
+        assert!(parse(&doc).unwrap_err().contains("core.nope"));
 
         let doc = rmt_stats::json::parse(
             r#"{"name": "x", "base": "SRT", "benches": ["quake"],
                 "axes": [{"path": "core.sq_entries", "values": [16]}]}"#,
         )
         .unwrap();
-        assert!(SweepConfig::from_json(&doc).unwrap_err().contains("quake"));
+        assert!(parse(&doc).unwrap_err().contains("quake"));
     }
 
     #[test]
@@ -165,7 +152,7 @@ mod tests {
         let mut spec = MachineSpec::for_kind(DeviceKind::Srt);
         spec.set("core.sq_entries", Json::U64(32)).unwrap();
         doc.set("base", spec.to_json());
-        let cfg = SweepConfig::from_json(&doc).unwrap();
+        let cfg = parse(&doc).unwrap();
         assert_eq!(cfg.base.core.sq_entries, 32);
     }
 }

@@ -23,6 +23,8 @@
 //!   machine-readable `results/*.json` outputs.
 //! * [`json`] — serde-free JSON value tree, encoder, and parser (the build
 //!   is offline, so no external JSON crate).
+//! * [`fields`] — the one strict reader every document the program takes
+//!   in goes through: typed getters, refused unknown keys, dotted paths.
 //! * [`digest`](mod@digest) — canonical-JSON form and a 128-bit content
 //!   digest, the cache key of the `rmt-serve` result store (identical
 //!   resolved specs hash identically regardless of key order).
@@ -54,6 +56,7 @@ pub mod check;
 pub mod cli;
 pub mod digest;
 pub mod estimate;
+pub mod fields;
 pub mod flight;
 pub mod histogram;
 pub mod json;

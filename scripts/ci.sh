@@ -79,6 +79,25 @@ usage_check guard_golden --bogus
 usage_check rmt-serve --bogus
 usage_check rmtc --server 127.0.0.1:1 health --bogus
 usage_check rmt-cluster sweeps/slack_sq.json --bogus
+# Every document goes through one strict reader: a misspelled sweep-axis
+# key and a store queue too large to allocate are refused by their dotted
+# path with exit 2, before any simulation runs.
+refusal_check() { # refusal_check NEEDLE BIN ARGS...: exits 2 naming NEEDLE
+    local needle="$1" bin="$2" status=0
+    shift 2
+    "./target/release/$bin" "$@" > /dev/null 2> "$tmpdir/refusal.err" || status=$?
+    if [ "$status" -ne 2 ] || ! grep -qF "$needle" "$tmpdir/refusal.err"; then
+        echo "error: '$bin $*' exited $status; want 2 naming $needle" >&2
+        cat "$tmpdir/refusal.err" >&2
+        exit 1
+    fi
+}
+cat > "$tmpdir/typo_sweep.json" <<'EOF'
+{"name": "typo", "base": "SRT", "benches": ["m88ksim"],
+ "axes": [{"path": "core.sq_entries", "values": [16], "valeus": [32]}]}
+EOF
+refusal_check 'sweep.axes[0].valeus' rmt-cluster "$tmpdir/typo_sweep.json" --local --quick
+refusal_check 'core.sq_entries' figure table1 --set core.sq_entries=1000000000000
 
 section "smoke: parallel figure run (quick scale, 2 workers)"
 cargo run --release -p rmt-bench --bin figure -- fig6_srt_single --quick --jobs 2
